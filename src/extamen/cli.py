@@ -7,8 +7,9 @@ re-running the same command reproduces them byte for byte; volatile data
 accompanying manifest.json instead.
 
 Exit codes: 0 when the requested check passed, 1 when it ran and the
-property failed (or the inputs were structurally unusable), 2 when a
-resource cap or search budget was exhausted.
+property failed (or the inputs were unusable: an unknown name, a set that
+does not parse, a negative size), 2 when a resource cap or search budget was
+exhausted.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import io
 import json
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -38,25 +40,30 @@ from .graph import (
 )
 from .harmonic import canonical_phi_u, is_superharmonic_on, phi_family
 from .lamplighter import orbit_enumerate, parse_config, serialize_config, switch_invariant_check
-from .minfn import resolve_setfn
+from .minfn import _parse_eps, _resolve_phi, resolve_setfn
 from .walks import WalkConfig
 
 __all__ = ["main", "build_parser"]
 
+# options holding a count or size; a negative value is unusable input
+SIZE_OPTIONS = ("n", "cap", "trials", "steps", "samples")
 
-def _parse_fraction(s: str) -> Fraction:
+
+class UnusableInput(Exception):
+    """A name, set or size given on the command line cannot be resolved."""
+
+
+@contextmanager
+def _resolving():
+    """Re-raise what resolving command-line input raises as UnusableInput.
+
+    That is a KeyError for an unknown name, a ValueError for a malformed
+    name, set or number, and a ZeroDivisionError for a rational like 1/0.
+    """
     try:
-        return Fraction(s)
-    except ValueError:
-        return Fraction(float(s))
-
-
-def _resolve_vertex_fn(name: str):
-    if name == "phi_u":
-        return canonical_phi_u()
-    if name.startswith("phi:"):
-        return phi_family(int(name.split(":", 1)[1]))
-    raise KeyError(f"unknown vertex function {name!r}")
+        yield
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
+        raise UnusableInput(exc.args[0] if exc.args else type(exc).__name__) from exc
 
 
 def parse_set_spec(spec: str):
@@ -150,7 +157,8 @@ def _cmd_graph_explore(args):
 def _cmd_fn_check(args):
     name = args.fn
     if name == "phi_u" or name.startswith("phi:"):
-        phi = _resolve_vertex_fn(name)
+        with _resolving():
+            phi = _resolve_phi(name.split(":"))
         region = ball(ROOT, args.n, cap=args.cap)
         rep = is_superharmonic_on(phi, region)
         rows = [
@@ -159,7 +167,8 @@ def _cmd_fn_check(args):
         ]
         report = rep.to_json()
         return rep.ok, report, (["vertex", "phi", "P_phi", "margin"], rows)
-    F = resolve_setfn(name)
+    with _resolving():
+        F = resolve_setfn(name)
     samples = list(orbit_enumerate((), args.n, cap=args.cap))
     ok_sw, _ = switch_invariant_check(F, samples)
     sup = walks.supermartingale_check(F, samples, mode="lamp")
@@ -173,8 +182,9 @@ def _cmd_fn_check(args):
 
 
 def _cmd_approx_verify(args):
-    F = resolve_setfn(args.fn)
-    E = parse_set_spec(args.set)
+    with _resolving():
+        F = resolve_setfn(args.fn)
+        E = parse_set_spec(args.set)
     beta = approx.beta_schedule(args.beta).value(args.n)
     if args.weak:
         rep = approx.weak_verify(F, E, args.n, beta, samples=args.samples, seed=args.seed)
@@ -186,19 +196,20 @@ def _cmd_approx_verify(args):
 def _cmd_approx_construct(args):
     beta = approx.beta_schedule(args.beta)
     if args.kind == "single":
-        phi = _resolve_vertex_fn(args.fn or "phi_u")
+        with _resolving():
+            phi = _resolve_phi((args.fn or "phi_u").split(":"))
         result = approx.construct_En_single(phi, args.n, beta=beta)
     elif args.kind == "sum":
         names = (args.fn or "phi:0,phi:1,phi:2").split(",")
-        result = approx.construct_En_sum(
-            [_resolve_vertex_fn(nm) for nm in names], args.n, beta=beta
-        )
+        with _resolving():
+            phis = [_resolve_phi(nm.split(":")) for nm in names]
+        result = approx.construct_En_sum(phis, args.n, beta=beta)
     elif args.kind == "markov":
         names = (args.fn or "phi:0,phi:1").split(",")
-        powers = [int(p) for p in (args.powers or "1,1").split(",")]
-        result = approx.construct_En_markov(
-            [_resolve_vertex_fn(nm) for nm in names], powers, args.n, beta=beta
-        )
+        with _resolving():
+            phis = [_resolve_phi(nm.split(":")) for nm in names]
+            powers = [int(p) for p in (args.powers or "1,1").split(",")]
+        result = approx.construct_En_markov(phis, powers, args.n, beta=beta)
     else:
         result = approx.construct_En_countable(args.n, beta=beta)
     rep = approx.strong_verify(result.setfn, result.E, args.n, result.beta, cap=args.cap)
@@ -207,14 +218,16 @@ def _cmd_approx_construct(args):
 
 
 def _cmd_approx_refute(args):
-    E = parse_set_spec(args.set)
+    with _resolving():
+        E = parse_set_spec(args.set)
     wit = approx.golden_witness(E, args.n)
     report = {"set": serialize_config(E), "n": args.n, "witness": wit.to_json()}
     return True, report, None
 
 
 def _cmd_walk_green(args):
-    r = _parse_fraction(args.r)
+    with _resolving():
+        r = _parse_eps(args.r)
     series = walks.lumped_return_series(args.n)
     partials = []
     total = Fraction(0)
@@ -251,7 +264,8 @@ def _cmd_walk_return(args):
 
 
 def _cmd_walk_decay(args):
-    checkpoints = tuple(int(c) for c in args.checkpoints.split(","))
+    with _resolving():
+        checkpoints = tuple(int(c) for c in args.checkpoints.split(","))
     walk = WalkConfig(
         trials=args.trials,
         steps=args.steps,
@@ -297,10 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--orientation", choices=("lr", "rl"), default="lr")
     sub = top.add_subparsers(dest="group", required=True)
 
-    def common(p, *, n_default=None):
+    def common(p, *, n_default=None, cap_default=10**6):
         p.add_argument("--n", type=int, default=n_default)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cap", type=int, default=10**6)
+        p.add_argument("--cap", type=int, default=cap_default)
         p.add_argument("--out", default=None)
 
     graph = sub.add_parser("graph").add_subparsers(dest="action", required=True)
@@ -337,11 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     walk = sub.add_parser("walk").add_subparsers(dest="action", required=True)
     wg = walk.add_parser("green")
-    common(wg, n_default=30)
+    # green_mc budgets (trials * steps) exceed the generic cap
+    common(wg, n_default=30, cap_default=10**10)
     wg.add_argument("--r", default="1")
     wg.add_argument("--trials", type=int, default=0)
     wg.add_argument("--steps", type=int, default=10**5)
-    wg.set_defaults(handler=_cmd_walk_green, cap_default=10**10)
+    wg.set_defaults(handler=_cmd_walk_green)
     wr = walk.add_parser("return")
     common(wr, n_default=30)
     wr.set_defaults(handler=_cmd_walk_return)
@@ -368,11 +383,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     set_orientation(args.orientation)
-    # green_mc budgets exceed the generic cap; lift the default there
-    if getattr(args, "cap_default", None) and args.cap == 10**6:
-        args.cap = args.cap_default
     try:
+        for size in SIZE_OPTIONS:
+            value = getattr(args, size, None)
+            if value is not None and value < 0:
+                raise UnusableInput(f"--{size} must be >= 0, got {value}")
         ok, report, series = args.handler(args)
+    except UnusableInput as exc:
+        print(f"unusable input: {exc}", file=sys.stderr)
+        return 1
     except (CapExceeded, SearchExhausted) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2

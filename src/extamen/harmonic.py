@@ -9,8 +9,6 @@ floats, in which case margin comparisons take a tolerance.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -106,13 +104,6 @@ class SuperharmonicReport:
             "violations": [[str(v), str(m)] for v, m in self.violations],
             "ok": self.ok,
         }
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["vertex", "phi", "P_phi", "margin"])
-            for v, val, pval, m in self.entries:
-                w.writerow([str(v), str(val), str(pval), str(m)])
 
 
 def is_superharmonic_on(phi, region: Ball, tol=0) -> SuperharmonicReport:

@@ -21,7 +21,7 @@ from .errors import (
     PreconditionFailed,
     PropertySelfTestFailed,
 )
-from .graph import ball
+from .graph import ball, struct_info
 from .harmonic import VertexFn, canonical_phi_u, markov_apply_X, phi_family, pow2
 from .lamplighter import Config, SetFn, apply_letter, markov_apply_set, markov_iterate
 
@@ -158,14 +158,27 @@ def countable_sum(
     summing below eps; each term is bounded by its root value, so the
     truncation error is certified below eps.  The result records the
     truncation index and the certified error.
+
+    When family is phi_family itself the sum is evaluated in closed form, in
+    integers and O(|E| + N) time.  Member i is 2^-depth inside subtree i
+    (where depth >= i + 1) and 2^-i everywhere else, root included, so a lamp
+    with struct_info (lead, deeper, depth) can lower only term lead, and only
+    when deeper (equivalently depth > lead) and lead <= N.  With e_i the
+    larger of i and the deepest such depth, F(E) = sum over i = 0..N of
+    2^-e_i, summed as one integer over 2^max(e_i); the empty set gives
+    2 - 2^-N.  Every other family takes the generic sum of minfun terms,
+    which is the oracle the closed form is tested against.
     """
     if tail_bound is None:
         raise MissingTailBound("countable_sum needs a certified tail bound")
     N = tail_bound(eps)
-    terms = [minfun(family(i)) for i in range(N + 1)]
+    if family is phi_family:
+        fn = _phi_family_sum(N)
+    else:
+        terms = [minfun(family(i)) for i in range(N + 1)]
 
-    def fn(E: Config):
-        return sum(term(E) for term in terms)
+        def fn(E: Config):
+            return sum(term(E) for term in terms)
 
     out = SetFn(
         name=f"sum:{family_name}:eps={eps}",
@@ -175,6 +188,28 @@ def countable_sum(
         meta=(("truncation_N", N), ("certified_error", eps), ("family", family_name)),
     )
     return out
+
+
+def _phi_family_sum(N: int) -> Callable[[Config], Fraction]:
+    """Closed form of the sum of minfun(phi_family(i)) for i = 0..N."""
+
+    def fn(E: Config) -> Fraction:
+        deepest: dict[int, int] = {}
+        for x in E:
+            # depth > lead exactly when the path continues past its leading
+            # L-turns, i.e. when x lies in subtree lead
+            lead, _, depth = struct_info(x)
+            if lead <= N and depth > deepest.get(lead, lead):
+                deepest[lead] = depth
+        top = max([N, *deepest.values()])
+        # sum_{i=0..N} 2^-i over the common denominator 2^top, then each
+        # lowered term i trades its 2^-i for 2^-e_i
+        total = (2 << top) - (1 << (top - N))
+        for i, e in deepest.items():
+            total += (1 << (top - e)) - (1 << (top - i))
+        return Fraction(total, 1 << top)
+
+    return fn
 
 
 def markov_image(F: SetFn, n: int, cap: int = 8) -> SetFn:
@@ -304,9 +339,9 @@ def _parse_eps(s: str) -> Fraction:
 
 
 def _resolve_phi(token: Sequence[str]) -> VertexFn:
-    if token[0] == "phi_u":
+    if token and token[0] == "phi_u":
         return canonical_phi_u()
-    if token[0] == "phi" and len(token) == 2:
+    if len(token) == 2 and token[0] == "phi":
         return phi_family(int(token[1]))
     raise KeyError(f"unknown vertex function {':'.join(token)!r}")
 
@@ -320,7 +355,7 @@ def resolve_setfn(name: str) -> SetFn:
     parts = name.split(":")
     if parts[0] == "minfun":
         return minfun(_resolve_phi(parts[1:]))
-    if parts[0] == "gmin" and parts[1] == "kmean":
+    if parts[:2] == ["gmin", "kmean"] and len(parts) > 4:
         k, m = int(parts[2]), int(parts[3])
         return generalized_minfun(r_family_kmean(k, m), _resolve_phi(parts[4:]))
     if parts[0] == "sum" and parts[1] == "phi_family":

@@ -37,6 +37,28 @@ def test_exit_two_on_cap(capsys):
     assert "resource limit" in capsys.readouterr().err
 
 
+def test_explicit_default_cap_is_honoured(capsys):
+    # 10^6 is the generic default, but walk green's own default is larger
+    argv = ["walk", "green", "--n", "2", "--trials", "2000", "--steps", "1000"]
+    assert run(argv + ["--cap", "1000000"]) == 2
+    assert "resource limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fn", "check", "--fn", "bogus"], "unknown set function 'bogus'"),
+    (["approx", "verify", "--fn", "sum:phi_family:eps=1e-6", "--set", "3/5"], "is not dyadic"),
+    (["graph", "explore", "--n", "-1"], "--n must be >= 0, got -1"),
+    (["walk", "green", "--n", "2", "--r", "1/0"], "Fraction(1, 0)"),
+])
+def test_unusable_input_is_one_line(capsys, argv, message):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("unusable input: ")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         run(["bogus"])

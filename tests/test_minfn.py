@@ -10,9 +10,10 @@ from extamen.errors import (
     PreconditionFailed,
     PropertySelfTestFailed,
 )
-from extamen.graph import act_word, ball, struct_info
+from extamen.approx import construct_En_countable, explicit_En_hairs
+from extamen.graph import act_word, ball, hair_point, struct_info, vertex_at
 from extamen.harmonic import VertexFn, canonical_phi_u, phi_family, pow2
-from extamen.lamplighter import EMPTY, config, markov_apply_set
+from extamen.lamplighter import EMPTY, config, markov_apply_set, orbit_enumerate
 from extamen.minfn import (
     SymmetricConcaveFn,
     T_operator,
@@ -128,6 +129,66 @@ def test_countable_sum_truncation():
         countable_sum(phi_family, eps)
 
 
+def phi_family_oracle(N, C):
+    """The countable sum written out term by term: the generic definition."""
+    return sum(minfun(phi_family(i))(C) for i in range(N + 1))
+
+
+def assert_matches_oracle(F, configs):
+    N = dict(F.meta)["truncation_N"]
+    for C in configs:
+        got, want = F(C), phi_family_oracle(N, C)
+        assert got == want and type(got) is type(want), f"{C}: {got} != {want}"
+
+
+def test_phi_family_sum_matches_oracle_on_explicit_orbits():
+    for n in range(1, 8):
+        F = countable_sum(phi_family, pow2(-n), tail_bound=phi_family_tail_bound)
+        assert_matches_oracle(F, orbit_enumerate(explicit_En_hairs(n), n))
+
+
+def test_phi_family_sum_matches_oracle_on_countable_orbit():
+    result = construct_En_countable(4)
+    assert_matches_oracle(result.setfn, orbit_enumerate(result.E, 4))
+
+
+@st.composite
+def lamp_configs(draw):
+    """Lamps on the spine, inside subtrees (several per subtree, some with
+    index above the truncation), on hairs, and the empty set."""
+    lamps = []
+    for _ in range(draw(st.integers(0, 6))):
+        lead = draw(st.integers(0, 9))
+        tail = draw(st.lists(st.sampled_from("LR"), max_size=4))
+        path = "L" * lead + ("R" + "".join(tail) if draw(st.booleans()) else "")
+        lamps.append(hair_point(vertex_at(path), draw(st.integers(0, 3))))
+    return config(lamps)
+
+
+@given(st.integers(0, 7), lamp_configs())
+@settings(max_examples=300, deadline=None)
+def test_phi_family_sum_matches_oracle_on_drawn_configs(k, C):
+    F = countable_sum(phi_family, pow2(-k), tail_bound=phi_family_tail_bound)
+    assert_matches_oracle(F, [C, EMPTY])
+
+
+def test_other_families_take_the_generic_sum():
+    calls = []
+
+    def family(i):
+        calls.append(i)
+        return phi_family(i)
+
+    eps = pow2(-5)
+    G = countable_sum(family, eps, tail_bound=phi_family_tail_bound)
+    F = countable_sum(phi_family, eps, tail_bound=phi_family_tail_bound)
+    N = phi_family_tail_bound(eps)
+    assert calls == list(range(N + 1))
+    assert (G.name, G.meta) == (F.name, F.meta)
+    for C in [EMPTY, *rand_configs(60, seed=11)]:
+        assert G(C) == F(C) == phi_family_oracle(N, C)
+
+
 def test_markov_image():
     F = minfun(canonical_phi_u())
     P1 = markov_image(F, 1)
@@ -201,6 +262,7 @@ def test_resolve_setfn_roundtrips():
 
 
 def test_resolve_setfn_rejects_unknown():
-    for bad in ("minfun:psi", "gmin:median:2:3:phi_u", "sum:phi_family", "nope"):
+    for bad in ("minfun:psi", "gmin:median:2:3:phi_u", "sum:phi_family", "nope",
+                "minfun", "gmin", "gmin:kmean:2:3"):
         with pytest.raises(KeyError):
             resolve_setfn(bad)
