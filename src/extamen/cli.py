@@ -8,8 +8,8 @@ accompanying manifest.json instead.
 
 Exit codes: 0 when the requested check passed, 1 when it ran and the
 property failed (or the inputs were unusable: an unknown name, a set that
-does not parse, a negative size), 2 when a resource cap or search budget was
-exhausted.
+does not parse, a negative size, a run of zero trials or steps), 2 when a
+resource cap or search budget was exhausted.
 """
 
 from __future__ import annotations
@@ -228,23 +228,20 @@ def _cmd_approx_refute(args):
 def _cmd_walk_green(args):
     with _resolving():
         r = _parse_eps(args.r)
+    if args.trials and not args.steps:
+        raise UnusableInput("--steps must be >= 1 for a Monte Carlo run")
     series = walks.lumped_return_series(args.n)
-    partials = []
-    total = Fraction(0)
-    rk = Fraction(1)
-    for k, term in enumerate(series):
-        total += term * rk
-        rk *= r
-        partials.append([k, str(term), str(total)])
+    partials = walks.power_partial_sums(series, r)
     report = {
         "n": args.n,
         "r": str(r),
-        "partial": str(total),
+        "partial": str(partials[-1]),
     }
     if args.trials:
         mc = walks.green_mc(args.trials, args.steps, seed=args.seed, cap=args.cap)
         report["mc"] = mc.to_json()
-    return True, report, (["n", "p_n", "partial"], partials)
+    rows = [[k, str(term), str(total)] for k, (term, total) in enumerate(zip(series, partials))]
+    return True, report, (["n", "p_n", "partial"], rows)
 
 
 def _cmd_walk_return(args):
@@ -265,14 +262,14 @@ def _cmd_walk_return(args):
 
 def _cmd_walk_decay(args):
     with _resolving():
-        checkpoints = tuple(int(c) for c in args.checkpoints.split(","))
-    walk = WalkConfig(
-        trials=args.trials,
-        steps=args.steps,
-        seed=args.seed,
-        checkpoints=checkpoints,
-        fn_name=args.fn or "minfun:phi_u",
-    )
+        walk = WalkConfig(
+            trials=args.trials,
+            steps=args.steps,
+            seed=args.seed,
+            checkpoints=tuple(int(c) for c in args.checkpoints.split(",")),
+            fn_name=args.fn or "minfun:phi_u",
+        )
+        resolve_setfn(walk.fn_name)
     rep = walks.potential_decay_experiment(walk)
     marks = sorted(rep.medians)
     decayed = rep.medians[marks[-1]] < rep.medians[marks[0]] if len(marks) > 1 else True
@@ -282,6 +279,8 @@ def _cmd_walk_decay(args):
 
 
 def _cmd_cx_scan(args):
+    if not args.trials:
+        raise UnusableInput("--trials must be >= 1")
     configs = freegroup.random_z_configs(args.trials, seed=args.seed)
     worst_len = 0
     for E in configs:

@@ -24,10 +24,6 @@ __all__ = [
     "PLMap",
     "g0_map",
     "g1_map",
-    "g0_apply",
-    "g1_apply",
-    "g0_inv_apply",
-    "g1_inv_apply",
     "gen_a",
     "gen_b",
     "LETTERS",
@@ -36,9 +32,6 @@ __all__ = [
     "reduce_fword",
     "invert_fword",
     "word_to_pl",
-    "pl_compose",
-    "pl_invert",
-    "pl_apply",
     "cocycle_eval",
     "cocycle_identity_check",
 ]
@@ -206,19 +199,6 @@ class PLMap:
         return PLMap(bps, tuple(-e for e in self.slopes))
 
 
-def pl_compose(f: PLMap, g: PLMap) -> PLMap:
-    """f after g."""
-    return f.compose(g)
-
-
-def pl_invert(f: PLMap) -> PLMap:
-    return f.invert()
-
-
-def pl_apply(f: PLMap, x: Dyadic) -> Dyadic:
-    return f.apply(x)
-
-
 @lru_cache(maxsize=None)
 def g0_map() -> PLMap:
     # x/2 on [0,1/2]; x - 1/4 on (1/2,3/4]; 2x - 1 on (3/4,1]
@@ -231,25 +211,9 @@ def g1_map() -> PLMap:
     return PLMap((ZERO, Dyadic(1, 1), Dyadic(3, 2), Dyadic(7, 3), ONE), (0, -1, 0, 1))
 
 
-def g0_apply(x: Dyadic) -> Dyadic:
-    return g0_map().apply(x)
-
-
-def g1_apply(x: Dyadic) -> Dyadic:
-    return g1_map().apply(x)
-
-
-def g0_inv_apply(x: Dyadic) -> Dyadic:
-    return g0_map().invert().apply(x)
-
-
-def g1_inv_apply(x: Dyadic) -> Dyadic:
-    return g1_map().invert().apply(x)
-
-
 @lru_cache(maxsize=None)
 def gen_a() -> PLMap:
-    return pl_compose(g1_map(), g0_map().invert())
+    return g1_map().compose(g0_map().invert())
 
 
 @lru_cache(maxsize=None)
@@ -301,7 +265,7 @@ def word_to_pl(w: str) -> PLMap:
     """Composite map of a word, rightmost letter applied first."""
     acc = PLMap.identity()
     for ch in w:
-        acc = pl_compose(acc, letter_map(ch))
+        acc = acc.compose(letter_map(ch))
     return acc
 
 
@@ -320,6 +284,6 @@ def cocycle_eval(g: PLMap, x: Dyadic) -> int:
 
 def cocycle_identity_check(g: PLMap, h: PLMap, x: Dyadic) -> bool:
     """Does the slope-ratio cocycle satisfy c(gh, x) = c(g, h(x)) + c(h, x)?"""
-    lhs = cocycle_eval(pl_compose(g, h), x)
+    lhs = cocycle_eval(g.compose(h), x)
     rhs = cocycle_eval(g, h.apply(x)) + cocycle_eval(h, x)
     return lhs == rhs

@@ -13,9 +13,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import PreconditionFailed
+from .graph import bfs, leaving_share
+from .lamplighter import act_on_config, config
 
 __all__ = [
     "ZVertex",
@@ -23,8 +25,6 @@ __all__ = [
     "Z_LETTERS",
     "z_apply",
     "z_neighbors",
-    "z_config",
-    "z_apply_letter_set",
     "z_apply_word_set",
     "phi_Z",
     "minfun_Z",
@@ -65,6 +65,10 @@ class ZVertex:
             return f"tail({self.k})"
         return self.word or "e"
 
+    def sort_key(self) -> tuple:
+        """Configurations of the graph are sorted by this key."""
+        return (self.kind, self.k, self.word)
+
 
 Z_E = ZVertex("word", "")
 
@@ -91,27 +95,14 @@ def z_neighbors(v: ZVertex) -> dict[str, ZVertex]:
     return {g: z_apply(v, g) for g in Z_LETTERS}
 
 
-def _zkey(v: ZVertex):
-    return (v.kind, v.k, v.word)
-
-
-def z_config(elements: Iterable[ZVertex]) -> tuple[ZVertex, ...]:
-    return tuple(sorted(set(elements), key=_zkey))
-
-
-def z_apply_letter_set(E: tuple[ZVertex, ...], ch: str) -> tuple[ZVertex, ...]:
-    """One walk letter on a configuration; 's' toggles the lamp at e."""
-    if ch == "s":
-        if Z_E in E:
-            return tuple(v for v in E if v != Z_E)
-        return z_config(E + (Z_E,))
-    return tuple(sorted((z_apply(v, ch) for v in E), key=_zkey))
+def _act(ch: str, v: ZVertex) -> ZVertex:
+    # z_apply in the (letter, vertex) order of the shared labeled-action helpers
+    return z_apply(v, ch)
 
 
 def z_apply_word_set(E: tuple[ZVertex, ...], word: str) -> tuple[ZVertex, ...]:
-    for ch in reversed(word):
-        E = z_apply_letter_set(E, ch)
-    return E
+    """A word over aAbBs on a configuration, rightmost letter first; 's' toggles the lamp at e."""
+    return act_on_config(E, word, _act, Z_E, ZVertex.sort_key)
 
 
 def phi_Z(v: ZVertex) -> Fraction:
@@ -162,31 +153,12 @@ def z_boundary_ratio(segment: Iterable[ZVertex]) -> Fraction:
     seg = set(segment)
     if not seg:
         raise PreconditionFailed("segment must be nonempty")
-    leaving = 0
-    for v in seg:
-        for w in z_neighbors(v).values():
-            if w not in seg:
-                leaving += 1
-    return Fraction(leaving, 4 * len(seg))
+    return leaving_share(seg, Z_LETTERS, _act)
 
 
 def z_ball(radius: int) -> list[ZVertex]:
     """Vertices within the given distance of e, in breadth-first order."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    seen = {Z_E}
-    order = [Z_E]
-    frontier = [Z_E]
-    for _ in range(radius):
-        nxt = []
-        for v in frontier:
-            for w in z_neighbors(v).values():
-                if w not in seen:
-                    seen.add(w)
-                    order.append(w)
-                    nxt.append(w)
-        frontier = nxt
-    return order
+    return list(bfs(Z_E, radius, Z_LETTERS, _act))
 
 
 def random_z_configs(
@@ -198,5 +170,5 @@ def random_z_configs(
     out = []
     for _ in range(count):
         size = rng.randint(0, max_size)
-        out.append(z_config(rng.sample(verts, size)))
+        out.append(config(rng.sample(verts, size), key=ZVertex.sort_key))
     return out

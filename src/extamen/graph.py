@@ -6,16 +6,18 @@ tree (the skeleton) rooted at 5/8 with an infinite ray (hair) attached to
 every vertex, two rays at the root.  Nothing in this module assumes that
 picture: classification is derived from the action itself and the asserted
 shape is checked by the test suite.
+
+The balls, leaving-edge shares and walk steps at the end take the action as
+arguments, so the free-group graph of ``freegroup`` uses them too.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable, Optional
 
-from .dyadic import Dyadic, ROOT, letter_map
+from .dyadic import Dyadic, ROOT
 from .errors import CapExceeded, StructuralAssertFailed, Undetermined
 
 __all__ = [
@@ -33,6 +35,9 @@ __all__ = [
     "golden_path",
     "folner_hair_segment",
     "boundary_ratio",
+    "bfs",
+    "leaving_share",
+    "evolve",
     "set_orientation",
     "get_orientation",
     "gen_for_turn",
@@ -41,6 +46,8 @@ __all__ = [
 ]
 
 EDGE_LABELS = ("a", "b", "A", "B")
+
+_ZERO = Fraction(0)
 
 
 def _mk(num: int, exp: int) -> Dyadic:
@@ -339,7 +346,6 @@ class Ball:
     radius: int
     vertices: tuple[Dyadic, ...]
     dist: dict = field(compare=False)
-    edges: tuple[tuple[Dyadic, str, Dyadic], ...] = field(compare=False)
 
     def interior(self) -> list[Dyadic]:
         return [v for v in self.vertices if self.dist[v] < self.radius]
@@ -349,39 +355,20 @@ class Ball:
             "center": str(self.center),
             "radius": self.radius,
             "vertices": [str(v) for v in self.vertices],
-            "edges": [[str(u), lab, str(v)] for u, lab, v in self.edges],
+            # labeled edges among the vertices, loops included
+            "edges": [
+                [str(u), ch, str(w)]
+                for u in self.vertices
+                for ch in EDGE_LABELS
+                if (w := act_letter(ch, u)) in self.dist
+            ],
         }
 
 
 def ball(center: Dyadic, radius: int, cap: int = 10**6) -> Ball:
-    """All vertices within graph distance radius, with labeled edges among them.
-
-    BFS in fixed label order, so the vertex ordering is deterministic.
-    """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    dist = {center: 0}
-    order = [center]
-    queue = deque([center])
-    while queue:
-        u = queue.popleft()
-        if dist[u] == radius:
-            continue
-        for ch in EDGE_LABELS:
-            w = act_letter(ch, u)
-            if w not in dist:
-                if len(dist) >= cap:
-                    raise CapExceeded(f"ball({center}, {radius}) exceeds cap {cap}")
-                dist[w] = dist[u] + 1
-                order.append(w)
-                queue.append(w)
-    edges = []
-    for u in order:
-        for ch in EDGE_LABELS:
-            w = act_letter(ch, u)
-            if w in dist:
-                edges.append((u, ch, w))
-    return Ball(center, radius, tuple(order), dist, tuple(edges))
+    """All vertices within graph distance radius, in breadth-first order."""
+    dist = bfs(center, radius, EDGE_LABELS, act_letter, cap)
+    return Ball(center, radius, tuple(dist), dist)
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +393,61 @@ def boundary_ratio(segment: Iterable[Dyadic]) -> Fraction:
     pts = set(segment)
     if not pts:
         raise ValueError("empty set has no boundary ratio")
-    out = 0
-    for u in pts:
-        for ch in EDGE_LABELS:
-            if act_letter(ch, u) not in pts:
-                out += 1
-    return Fraction(out, 4 * len(pts))
+    return leaving_share(pts, EDGE_LABELS, act_letter)
+
+
+# ---------------------------------------------------------------------------
+# labeled actions
+#
+# These take the action as arguments: its letters and act(letter, vertex).
+# The dyadic graph passes EDGE_LABELS and act_letter, the free-group graph
+# its own pair; any hashable vertex type works.
+
+
+def bfs(center, radius: int, letters, act, cap: int = 10**6) -> dict:
+    """Graph distance from center of every vertex within radius.
+
+    Breadth-first in the given letter order, so the dict's insertion order
+    is a deterministic vertex ordering.
+    """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    dist = {center: 0}
+    frontier = [center]
+    for step in range(1, radius + 1):
+        nxt = []
+        for u in frontier:
+            for ch in letters:
+                w = act(ch, u)
+                if w not in dist:
+                    if len(dist) >= cap:
+                        raise CapExceeded(f"ball({center}, {radius}) exceeds cap {cap}")
+                    dist[w] = step
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+def leaving_share(pts: set, letters, act) -> Fraction:
+    """Edge-ends leaving the nonempty set pts over all of its edge-ends."""
+    out = sum(act(ch, u) not in pts for u in pts for ch in letters)
+    return Fraction(out, len(letters) * len(pts))
+
+
+def evolve(dist: dict, letters, act, cap: Optional[int] = None) -> dict:
+    """One step of the uniform walk: each state's weight is split evenly
+    over its images act(letter, state).
+
+    Exact for Fraction weights.  With a cap, a support larger than cap
+    raises CapExceeded.
+    """
+    out: dict = {}
+    k = len(letters)
+    for x, w in dist.items():
+        share = w / k
+        for ch in letters:
+            y = act(ch, x)
+            out[y] = out.get(y, _ZERO) + share
+    if cap is not None and len(out) > cap:
+        raise CapExceeded(f"walk support {len(out)} exceeds cap {cap}")
+    return out

@@ -3,18 +3,21 @@
 A configuration is a finite set of vertices.  The four generator letters act
 pointwise; the switch letter 's' toggles membership of the root.  Words act
 right to left, matching the convention for the underlying vertex action.
-The walk operator averages uniformly over the five letters.
+The walk operator averages uniformly over the five letters.  The action on
+configurations takes the vertex action as arguments, so the free-group graph
+of ``freegroup`` uses it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Iterable, Optional
 
 from .dyadic import Dyadic, ROOT, parse_dyadic
 from .errors import CapExceeded
-from .graph import act_letter
+from .graph import act_letter, evolve
 
 __all__ = [
     "Config",
@@ -23,6 +26,7 @@ __all__ = [
     "parse_config",
     "SetFn",
     "LAMP_LETTERS",
+    "act_on_config",
     "apply_letter",
     "apply_word",
     "markov_apply_set",
@@ -36,8 +40,9 @@ LAMP_LETTERS = ("a", "A", "b", "B", "s")
 Config = tuple[Dyadic, ...]  # canonically sorted, no duplicates
 
 
-def config(elements: Iterable[Dyadic]) -> Config:
-    return tuple(sorted(set(elements)))
+def config(elements: Iterable, key=None) -> Config:
+    """Sorted tuple (by key) of the distinct elements."""
+    return tuple(sorted(set(elements), key=key))
 
 
 EMPTY: Config = ()
@@ -68,32 +73,33 @@ class SetFn:
         return self.fn(E)
 
 
-def _toggle_root(E: Config) -> Config:
-    if ROOT in E:
-        return tuple(x for x in E if x != ROOT)
-    return config(E + (ROOT,))
+def act_on_config(E: tuple, word: str, act, root, key=None) -> tuple:
+    """Image of the configuration E under a word, rightmost letter first.
+
+    's' toggles the lamp at root; any other letter moves every lamp by
+    act(letter, vertex).  Images stay sorted by key.
+    """
+    for ch in reversed(word):
+        if ch == "s":
+            E = tuple(x for x in E if x != root) if root in E else config(E + (root,), key)
+        else:
+            # the action is injective, so the image needs sorting but no dedup
+            E = tuple(sorted((act(ch, x) for x in E), key=key))
+    return E
 
 
 def apply_letter(E: Config, ch: str) -> Config:
-    if ch == "s":
-        return _toggle_root(E)
-    # the action is injective, so the image needs sorting but no dedup
-    return tuple(sorted(act_letter(ch, x) for x in E))
+    return act_on_config(E, ch, act_letter, ROOT)
 
 
 def apply_word(E: Config, word: str) -> Config:
-    """Apply a word over aAbBs, rightmost letter first."""
-    for ch in reversed(word):
-        E = apply_letter(E, ch)
-    return E
+    """Apply a word over aAbBs, rightmost letter first, one apply_letter per letter."""
+    return reduce(apply_letter, reversed(word), E)
 
 
 def markov_apply_set(F, E: Config):
     """Uniform 5-letter average of F over the one-step images of E."""
-    total = F(apply_letter(E, "a")) + F(apply_letter(E, "b"))
-    total += F(apply_letter(E, "A")) + F(apply_letter(E, "B"))
-    total += F(_toggle_root(E))
-    return total / 5
+    return sum(F(apply_letter(E, ch)) for ch in LAMP_LETTERS) / 5
 
 
 def markov_iterate(F, E: Config, n: int, cap: int = 8):
@@ -108,15 +114,8 @@ def markov_iterate(F, E: Config, n: int, cap: int = 8):
     if n > cap:
         raise CapExceeded(f"markov_iterate n={n} exceeds cap {cap}")
     dist: dict[Config, Fraction] = {E: Fraction(1)}
-    fifth = Fraction(1, 5)
     for _ in range(n):
-        nxt: dict[Config, Fraction] = {}
-        for C, w in dist.items():
-            share = w * fifth
-            for ch in LAMP_LETTERS:
-                img = apply_letter(C, ch)
-                nxt[img] = nxt.get(img, Fraction(0)) + share
-        dist = nxt
+        dist = evolve(dist, LAMP_LETTERS, lambda ch, C: apply_letter(C, ch))
     assert sum(dist.values()) == 1, "walk weights must sum to 1"
     return sum(w * F(C) for C, w in dist.items())
 
@@ -151,6 +150,6 @@ def switch_invariant_check(F, samples: Iterable[Config]):
     """Per-sample check of F(E) == F(E with the root toggled)."""
     results = []
     for E in samples:
-        results.append((E, F(E) == F(_toggle_root(E))))
+        results.append((E, F(E) == F(apply_letter(E, "s"))))
     ok = all(flag for _, flag in results)
     return ok, results

@@ -105,12 +105,7 @@ def non_superharmonic_transfer(phi, q: Dyadic) -> TransferReport:
     if phi(q) > phi(ROOT):
         raise PreconditionFailed("phi must stay below its root value")
 
-    def fn(E: Config):
-        if not E:
-            return phi(ROOT)
-        return min(phi(x) for x in E)
-
-    F = SetFn(name=f"minfun:{phi.name}", fn=fn)
+    F = minfun(phi)
     margin = markov_apply_set(F, (q,)) - F((q,))
     assert margin == Fraction(4, 5) * gap, "transfer margin must be 4/5 of the gap"
     return TransferReport(q=q, vertex_gap=gap, set_margin=margin)

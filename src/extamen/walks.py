@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from itertools import accumulate
+from typing import Iterable, Sequence
 
 from .dyadic import Dyadic, ROOT
 from .errors import CapExceeded, PreconditionFailed
-from .graph import EDGE_LABELS, act_letter, ball, hair_point, vertex_at
+from .graph import EDGE_LABELS, act_letter, ball, evolve, hair_point, vertex_at
 from .harmonic import canonical_phi_u, markov_apply_X, pow2
 from .lamplighter import (
     LAMP_LETTERS,
@@ -34,6 +35,7 @@ from .minfn import resolve_setfn
 __all__ = [
     "lumped_return_series",
     "pn_exact",
+    "power_partial_sums",
     "green_partial",
     "MCReport",
     "green_mc",
@@ -94,27 +96,20 @@ def lumped_return_series(N: int) -> list[Fraction]:
     return out
 
 
-def _x_step(dist: dict, cap: int) -> dict:
-    out: dict = {}
-    for v, w in dist.items():
-        share = w / 4
-        for ch in EDGE_LABELS:
-            img = act_letter(ch, v)
-            out[img] = out.get(img, _ZERO) + share
-    if len(out) > cap:
-        raise CapExceeded(f"walk support {len(out)} exceeds cap {cap}")
-    return out
-
-
 def pn_exact(x: Dyadic, y: Dyadic, n: int, cap: int = 200_000) -> Fraction:
     """Exact n-step probability from x to y, evolving the full distribution."""
     if n < 0:
         raise ValueError("n must be >= 0")
     dist = {x: Fraction(1)}
     for _ in range(n):
-        dist = _x_step(dist, cap)
+        dist = evolve(dist, EDGE_LABELS, act_letter, cap)
     assert sum(dist.values()) == 1, "walk weights must sum to 1"
     return dist.get(y, _ZERO)
+
+
+def power_partial_sums(series: Sequence[Fraction], r: Fraction) -> list[Fraction]:
+    """Running sums of series[n] r^n over n = 0, 1, ..."""
+    return list(accumulate(term * r**n for n, term in enumerate(series)))
 
 
 def green_partial(x: Dyadic, y: Dyadic, r: Fraction, N: int, cap: int = 200_000):
@@ -131,14 +126,9 @@ def green_partial(x: Dyadic, y: Dyadic, r: Fraction, N: int, cap: int = 200_000)
         series = [Fraction(1) if x == y else _ZERO]
         dist = {x: Fraction(1)}
         for _ in range(N):
-            dist = _x_step(dist, cap)
+            dist = evolve(dist, EDGE_LABELS, act_letter, cap)
             series.append(dist.get(y, _ZERO))
-    total = _ZERO
-    rk = Fraction(1)
-    for term in series:
-        total += term * rk
-        rk *= r
-    return total
+    return power_partial_sums(series, r)[-1]
 
 
 @dataclass
@@ -255,12 +245,7 @@ def return_prob(N: int) -> ReturnReport:
     f = [_ZERO] * (N + 1)
     for n in range(1, N + 1):
         f[n] = u[n] - sum(f[k] * u[n - k] for k in range(1, n))
-    partials = []
-    running = _ZERO
-    for n in range(N + 1):
-        running += f[n]
-        partials.append(running)
-    return ReturnReport(N=N, first_return=f, partials=partials)
+    return ReturnReport(N=N, first_return=f, partials=list(accumulate(f)))
 
 
 def spectral_radius_proxy(n: int, mode: str = "X", cap: int = 10**6) -> float:
@@ -273,15 +258,7 @@ def spectral_radius_proxy(n: int, mode: str = "X", cap: int = 10**6) -> float:
         series = [Fraction(1)]
         dist: dict[Config, Fraction] = {(): Fraction(1)}
         for _ in range(n):
-            nxt: dict[Config, Fraction] = {}
-            for C, w in dist.items():
-                share = w / 5
-                for ch in LAMP_LETTERS:
-                    img = apply_letter(C, ch)
-                    nxt[img] = nxt.get(img, _ZERO) + share
-            if len(nxt) > cap:
-                raise CapExceeded(f"lamp walk support exceeds cap {cap}")
-            dist = nxt
+            dist = evolve(dist, LAMP_LETTERS, lambda ch, C: apply_letter(C, ch), cap)
             series.append(dist.get((), _ZERO))
     else:
         raise ValueError("mode must be 'X' or 'lamp'")
@@ -564,6 +541,12 @@ class WalkConfig:
     fn_name: str = "minfun:phi_u"
     start: Config = ()
 
+    def __post_init__(self):
+        if self.trials <= 0 or self.steps <= 0:
+            raise ValueError("trials and steps must be positive")
+        if not self.checkpoints or max(self.checkpoints) > self.steps:
+            raise ValueError("checkpoints must be nonempty and within the horizon")
+
 
 @dataclass
 class DecayReport:
@@ -597,12 +580,7 @@ def potential_decay_experiment(walk: WalkConfig = WalkConfig()) -> DecayReport:
     registered set function falls back to explicit configurations, which is
     exact but far slower and only sensible for short horizons.
     """
-    if walk.trials <= 0 or walk.steps <= 0:
-        raise ValueError("trials and steps must be positive")
-    marks = sorted(set(walk.checkpoints))
-    if not marks or marks[-1] > walk.steps:
-        raise ValueError("checkpoints must be nonempty and within the horizon")
-    values: dict[int, list] = {t: [] for t in marks}
+    values: dict[int, list] = {t: [] for t in sorted(set(walk.checkpoints))}
     violations = 0
     checked = 0
     nonempty = 0

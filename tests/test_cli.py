@@ -1,7 +1,11 @@
 import hashlib
+import importlib
 import json
+import pkgutil
 
 import pytest
+
+import extamen
 
 from extamen.cli import main, parse_set_spec
 from extamen.dyadic import Dyadic, ROOT
@@ -49,6 +53,12 @@ def test_explicit_default_cap_is_honoured(capsys):
     (["approx", "verify", "--fn", "sum:phi_family:eps=1e-6", "--set", "3/5"], "is not dyadic"),
     (["graph", "explore", "--n", "-1"], "--n must be >= 0, got -1"),
     (["walk", "green", "--n", "2", "--r", "1/0"], "Fraction(1, 0)"),
+    (["walk", "decay", "--fn", "bogus", "--steps", "100", "--checkpoints", "10,100"],
+     "unknown set function 'bogus'"),
+    (["walk", "decay", "--trials", "0"], "trials and steps must be positive"),
+    (["walk", "decay", "--steps", "10", "--checkpoints", "5,100000"], "within the horizon"),
+    (["walk", "green", "--n", "3", "--trials", "5", "--steps", "0"], "--steps must be >= 1"),
+    (["cx", "scan", "--trials", "0"], "--trials must be >= 1"),
 ])
 def test_unusable_input_is_one_line(capsys, argv, message):
     assert run(argv) == 1
@@ -167,3 +177,66 @@ def test_parse_set_spec(tmp_path):
     f = tmp_path / "lamps.txt"
     f.write_text("5/2^3,1/2^1\n")
     assert parse_set_spec(f"file:{f}") == (Dyadic(1, 1), ROOT)
+
+
+# report.json and series.csv sha256 of each README command, frozen from a run
+# of the code before labeled-action operations were shared between the graphs
+# (the Monte Carlo command reduced to 1000 x 1000); any change of output shows
+README_DIGESTS = [
+    (["graph", "explore", "--n", "4"],
+     "e7fa7658e361e92edcb91709fc5debaa2dd0e3a42d59e98f47af4ad4b9d3f92e",
+     "7a17b9d7ac0e7497c81928a6cc84565ce9431df900355b59375e36339a74440e"),
+    (["fn", "check", "--fn", "phi:2", "--n", "4"],
+     "5e95872bbfcc5b3b2f6349bdfcd645c94ce49cfca879fe801c8d09c2b333af15",
+     "73dca85feda0fd8b5ed7fa8186ec3c74c8bc75e5c80ee7904edd2f7787e0a293"),
+    (["fn", "check", "--fn", "minfun:phi_u", "--n", "3"],
+     "86bf5a9bc0b139c4464b19a4e037e358ef9891fb76d67a0752bdaeedae0b5683", None),
+    (["approx", "construct", "--kind", "countable", "--n", "5"],
+     "350751dea3a20e2dc7445fa9d675d78f30bfcd222b210db731ae88dcacad171d", None),
+    (["approx", "verify", "--fn", "sum:phi_family:eps=1e-6", "--set", "explicit:5", "--n", "5"],
+     "39ea6ca0d712cad74a5b139b4f6961c4cc77cd3cff61ea765f59569ae4a97a64", None),
+    (["approx", "refute", "--set", "p,3/4", "--n", "4"],
+     "1535b636a66fd2ff0eccaf3189fcc240b3879aa8f5faf5e34bb5e1554fa1ffbe", None),
+    (["walk", "return", "--n", "30"],
+     "ecf247eaa971e7b6f03bd29646b25875803f8818bf4cd49cf81e6c58292ab2f5",
+     "c9fa4bc693368bf303ca9dd27a84ccc704a96a83e9ada996fcc2e9c316ad8ff4"),
+    (["walk", "green", "--n", "12", "--r", "1/2"],
+     "5ac878a3ae3765800d66e7adcdff0b0cedc0d56946ecfb8a004798e7e1019b86",
+     "412b84e1b9ce0577db5032e0432f5a52a8590cd46d7fa7da8f8bc3e9971a94ba"),
+    (["walk", "green", "--trials", "1000", "--steps", "1000", "--seed", "42"],
+     "cefd8f5eade15d77ece5f0afc1e066a896703796a53c42110179730b897047bf",
+     "ed294edaaf42a25c029764039fb11edccac551ab0a815536eeeb5b8897dd3104"),
+    (["walk", "decay", "--trials", "100", "--steps", "2000", "--checkpoints", "100,2000"],
+     "94bb4f6c0b8b4ed6de8da38b7ddf76d9ed28b5c5d42319149e637d87472cce99", None),
+    (["cx", "scan", "--trials", "500", "--seed", "7"],
+     "4a176143507f850e87c7398b88cf1d61ba514790dbf3863cf4dfa2b23463f315", None),
+    (["--orientation", "rl", "graph", "explore", "--n", "4"],
+     "e7fa7658e361e92edcb91709fc5debaa2dd0e3a42d59e98f47af4ad4b9d3f92e",
+     "7a17b9d7ac0e7497c81928a6cc84565ce9431df900355b59375e36339a74440e"),
+]
+
+
+@pytest.mark.parametrize("argv, report_sha, series_sha", README_DIGESTS,
+                         ids=[" ".join(c[0]) for c in README_DIGESTS])
+def test_readme_commands_reproduce_frozen_digests(tmp_path, argv, report_sha, series_sha):
+    if "green" in argv and "--trials" in argv:
+        pytest.importorskip("numpy")  # the pure-python fallback draws another stream
+    try:
+        assert run(argv + ["--out", str(tmp_path)]) == 0
+    finally:
+        set_orientation("lr")  # later test modules assume the default
+    digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digest("report.json") == report_sha
+    if series_sha is None:
+        assert not (tmp_path / "series.csv").exists()
+    else:
+        assert digest("series.csv") == series_sha
+
+
+def test_every_exported_name_exists():
+    for info in pkgutil.iter_modules(extamen.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"extamen.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"extamen.{info.name}.__all__ names missing {name!r}"

@@ -18,8 +18,6 @@ from extamen.dyadic import (
     invert_fword,
     letter_map,
     parse_dyadic,
-    pl_apply,
-    pl_compose,
     reduce_fword,
     word_to_pl,
 )
@@ -136,13 +134,13 @@ def test_letters_invert(x):
 @settings(max_examples=60, deadline=None)
 def test_word_composition(w1, w2):
     combined = word_to_pl(w1 + w2)
-    assert combined == pl_compose(word_to_pl(w1), word_to_pl(w2))
+    assert combined == word_to_pl(w1).compose(word_to_pl(w2))
 
 
 @given(fwords)
 @settings(max_examples=60, deadline=None)
 def test_word_inverse_cancels(w):
-    assert pl_compose(word_to_pl(w), word_to_pl(invert_fword(w))).is_identity()
+    assert word_to_pl(w).compose(word_to_pl(invert_fword(w))).is_identity()
 
 
 def test_reduce_fword():
@@ -155,7 +153,7 @@ def test_reduce_fword():
 @given(st.lists(st.sampled_from("aAbB"), max_size=10).map("".join), interior_dyadics())
 @settings(max_examples=150, deadline=None)
 def test_pl_apply_stays_interior(w, x):
-    y = pl_apply(word_to_pl(w), x)
+    y = word_to_pl(w).apply(x)
     assert ZERO < y < ONE, f"{w} moved {x} to the boundary"
 
 

@@ -224,3 +224,16 @@ def test_ball_json_shape():
     assert d["radius"] == 1
     assert len(d["vertices"]) == 5
     assert ["5/2^3", "a", "11/2^4"] in d["edges"]
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_ball_json_edges_match_brute_force(r):
+    B = ball(ROOT, r)
+    brute = [
+        [str(u), ch, str(w)]
+        for u in B.vertices
+        for ch in EDGE_LABELS
+        for w in B.vertices
+        if act_letter(ch, u) == w
+    ]
+    assert B.to_json()["edges"] == brute

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -7,7 +8,7 @@ from extamen.dyadic import Dyadic, ROOT
 from extamen.errors import CapExceeded, PreconditionFailed
 from extamen.graph import ball, hair_point
 from extamen.harmonic import canonical_phi_u, pow2
-from extamen.lamplighter import EMPTY, LAMP_LETTERS, SetFn, apply_letter, config
+from extamen.lamplighter import EMPTY, LAMP_LETTERS, SetFn, apply_letter, apply_word, config
 from extamen.minfn import minfun
 from extamen.walks import (
     StructuralLampWalk,
@@ -19,6 +20,7 @@ from extamen.walks import (
     lumped_return_series,
     pn_exact,
     potential_decay_experiment,
+    power_partial_sums,
     return_prob,
     spectral_radius_proxy,
     supermartingale_check,
@@ -127,6 +129,33 @@ def test_spectral_proxies():
     assert 0 < lamp < 1
     with pytest.raises(ValueError):
         spectral_radius_proxy(10, mode="Y")
+
+
+def test_lamp_spectral_proxy_matches_naive_enumeration():
+    # P^k(empty, empty) by running every one of the 5^k words
+    returns = [
+        Fraction(
+            sum(apply_word(EMPTY, "".join(w)) == EMPTY for w in product(LAMP_LETTERS, repeat=k)),
+            5**k,
+        )
+        for k in range(5)
+    ]
+    # empty: the four moves fix it; one lamp: only s switches it off
+    assert returns[:3] == [1, Fraction(4, 5), Fraction(17, 25)]
+    for n in (2, 3, 4):
+        want = max(float(returns[k]) ** (1.0 / k) for k in range(2, n + 1, 2))
+        assert spectral_radius_proxy(n, mode="lamp") == want, f"n={n}"
+    with pytest.raises(CapExceeded):
+        spectral_radius_proxy(4, mode="lamp", cap=3)
+
+
+def test_power_partial_sums():
+    assert power_partial_sums([], Fraction(1, 2)) == []
+    assert power_partial_sums([1, 2, 3], Fraction(1, 2)) == [1, 2, Fraction(11, 4)]
+    series = lumped_return_series(12)
+    assert power_partial_sums(series, Fraction(1, 3))[-1] == green_partial(
+        ROOT, ROOT, Fraction(1, 3), 12
+    )
 
 
 def test_delta_check_small_radius():
