@@ -23,7 +23,17 @@ from .errors import (
     StructuralAssertFailed,
     ZeroBase,
 )
-from .graph import act_letter, act_word, ball, classify, golden_path, hair_point, subtree_T, Hair
+from .graph import (
+    Hair,
+    act_letter,
+    act_word,
+    ball,
+    classify,
+    golden_path,
+    hair_point,
+    struct_info,
+    subtree_T,
+)
 from .harmonic import VertexFn, level_min, phi_family, pow2
 from .lamplighter import (
     LAMP_LETTERS,
@@ -385,12 +395,8 @@ def explicit_En_hairs(n: int) -> Config:
         addr = classify(x)
         if not isinstance(addr, Hair) or addr.offset != n:
             raise StructuralAssertFailed(f"lamp {j}: expected hair offset {n}, got {addr}")
-        lead = 0
-        for t in addr.base:
-            if t != "L":
-                break
-            lead += 1
-        if not (lead == j and len(addr.base) == j + n and lead < len(addr.base)):
+        lead, deeper, depth = struct_info(x)
+        if not (lead == j and depth == j + n and deeper):
             raise StructuralAssertFailed(
                 f"lamp {j}: base path {addr.base} is not subtree {j} at depth {j + n}"
             )

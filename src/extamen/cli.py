@@ -30,7 +30,6 @@ from . import approx, freegroup, walks
 from .dyadic import ROOT
 from .errors import CapExceeded, ExtamenError, SearchExhausted
 from .graph import (
-    Hair,
     Skeleton,
     ball,
     classify,

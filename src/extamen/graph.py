@@ -38,6 +38,7 @@ __all__ = [
     "bfs",
     "leaving_share",
     "evolve",
+    "transition_series",
     "set_orientation",
     "get_orientation",
     "gen_for_turn",
@@ -46,8 +47,6 @@ __all__ = [
 ]
 
 EDGE_LABELS = ("a", "b", "A", "B")
-
-_ZERO = Fraction(0)
 
 
 def _mk(num: int, exp: int) -> Dyadic:
@@ -434,20 +433,35 @@ def leaving_share(pts: set, letters, act) -> Fraction:
     return Fraction(out, len(letters) * len(pts))
 
 
-def evolve(dist: dict, letters, act, cap: Optional[int] = None) -> dict:
-    """One step of the uniform walk: each state's weight is split evenly
-    over its images act(letter, state).
+def evolve(counts: dict, letters, act, cap: Optional[int] = None) -> dict:
+    """One step of the uniform walk on integer path counts: each state's
+    count is added to each of its images act(letter, state).
 
-    Exact for Fraction weights.  With a cap, a support larger than cap
-    raises CapExceeded.
+    After t steps from {start: 1}, counts[y] / len(letters)**t is the exact
+    t-step probability of y.  With a cap, a support larger than cap raises
+    CapExceeded.
     """
     out: dict = {}
-    k = len(letters)
-    for x, w in dist.items():
-        share = w / k
+    for x, c in counts.items():
         for ch in letters:
             y = act(ch, x)
-            out[y] = out.get(y, _ZERO) + share
+            out[y] = out.get(y, 0) + c
     if cap is not None and len(out) > cap:
         raise CapExceeded(f"walk support {len(out)} exceeds cap {cap}")
     return out
+
+
+def transition_series(
+    start, target, n: int, letters, act, cap: Optional[int] = None
+) -> list[Fraction]:
+    """[P^t(start, target) for t = 0..n] for the uniform walk, exactly."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    k = len(letters)
+    counts = {start: 1}
+    series = [Fraction(counts.get(target, 0))]
+    for t in range(1, n + 1):
+        counts = evolve(counts, letters, act, cap)
+        series.append(Fraction(counts.get(target, 0), k**t))
+    assert sum(counts.values()) == k**n, "path counts must sum to k**n"
+    return series

@@ -18,8 +18,6 @@ from .errors import PreconditionFailed
 from .graph import (
     Ball,
     act_letter,
-    ball,
-    classify,
     gen_for_turn,
     hair_point,
     neighbors,

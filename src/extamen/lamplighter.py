@@ -105,19 +105,20 @@ def markov_apply_set(F, E: Config):
 def markov_iterate(F, E: Config, n: int, cap: int = 8):
     """Exact n-step walk average of F started at E.
 
-    Dynamic programming over distinct reachable configurations; the weights
-    are exact rationals with denominator 5**n and always sum to 1, which is
-    asserted.  Equal by construction to the naive 5**n enumeration.
+    Dynamic programming over distinct reachable configurations; each one
+    carries its integer count of the 5**n words reaching it, and the counts
+    always sum to 5**n, which is asserted.  Equal by construction to the
+    naive 5**n enumeration.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > cap:
         raise CapExceeded(f"markov_iterate n={n} exceeds cap {cap}")
-    dist: dict[Config, Fraction] = {E: Fraction(1)}
+    counts = {E: 1}
     for _ in range(n):
-        dist = evolve(dist, LAMP_LETTERS, lambda ch, C: apply_letter(C, ch))
-    assert sum(dist.values()) == 1, "walk weights must sum to 1"
-    return sum(w * F(C) for C, w in dist.items())
+        counts = evolve(counts, LAMP_LETTERS, lambda ch, C: apply_letter(C, ch))
+    assert sum(counts.values()) == 5**n, "path counts must sum to 5**n"
+    return sum(Fraction(c, 5**n) * F(C) for C, c in counts.items())
 
 
 def orbit_enumerate(E: Config, n: int, cap: int = 10**6) -> dict[Config, str]:

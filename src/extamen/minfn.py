@@ -13,7 +13,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .dyadic import Dyadic, ROOT
 from .errors import (

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .dyadic import Dyadic, ROOT
 from .errors import CapExceeded, PreconditionFailed
-from .graph import EDGE_LABELS, act_letter, ball, evolve, hair_point, vertex_at
+from .graph import EDGE_LABELS, act_letter, ball, hair_point, transition_series, vertex_at
 from .harmonic import canonical_phi_u, markov_apply_X, pow2
 from .lamplighter import (
     LAMP_LETTERS,
@@ -52,59 +52,44 @@ __all__ = [
     "potential_decay_experiment",
 ]
 
-
-# ---------------------------------------------------------------------------
-# the lumped chain
-
 _ZERO = Fraction(0)
 
 
-def _lumped_step(dist: dict) -> dict:
-    out: dict = {}
+# ---------------------------------------------------------------------------
+# the lumped chain
+#
+# A state is (u, m): depth u on the skeleton when m == 0, else offset m out
+# on a hair based at depth u.  Each of the four letters moves every state of
+# a lumped class alike, so the lumped walk is a uniform walk in its own right.
 
-    def add(state, w):
-        out[state] = out.get(state, _ZERO) + w
+LUMPED_LETTERS = (0, 1, 2, 3)
 
-    for (u, m), w in dist.items():
-        if m == 0:
-            if u == 0:
-                # two children, two hair entries
-                add((1, 0), w / 2)
-                add((0, 1), w / 2)
-            else:
-                # two children, one parent, one hair entry
-                add((u + 1, 0), w / 2)
-                add((u - 1, 0), w / 4)
-                add((u, 1), w / 4)
-        else:
-            # one step toward the base, one away, two loops
-            add((u, m - 1), w / 4)
-            add((u, m + 1), w / 4)
-            add((u, m), w / 2)
-    return out
+
+def _lumped_act(r: int, state: tuple[int, int]) -> tuple[int, int]:
+    u, m = state
+    if m == 0:
+        # two children, the parent (a second hair at the root), the hair
+        if r < 2:
+            return (u + 1, 0)
+        if r == 2 and u > 0:
+            return (u - 1, 0)
+        return (u, 1)
+    # one step toward the base, one away, two loops
+    if r == 0:
+        return (u, m - 1)
+    if r == 1:
+        return (u, m + 1)
+    return state
 
 
 def lumped_return_series(N: int) -> list[Fraction]:
     """P^n(root, root) for n = 0..N via the depth/offset lumping."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    dist = {(0, 0): Fraction(1)}
-    out = [Fraction(1)]
-    for _ in range(N):
-        dist = _lumped_step(dist)
-        out.append(dist.get((0, 0), _ZERO))
-    return out
+    return transition_series((0, 0), (0, 0), N, LUMPED_LETTERS, _lumped_act)
 
 
 def pn_exact(x: Dyadic, y: Dyadic, n: int, cap: int = 200_000) -> Fraction:
     """Exact n-step probability from x to y, evolving the full distribution."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    dist = {x: Fraction(1)}
-    for _ in range(n):
-        dist = evolve(dist, EDGE_LABELS, act_letter, cap)
-    assert sum(dist.values()) == 1, "walk weights must sum to 1"
-    return dist.get(y, _ZERO)
+    return transition_series(x, y, n, EDGE_LABELS, act_letter, cap)[-1]
 
 
 def power_partial_sums(series: Sequence[Fraction], r: Fraction) -> list[Fraction]:
@@ -118,16 +103,10 @@ def green_partial(x: Dyadic, y: Dyadic, r: Fraction, N: int, cap: int = 200_000)
     The root-to-root case runs on the lumped chain; other pairs evolve the
     full distribution once and read off the y-mass each step.
     """
-    if N < 0:
-        raise ValueError("N must be >= 0")
     if x == ROOT and y == ROOT:
         series = lumped_return_series(N)
     else:
-        series = [Fraction(1) if x == y else _ZERO]
-        dist = {x: Fraction(1)}
-        for _ in range(N):
-            dist = evolve(dist, EDGE_LABELS, act_letter, cap)
-            series.append(dist.get(y, _ZERO))
+        series = transition_series(x, y, N, EDGE_LABELS, act_letter, cap)
     return power_partial_sums(series, r)[-1]
 
 
@@ -152,17 +131,15 @@ class MCReport:
 def green_mc(trials: int, steps: int, seed: int = 0, cap: int = 10**10) -> MCReport:
     """Monte Carlo estimate of the expected number of root visits.
 
-    Simulates the lumped chain with a counter-based generator, so results
-    replay exactly for a given seed.
+    Simulates the lumped chain, drawing letters as in _lumped_act, with a
+    counter-based generator, so results replay exactly for a given seed.
     """
     if trials <= 0 or steps <= 0:
         raise ValueError("trials and steps must be positive")
     if trials * steps > cap:
         raise CapExceeded(f"trials*steps = {trials * steps} exceeds cap {cap}")
-    try:
-        import numpy as np
-    except ImportError:
-        return _green_mc_python(trials, steps, seed)
+    import numpy as np
+
     rng = np.random.Generator(np.random.Philox(seed))
     u = np.zeros(trials, dtype=np.int64)
     m = np.zeros(trials, dtype=np.int64)
@@ -183,41 +160,6 @@ def green_mc(trials: int, steps: int, seed: int = 0, cap: int = 10**10) -> MCRep
     est = float(visits.mean())
     err = float(visits.std(ddof=1)) / math.sqrt(trials)
     return MCReport(estimate=est, stderr=err, trials=trials, steps=steps, seed=seed)
-
-
-def _green_mc_python(trials: int, steps: int, seed: int) -> MCReport:
-    counts = []
-    for trial in range(trials):
-        rng = random.Random(seed * 1_000_003 + trial)
-        u = m = 0
-        visits = 1
-        for _ in range(steps):
-            r = rng.randrange(4)
-            if m == 0:
-                if r < 2:
-                    u += 1
-                elif u == 0:
-                    m = 1
-                elif r == 2:
-                    u -= 1
-                else:
-                    m = 1
-            elif r == 0:
-                m -= 1
-            elif r == 1:
-                m += 1
-            if u == 0 and m == 0:
-                visits += 1
-        counts.append(visits)
-    mean = sum(counts) / trials
-    var = sum((c - mean) ** 2 for c in counts) / (trials - 1) if trials > 1 else 0.0
-    return MCReport(
-        estimate=float(mean),
-        stderr=math.sqrt(var / trials),
-        trials=trials,
-        steps=steps,
-        seed=seed,
-    )
 
 
 @dataclass
@@ -255,11 +197,9 @@ def spectral_radius_proxy(n: int, mode: str = "X", cap: int = 10**6) -> float:
     if mode == "X":
         series = lumped_return_series(n)
     elif mode == "lamp":
-        series = [Fraction(1)]
-        dist: dict[Config, Fraction] = {(): Fraction(1)}
-        for _ in range(n):
-            dist = evolve(dist, LAMP_LETTERS, lambda ch, C: apply_letter(C, ch), cap)
-            series.append(dist.get((), _ZERO))
+        series = transition_series(
+            (), (), n, LAMP_LETTERS, lambda ch, C: apply_letter(C, ch), cap
+        )
     else:
         raise ValueError("mode must be 'X' or 'lamp'")
     best = 0.0

@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import importlib
 import json
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -219,8 +221,6 @@ README_DIGESTS = [
 @pytest.mark.parametrize("argv, report_sha, series_sha", README_DIGESTS,
                          ids=[" ".join(c[0]) for c in README_DIGESTS])
 def test_readme_commands_reproduce_frozen_digests(tmp_path, argv, report_sha, series_sha):
-    if "green" in argv and "--trials" in argv:
-        pytest.importorskip("numpy")  # the pure-python fallback draws another stream
     try:
         assert run(argv + ["--out", str(tmp_path)]) == 0
     finally:
@@ -240,3 +240,22 @@ def test_every_exported_name_exists():
         module = importlib.import_module(f"extamen.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"extamen.{info.name}.__all__ names missing {name!r}"
+
+
+def test_every_imported_name_is_used():
+    # __init__ only re-exports, so it is the one module left out
+    for path in sorted(Path(extamen.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module = importlib.import_module(f"extamen.{path.stem}")
+        unused = imported - used - set(getattr(module, "__all__", ()))
+        assert not unused, f"{path.name} imports unused names {sorted(unused)}"

@@ -6,14 +6,15 @@ import pytest
 
 from extamen.dyadic import Dyadic, ROOT
 from extamen.errors import CapExceeded, PreconditionFailed
-from extamen.graph import ball, hair_point
+from extamen.graph import act_word, ball, evolve, hair_point, transition_series, vertex_at
 from extamen.harmonic import canonical_phi_u, pow2
 from extamen.lamplighter import EMPTY, LAMP_LETTERS, SetFn, apply_letter, apply_word, config
 from extamen.minfn import minfun
 from extamen.walks import (
+    LUMPED_LETTERS,
     StructuralLampWalk,
     WalkConfig,
-    _lumped_step,
+    _lumped_act,
     delta_check_phi_u,
     green_mc,
     green_partial,
@@ -57,6 +58,24 @@ def test_pn_exact_conserves_and_caps():
         pn_exact(ROOT, ROOT, -1)
 
 
+def test_pn_exact_counts_words():
+    # P^n(x, y) is the share of the 4^n words over aAbB that carry x to y
+    hair = hair_point(vertex_at("LR"), 2)
+    pairs = [(ROOT, ROOT), (ROOT, hair), (hair, hair), (vertex_at("R"), vertex_at("LR"))]
+    for n in range(6):
+        words = ["".join(w) for w in product("aAbB", repeat=n)]
+        for x, y in pairs:
+            hits = sum(act_word(w, x) == y for w in words)
+            assert pn_exact(x, y, n) == Fraction(hits, 4**n), f"{x} -> {y}, n={n}"
+
+
+def test_transition_series_validates():
+    with pytest.raises(ValueError):
+        transition_series((0, 0), (0, 0), -1, LUMPED_LETTERS, _lumped_act)
+    with pytest.raises(CapExceeded):
+        transition_series((0, 0), (0, 0), 6, LUMPED_LETTERS, _lumped_act, cap=4)
+
+
 def test_green_partial_oracles():
     assert green_partial(ROOT, ROOT, Fraction(1), 2) == Fraction(5, 4)
     assert green_partial(dy(11, 4), ROOT, Fraction(1), 2) == Fraction(1, 4)
@@ -75,12 +94,12 @@ def test_green_partials_monotone_below_four():
 
 
 def _taboo_first_return(N):
-    # evolve the lumped chain, removing any mass that reaches the root
-    dist = {(0, 0): Fraction(1)}
+    # push path counts through the lumped chain, removing any that reach the root
+    counts = {(0, 0): 1}
     f = [Fraction(0)]
-    for _ in range(N):
-        dist = _lumped_step(dist)
-        f.append(dist.pop((0, 0), Fraction(0)))
+    for t in range(1, N + 1):
+        counts = evolve(counts, LUMPED_LETTERS, _lumped_act)
+        f.append(Fraction(counts.pop((0, 0), 0), 4**t))
     return f
 
 
@@ -114,12 +133,14 @@ def test_green_mc_validation():
         green_mc(0, 100)
 
 
-def test_green_mc_python_fallback():
-    from extamen.walks import _green_mc_python
-
-    rep = _green_mc_python(100, 500, seed=3)
-    assert 2.0 < rep.estimate < 5.0
+@pytest.mark.parametrize("seed", range(4))
+def test_green_mc_matches_exact_visit_count(seed):
+    # expected root visits over steps 0..S: the sum of the exact return series
+    steps = 60
+    exact = sum(lumped_return_series(steps))
+    rep = green_mc(20000, steps, seed=seed)
     assert rep.stderr > 0
+    assert abs(rep.estimate - float(exact)) <= 4 * rep.stderr, f"seed {seed}"
 
 
 def test_spectral_proxies():
