@@ -229,6 +229,11 @@ def _cmd_walk_green(args):
         r = _parse_eps(args.r)
     if args.trials and not args.steps:
         raise UnusableInput("--steps must be >= 1 for a Monte Carlo run")
+    mc = None
+    if args.trials:
+        # before the exact series, so unusable Monte Carlo input fails fast
+        with _resolving():
+            mc = walks.green_mc(args.trials, args.steps, seed=args.seed, cap=args.cap)
     series = walks.lumped_return_series(args.n)
     partials = walks.power_partial_sums(series, r)
     report = {
@@ -236,8 +241,7 @@ def _cmd_walk_green(args):
         "r": str(r),
         "partial": str(partials[-1]),
     }
-    if args.trials:
-        mc = walks.green_mc(args.trials, args.steps, seed=args.seed, cap=args.cap)
+    if mc is not None:
         report["mc"] = mc.to_json()
     rows = [[k, str(term), str(total)] for k, (term, total) in enumerate(zip(series, partials))]
     return True, report, (["n", "p_n", "partial"], rows)

@@ -128,35 +128,63 @@ class MCReport:
         }
 
 
+# green_mc packs a lumped state (u, m) into one int64, m << 32 | u, stored
+# plus _MC_ROOT so that min(s >> 31, 2) is its category: 0 at the root, 1 on
+# the skeleton, 2 on a hair.  u and m never exceed the step count, so the
+# packing is exact up to _MC_MAX_STEPS (m << 32 stays below 2^63, u + _MC_ROOT
+# below 2^32).
+_MC_ROOT = 2**31 - 1
+_MC_MAX_STEPS = 2**31 - 1
+# Within a category every letter moves the packed state by the same amount;
+# the move of letter r from category c sits at c + 3 r.
+_MC_DELTA = tuple(
+    ((m2 - m) << 32) + u2 - u
+    for r in LUMPED_LETTERS
+    for u, m in ((0, 0), (1, 0), (0, 1))
+    for u2, m2 in (_lumped_act(r, (u, m)),)
+)
+# letters drawn at a time, in whole steps (64 KB of int64): larger blocks
+# raised peak memory and gained no speed
+_MC_BLOCK = 1 << 13
+
+
 def green_mc(trials: int, steps: int, seed: int = 0, cap: int = 10**10) -> MCReport:
     """Monte Carlo estimate of the expected number of root visits.
 
     Simulates the lumped chain, drawing letters as in _lumped_act, with a
     counter-based generator, so results replay exactly for a given seed.
+    Letters are drawn in blocks of steps; each letter takes one 32-bit word
+    of the stream, so a block holds the letters of its steps in order.
     """
-    if trials <= 0 or steps <= 0:
-        raise ValueError("trials and steps must be positive")
+    if trials < 2 or steps <= 0:
+        raise ValueError("green_mc needs at least 2 trials and 1 step")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if trials * steps > cap:
         raise CapExceeded(f"trials*steps = {trials * steps} exceeds cap {cap}")
+    if steps > _MC_MAX_STEPS:
+        raise CapExceeded(f"steps = {steps} exceeds {_MC_MAX_STEPS}, the packed state's limit")
     import numpy as np
 
     rng = np.random.Generator(np.random.Philox(seed))
-    u = np.zeros(trials, dtype=np.int64)
-    m = np.zeros(trials, dtype=np.int64)
+    delta = np.array(_MC_DELTA, dtype=np.int64)
+    s = np.full(trials, _MC_ROOT, dtype=np.int64)
     visits = np.ones(trials, dtype=np.int64)
-    for _ in range(steps):
-        r = rng.integers(0, 4, size=trials)
-        at_root = (m == 0) & (u == 0)
-        on_skel = (m == 0) & (u > 0)
-        on_hair = m > 0
-        child = (m == 0) & (r < 2)
-        to_parent = on_skel & (r == 2)
-        to_hair = (on_skel & (r == 3)) | (at_root & (r >= 2))
-        h_down = on_hair & (r == 0)
-        h_up = on_hair & (r == 1)
-        u = u + child - to_parent
-        m = np.where(to_hair, 1, m - h_down + h_up)
-        visits += (u == 0) & (m == 0)
+    idx, move = np.empty_like(s), np.empty_like(s)
+    at_root = np.empty(trials, dtype=bool)
+    k = max(1, _MC_BLOCK // trials)
+    for done in range(0, steps, k):
+        letters = rng.integers(0, 4, size=(min(k, steps - done), trials), dtype=np.int64)
+        letters *= 3
+        for row in letters:
+            np.right_shift(s, 31, out=idx)
+            np.minimum(idx, 2, out=idx)
+            idx += row
+            # idx is in [0, 12) by construction; "clip" skips the bounds check
+            delta.take(idx, out=move, mode="clip")
+            s += move
+            np.equal(s, _MC_ROOT, out=at_root)
+            visits += at_root
     est = float(visits.mean())
     err = float(visits.std(ddof=1)) / math.sqrt(trials)
     return MCReport(estimate=est, stderr=err, trials=trials, steps=steps, seed=seed)

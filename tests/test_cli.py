@@ -5,6 +5,7 @@ import json
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import extamen
@@ -50,6 +51,17 @@ def test_explicit_default_cap_is_honoured(capsys):
     assert "resource limit" in capsys.readouterr().err
 
 
+def test_green_step_limit_exits_two(capsys, monkeypatch):
+    # within the default cap, beyond what green_mc's packed state holds;
+    # refused before the walk starts
+    def refuse_to_walk(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(np.random, "Generator", refuse_to_walk)
+    assert run(["walk", "green", "--n", "2", "--trials", "2", "--steps", str(2**31)]) == 2
+    assert "packed state" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["fn", "check", "--fn", "bogus"], "unknown set function 'bogus'"),
     (["approx", "verify", "--fn", "sum:phi_family:eps=1e-6", "--set", "3/5"], "is not dyadic"),
@@ -61,6 +73,9 @@ def test_explicit_default_cap_is_honoured(capsys):
     (["walk", "decay", "--steps", "10", "--checkpoints", "5,100000"], "within the horizon"),
     (["walk", "green", "--n", "3", "--trials", "5", "--steps", "0"], "--steps must be >= 1"),
     (["cx", "scan", "--trials", "0"], "--trials must be >= 1"),
+    (["walk", "green", "--n", "4", "--trials", "1", "--steps", "10"], "at least 2 trials"),
+    (["walk", "green", "--n", "4", "--trials", "3", "--steps", "10", "--seed", "-1"],
+     "seed must be >= 0"),
 ])
 def test_unusable_input_is_one_line(capsys, argv, message):
     assert run(argv) == 1

@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from extamen.dyadic import Dyadic, ROOT
@@ -12,6 +14,9 @@ from extamen.lamplighter import EMPTY, LAMP_LETTERS, SetFn, apply_letter, apply_
 from extamen.minfn import minfun
 from extamen.walks import (
     LUMPED_LETTERS,
+    _MC_BLOCK,
+    _MC_MAX_STEPS,
+    _MC_ROOT,
     StructuralLampWalk,
     WalkConfig,
     _lumped_act,
@@ -126,11 +131,85 @@ def test_green_mc_replays():
     assert green_mc(500, 2000, seed=8).estimate != a.estimate
 
 
+def _green_mc_reference(trials, steps, seed):
+    """green_mc's estimator one step at a time: one draw of `trials` letters
+    per step, (u, m) kept in two arrays and moved by masks."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    u = np.zeros(trials, dtype=np.int64)
+    m = np.zeros(trials, dtype=np.int64)
+    visits = np.ones(trials, dtype=np.int64)
+    for _ in range(steps):
+        r = rng.integers(0, 4, size=trials)
+        at_root = (m == 0) & (u == 0)
+        on_skel = (m == 0) & (u > 0)
+        on_hair = m > 0
+        child = (m == 0) & (r < 2)
+        to_parent = on_skel & (r == 2)
+        to_hair = (on_skel & (r == 3)) | (at_root & (r >= 2))
+        h_down = on_hair & (r == 0)
+        h_up = on_hair & (r == 1)
+        u = u + child - to_parent
+        m = np.where(to_hair, 1, m - h_down + h_up)
+        visits += (u == 0) & (m == 0)
+    return float(visits.mean()), float(visits.std(ddof=1)) / math.sqrt(trials)
+
+
+@pytest.mark.parametrize("trials", [2, 3, 777, 1000, 70000])
+def test_green_mc_equals_per_step_reference(trials):
+    # step counts around the block length k, where a block ends
+    k = max(1, _MC_BLOCK // trials)
+    cases = sorted({1, 7, k - 1, k, k + 1, 999, 10000} - {0})
+    # the reference is slow: 70000 trials stop at 999 steps
+    cases = [steps for steps in cases if trials * steps < 7 * 10**7]
+    for seed, steps in enumerate(cases, start=trials):
+        rep = green_mc(trials, steps, seed=seed)
+        want = _green_mc_reference(trials, steps, seed)
+        assert (rep.estimate, rep.stderr) == want, (trials, steps, seed)
+
+
+@pytest.mark.parametrize("args, estimate, stderr", [
+    ((2, 1, 0), 1.0, 0.0),
+    ((3, 7, 2), 2.0, 0.5773502691896258),
+    ((500, 2000, 7), 3.66, 0.13325281469916686),
+    ((777, 85, 11), 2.8262548262548264, 0.07433296098138271),
+    ((1000, 10000, 4), 3.986, 0.10458844459471965),
+    ((2, 32769, 3), 2.5, 0.5),
+    ((70000, 7, 1), 1.6368142857142858, 0.0030373315141817947),
+])
+def test_green_mc_frozen_values(args, estimate, stderr):
+    # computed by the per-step estimator before letters were drawn in blocks
+    trials, steps, seed = args
+    rep = green_mc(trials, steps, seed=seed)
+    assert (rep.estimate, rep.stderr) == (estimate, stderr)
+
+
 def test_green_mc_validation():
     with pytest.raises(CapExceeded):
         green_mc(10**6, 10**6, cap=10**10)
     with pytest.raises(ValueError):
         green_mc(0, 100)
+    with pytest.raises(ValueError, match="at least 2 trials"):
+        green_mc(1, 10)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        green_mc(3, 10, seed=-1)
+
+
+def _refuse_to_walk(*args):
+    raise AssertionError("the walk started")
+
+
+def test_green_mc_packing_is_exact_up_to_its_step_limit(monkeypatch):
+    top = _MC_MAX_STEPS
+    # refused before any work: the cap admits 2 * 2^31 trial-steps
+    monkeypatch.setattr(np.random, "Generator", _refuse_to_walk)
+    with pytest.raises(CapExceeded, match="packed state"):
+        green_mc(2, top + 1, cap=10**12)
+    # within top steps, u + m <= top; each such state unpacks to itself
+    # and lands in its category (root, skeleton, hair)
+    states = [(0, 0), (1, 0), (top, 0), (0, 1), (0, top), (top - 1, 1), (1, top - 1)]
+    s = np.array([(m << 32) + u + _MC_ROOT for u, m in states], dtype=np.int64)
+    assert [((x - _MC_ROOT) & (2**32 - 1), (x - _MC_ROOT) >> 32) for x in s.tolist()] == states
+    assert np.minimum(s >> 31, 2).tolist() == [0, 1, 1, 2, 2, 2, 2]
 
 
 @pytest.mark.parametrize("seed", range(4))
