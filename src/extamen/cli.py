@@ -8,8 +8,9 @@ accompanying manifest.json instead.
 
 Exit codes: 0 when the requested check passed, 1 when it ran and the
 property failed (or the inputs were unusable: an unknown name, a set that
-does not parse, a negative size, a run of zero trials or steps), 2 when a
-resource cap or search budget was exhausted.
+does not parse or cannot be read, a negative or oversized size, a run of
+zero trials, steps or samples), 2 when a resource cap or search budget was
+exhausted.
 """
 
 from __future__ import annotations
@@ -57,11 +58,15 @@ def _resolving():
     """Re-raise what resolving command-line input raises as UnusableInput.
 
     That is a KeyError for an unknown name, a ValueError for a malformed
-    name, set or number, and a ZeroDivisionError for a rational like 1/0.
+    name, set or number, a ZeroDivisionError for a rational like 1/0, an
+    OverflowError for a number like inf or one too large to use as a size,
+    and an OSError for a set file that cannot be read.
     """
     try:
         yield
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
+    except OSError as exc:
+        raise UnusableInput(str(exc)) from exc
+    except (KeyError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise UnusableInput(exc.args[0] if exc.args else type(exc).__name__) from exc
 
 
@@ -181,6 +186,8 @@ def _cmd_fn_check(args):
 
 
 def _cmd_approx_verify(args):
+    if args.weak and not args.samples:
+        raise UnusableInput("--samples must be >= 1")
     with _resolving():
         F = resolve_setfn(args.fn)
         E = parse_set_spec(args.set)

@@ -18,10 +18,10 @@ from .errors import PreconditionFailed
 from .graph import (
     Ball,
     act_letter,
-    gen_for_turn,
     hair_point,
     neighbors,
     struct_info,
+    vertex_at,
 )
 
 __all__ = [
@@ -132,11 +132,7 @@ def canonical_phi_u() -> VertexFn:
         d = 0
         while pow2(2 - d) >= threshold:
             d += 1
-        cur = ROOT
-        down = gen_for_turn("L")
-        for _ in range(d):
-            cur = act_letter(down, cur)
-        return cur
+        return vertex_at("L" * d)
 
     return VertexFn(
         name="phi_u",
@@ -169,14 +165,7 @@ def phi_family(n: int) -> VertexFn:
         k = 0
         while pow2(-(n + 1 + k)) >= threshold:
             k += 1
-        down, right = gen_for_turn("L"), gen_for_turn("R")
-        cur = ROOT
-        for _ in range(n):
-            cur = act_letter(down, cur)
-        cur = act_letter(right, cur)
-        for _ in range(k):
-            cur = act_letter(down, cur)
-        return cur
+        return vertex_at("L" * n + "R" + "L" * k)
 
     return VertexFn(
         name=f"phi:{n}",

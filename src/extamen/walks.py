@@ -5,9 +5,10 @@ the four-letter walk: all skeleton vertices of one depth act alike, as do all
 hair vertices of one (depth, offset), so the chain on those pairs reproduces
 the root return probabilities with a state space that grows quadratically in
 the horizon instead of exponentially.  Monte Carlo runs vectorize the same
-lumped chain.  Long lamp trajectories use a structural state that parks
-hair-bound lamps in wake buckets so a step costs time in the number of lamps
-actually on the skeleton.
+lumped chain.  Long lamp trajectories use a structural state that codes each
+skeleton lamp's tree node as an integer and parks hair-bound lamps in wake
+buckets, so a step costs time in the number of lamps actually on the skeleton
+and memory in the number of lamps, not in the nodes the walk has visited.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .dyadic import Dyadic, ROOT
 from .errors import CapExceeded, PreconditionFailed
-from .graph import EDGE_LABELS, act_letter, ball, hair_point, transition_series, vertex_at
+from .graph import EDGE_LABELS, act_letter, ball, hair_point, transition_series
 from .harmonic import canonical_phi_u, markov_apply_X, pow2
 from .lamplighter import (
     LAMP_LETTERS,
@@ -317,57 +318,43 @@ def supermartingale_check(fn, states: Iterable, mode: str = "lamp") -> Supermart
 # structural lamp trajectories
 
 
+# a letter's side: 0 for a/A, 1 for b/B
+_DOWN = {"a": 0, "b": 1}
+_UP = {"A": 0, "B": 1}
+
+
+def _skeleton_vertex(nid: int) -> Dyadic:
+    """The skeleton vertex of a coded node: its bits after the sentinel, read
+    from the top, are the letters a (0) and b (1) that lead to it from the root."""
+    cur = ROOT
+    for bit in bin(nid)[3:]:
+        cur = act_letter("a" if bit == "0" else "b", cur)
+    return cur
+
+
 class StructuralLampWalk:
     """Lamp configuration under the five-letter walk, in structural form.
 
-    Skeleton vertices are interned tree nodes.  A lamp that steps onto a hair
-    is parked in a wake bucket keyed by the value the matching letter counter
-    will hold when the lamp is back at its base, so hair-bound lamps cost
-    nothing per step.  Buckets fire only when a counter decreases: a sleeping
-    lamp's offset is the counter minus its key, stays positive while parked,
-    and keys are always strictly below the counter when created.
+    A skeleton lamp is its tree node coded as an integer with a sentinel bit:
+    the root is 1, and the a- and b-images of node n are n << 1 and
+    n << 1 | 1.  Parent, depth and side are bit arithmetic, so nothing is
+    interned.  A lamp that steps onto a hair is parked in a wake bucket keyed
+    by the value its side's letter counter will hold when the lamp is back at
+    its base, so hair-bound lamps cost nothing per step.  Buckets fire only
+    when a counter decreases: a sleeping lamp's offset is the counter minus
+    its key, stays positive while parked, and keys are always strictly below
+    the counter when created.  Counters and buckets are indexed by side.
     """
 
-    __slots__ = (
-        "parent",
-        "depth",
-        "side",
-        "kids",
-        "sk",
-        "bktA",
-        "bktB",
-        "cA",
-        "cB",
-        "sleep_cnt",
-        "sleep_total",
-        "_mhair",
-    )
+    __slots__ = ("sk", "bkt", "cnt", "sleep_cnt", "sleep_total", "_mhair")
 
     def __init__(self) -> None:
-        # node 0 is the root; side is 0 for an L child, 1 for an R child
-        self.parent = [-1]
-        self.depth = [0]
-        self.side = [-1]
-        self.kids: dict[tuple[int, int], int] = {}
         self.sk: set[int] = set()
-        self.bktA: dict[int, set[int]] = {}
-        self.bktB: dict[int, set[int]] = {}
-        self.cA = 0
-        self.cB = 0
+        self.bkt: tuple[dict[int, set[int]], ...] = ({}, {})
+        self.cnt = [0, 0]
         self.sleep_cnt: dict[int, int] = {}
         self.sleep_total = 0
         self._mhair = 0
-
-    def _child(self, nid: int, s: int) -> int:
-        key = (nid, s)
-        c = self.kids.get(key)
-        if c is None:
-            c = len(self.parent)
-            self.parent.append(nid)
-            self.depth.append(self.depth[nid] + 1)
-            self.side.append(s)
-            self.kids[key] = c
-        return c
 
     def _sleep_add(self, d: int) -> None:
         self.sleep_cnt[d] = self.sleep_cnt.get(d, 0) + 1
@@ -391,61 +378,51 @@ class StructuralLampWalk:
 
     def step(self, ch: str) -> None:
         if ch == "s":
-            if 0 in self.sk:
-                self.sk.discard(0)
+            if 1 in self.sk:
+                self.sk.discard(1)
             else:
-                self.sk.add(0)
+                self.sk.add(1)
             return
-        if ch == "a" or ch == "b":
-            want = 0 if ch == "a" else 1
-            new_sk = {self._child(nid, want) for nid in self.sk}
-            if ch == "a":
-                self.cA -= 1
-                woke = self.bktA.pop(self.cA, None)
-            else:
-                self.cB -= 1
-                woke = self.bktB.pop(self.cB, None)
+        s = _DOWN.get(ch)
+        if s is not None:
+            new_sk = {nid << 1 | s for nid in self.sk}
+            self.cnt[s] -= 1
+            woke = self.bkt[s].pop(self.cnt[s], None)
             if woke:
                 for nid in woke:
                     assert nid not in new_sk, "waking lamp collided with a resident"
                     new_sk.add(nid)
-                    self._sleep_remove(self.depth[nid])
+                    self._sleep_remove(nid.bit_length() - 1)
             self.sk = new_sk
             return
-        if ch == "A" or ch == "B":
-            up_side = 0 if ch == "A" else 1
-            new_sk = set()
-            entering = []
-            for nid in self.sk:
-                if self.side[nid] == up_side:
-                    new_sk.add(self.parent[nid])
-                else:
-                    entering.append(nid)
-            if ch == "A":
-                self.cA += 1
-                key, bkt = self.cA - 1, self.bktA
+        s = _UP.get(ch)
+        if s is None:
+            raise ValueError(f"unknown letter {ch!r}")
+        new_sk = set()
+        entering = []
+        for nid in self.sk:
+            # the root has no side: it enters its hair under either letter
+            if nid & 1 == s and nid > 1:
+                new_sk.add(nid >> 1)
             else:
-                self.cB += 1
-                key, bkt = self.cB - 1, self.bktB
-            if entering:
-                bucket = bkt.setdefault(key, set())
-                for nid in entering:
-                    assert nid not in bucket, "lamp rejoined an occupied hair point"
-                    bucket.add(nid)
-                    self._sleep_add(self.depth[nid])
-            self.sk = new_sk
-            return
-        raise ValueError(f"unknown letter {ch!r}")
+                entering.append(nid)
+        key = self.cnt[s]
+        self.cnt[s] = key + 1
+        if entering:
+            bucket = self.bkt[s].setdefault(key, set())
+            for nid in entering:
+                assert nid not in bucket, "lamp rejoined an occupied hair point"
+                bucket.add(nid)
+                self._sleep_add(nid.bit_length() - 1)
+        self.sk = new_sk
 
     def _k_parts(self):
-        depth = self.depth
-        side = self.side
         msk = mka = mkb = -1
         for nid in self.sk:
-            d = depth[nid]
+            d = nid.bit_length() - 1
             if d > msk:
                 msk = d
-            s = side[nid]
+            s = nid & 1 if nid > 1 else -1
             da = d - 1 if s == 0 else d
             db = d - 1 if s == 1 else d
             if da > mka:
@@ -480,23 +457,15 @@ class StructuralLampWalk:
         )
         return lhs >= rhs
 
-    def _path(self, nid: int) -> tuple[str, ...]:
-        turns = []
-        while nid != 0:
-            turns.append("L" if self.side[nid] == 0 else "R")
-            nid = self.parent[nid]
-        return tuple(reversed(turns))
-
     def to_config(self) -> Config:
         """Reconstruct the explicit configuration (slow; for cross-checks)."""
-        pts = [vertex_at(self._path(nid)) for nid in self.sk]
-        for counter, bkt, letter in ((self.cA, self.bktA, "A"), (self.cB, self.bktB, "B")):
+        pts = [_skeleton_vertex(nid) for nid in self.sk]
+        for letter, counter, bkt in zip("AB", self.cnt, self.bkt):
             for key, bucket in bkt.items():
                 off = counter - key
                 assert off >= 1, "parked lamp with nonpositive offset"
                 for nid in bucket:
-                    base = vertex_at(self._path(nid))
-                    pts.append(hair_point(base, off, root_hair=letter))
+                    pts.append(hair_point(_skeleton_vertex(nid), off, root_hair=letter))
         return config(pts)
 
 
@@ -512,8 +481,8 @@ class WalkConfig:
     def __post_init__(self):
         if self.trials <= 0 or self.steps <= 0:
             raise ValueError("trials and steps must be positive")
-        if not self.checkpoints or max(self.checkpoints) > self.steps:
-            raise ValueError("checkpoints must be nonempty and within the horizon")
+        if not self.checkpoints or min(self.checkpoints) < 1 or max(self.checkpoints) > self.steps:
+            raise ValueError(f"checkpoints must be nonempty and within the horizon 1..{self.steps}")
 
 
 @dataclass

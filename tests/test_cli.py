@@ -76,6 +76,16 @@ def test_green_step_limit_exits_two(capsys, monkeypatch):
     (["walk", "green", "--n", "4", "--trials", "1", "--steps", "10"], "at least 2 trials"),
     (["walk", "green", "--n", "4", "--trials", "3", "--steps", "10", "--seed", "-1"],
      "seed must be >= 0"),
+    (["walk", "decay", "--checkpoints", "0"], "within the horizon"),
+    (["walk", "green", "--r", "inf", "--n", "3"], "cannot convert Infinity"),
+    (["approx", "verify", "--fn", "sum:phi_family:eps=inf", "--set", "explicit:3"],
+     "cannot convert Infinity"),
+    (["approx", "verify", "--fn", "minfun:phi_u", "--set", "explicit:99999999999999999999"],
+     "index-sized integer"),
+    (["approx", "verify", "--fn", "minfun:phi_u", "--set", "file:/nonexistent/lamps.txt"],
+     "No such file or directory"),
+    (["approx", "verify", "--fn", "minfun:phi_u", "--set", "explicit:3", "--weak",
+      "--samples", "0"], "--samples must be >= 1"),
 ])
 def test_unusable_input_is_one_line(capsys, argv, message):
     assert run(argv) == 1

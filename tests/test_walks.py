@@ -8,7 +8,15 @@ import pytest
 
 from extamen.dyadic import Dyadic, ROOT
 from extamen.errors import CapExceeded, PreconditionFailed
-from extamen.graph import act_word, ball, evolve, hair_point, transition_series, vertex_at
+from extamen.graph import (
+    act_word,
+    ball,
+    evolve,
+    hair_point,
+    set_orientation,
+    transition_series,
+    vertex_at,
+)
 from extamen.harmonic import canonical_phi_u, pow2
 from extamen.lamplighter import EMPTY, LAMP_LETTERS, SetFn, apply_letter, apply_word, config
 from extamen.minfn import minfun
@@ -305,6 +313,31 @@ def test_structural_walk_tiny_script():
         st.step("x")
 
 
+def test_structural_walk_root_lamp_under_B_parks_on_B_hair():
+    # the root's code 1 has low bit 1, yet it has no parent to step up to
+    st = StructuralLampWalk()
+    st.step("s")
+    assert st._k_parts() == (0, 0, 0, -1)
+    st.step("B")
+    assert st.lamp_count() == 1
+    assert st.to_config() == (hair_point(ROOT, 1, root_hair="B"),)
+    assert st.k_now() == 0
+    st.step("b")
+    assert st.to_config() == (ROOT,)
+
+
+def test_structural_walk_matches_explicit_in_rl_orientation():
+    word = "sasbsAbBsbbAsaB"
+    set_orientation("rl")
+    try:
+        st = StructuralLampWalk()
+        for ch in word:
+            st.step(ch)
+        assert st.to_config() == apply_word(EMPTY, word[::-1])
+    finally:
+        set_orientation("lr")
+
+
 def test_structural_walk_matches_explicit():
     F = minfun(canonical_phi_u())
     for trial in range(8):
@@ -334,6 +367,22 @@ def test_decay_experiment_fast_path():
     assert 0 <= rep.never_removed_fraction <= 1
 
 
+def test_decay_experiment_frozen_deep_trajectories():
+    # frozen values; 10^4 steps reach tree depths the README's 2,000-step
+    # decay digest does not
+    rep = potential_decay_experiment(WalkConfig(trials=8, steps=10_000, seed=11))
+    assert rep.to_json() == {
+        "trials": 8,
+        "steps": 10_000,
+        "seed": 11,
+        "fn": "minfun:phi_u",
+        "medians": {"100": "1/64", "10000": "1/1125899906842624"},
+        "supermartingale_violations": 0,
+        "states_checked": 80_008,
+        "never_removed_fraction": 1.0,
+    }
+
+
 def test_decay_experiment_slow_path():
     rep = potential_decay_experiment(
         WalkConfig(trials=4, steps=60, seed=1, checkpoints=(60,), fn_name="minfun:phi:0")
@@ -348,6 +397,9 @@ def test_decay_experiment_validation():
         potential_decay_experiment(WalkConfig(trials=0))
     with pytest.raises(ValueError):
         potential_decay_experiment(WalkConfig(steps=10, checkpoints=(100,)))
+    for bad in ((0,), (-5, 10), ()):
+        with pytest.raises(ValueError, match="within the horizon"):
+            WalkConfig(steps=10, checkpoints=bad)
 
 
 def test_decay_report_serializes():
