@@ -8,9 +8,9 @@ accompanying manifest.json instead.
 
 Exit codes: 0 when the requested check passed, 1 when it ran and the
 property failed (or the inputs were unusable: an unknown name, a set that
-does not parse or cannot be read, a negative or oversized size, a run of
-zero trials, steps or samples), 2 when a resource cap or search budget was
-exhausted.
+does not parse, cannot be read or holds 0 or 1, a negative or oversized
+size, a run of zero trials, steps or samples), 2 when a resource cap or
+search budget was exhausted.
 """
 
 from __future__ import annotations

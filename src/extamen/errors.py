@@ -41,9 +41,5 @@ class MissingTailBound(ExtamenError):
     """A countable sum was requested without a certified tail bound."""
 
 
-class Undetermined(ExtamenError):
-    """Structural classification could not be closed within the probe depth."""
-
-
 class PropertySelfTestFailed(ExtamenError):
     """A user-supplied function failed its randomized property self-test."""

@@ -3,9 +3,10 @@
 Vertices are dyadics in (0,1).  The graph is 4-regular with labeled edges
 a, A, b, B (A and B are the inverse generators).  Structurally it is a binary
 tree (the skeleton) rooted at 5/8 with an infinite ray (hair) attached to
-every vertex, two rays at the root.  Nothing in this module assumes that
-picture: classification is derived from the action itself and the asserted
-shape is checked by the test suite.
+every vertex, two rays at the root (Savchuk, arXiv:0803.0043).  Structural
+addresses are read off a vertex's binary digits in closed form from that
+picture; the test suite checks them against the local rules of the action
+(children, parent, hair steps and loops) on a ball and on random dyadics.
 
 The balls, leaving-edge shares and walk steps at the end take the action as
 arguments, so the free-group graph of ``freegroup`` uses them too.
@@ -18,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .dyadic import Dyadic, ROOT
-from .errors import CapExceeded, StructuralAssertFailed, Undetermined
+from .errors import CapExceeded, StructuralAssertFailed
 
 __all__ = [
     "act_letter",
@@ -133,17 +134,14 @@ class Hair:
 # the test suite pins via the golden-path value pattern.
 _STATE = {"orientation": "lr"}
 
-_ADDR_MEMO: dict[Dyadic, object] = {}
-_INFO_MEMO: dict[Dyadic, tuple] = {}
+# Always empty: addresses are computed, not cached.  perfbench reads its size.
+_ADDR_MEMO: dict = {}
 
 
 def set_orientation(o: str) -> None:
     if o not in ("lr", "rl"):
         raise ValueError("orientation must be 'lr' or 'rl'")
-    if o != _STATE["orientation"]:
-        _STATE["orientation"] = o
-        _ADDR_MEMO.clear()
-        _INFO_MEMO.clear()
+    _STATE["orientation"] = o
 
 
 def get_orientation() -> str:
@@ -165,120 +163,63 @@ def vertex_at(path: Iterable[str]) -> Dyadic:
     return cur
 
 
-def _turn_for_gen(gen: str) -> str:
-    if _STATE["orientation"] == "lr":
-        return "L" if gen == "a" else "R"
-    return "R" if gen == "a" else "L"
+def _base_code(v: Dyadic) -> tuple[int, int, int]:
+    """(q, depth, m): v's skeleton base and v's offset on the base's hair.
+
+    Bit i of q is the (i+1)-th letter on the path from the root to the base,
+    1 for 'a'; depth d is the base's depth; m is 0 on the skeleton.  In
+    t = 4v - 2, 'a' is t -> (1+t)/2 and 'b' is t -> t/2, so a skeleton vertex
+    is v = (2^(d+2) + 2q + 1) / 2^(d+3), strictly between 1/2 and 3/4.  The
+    hair off a base whose last letter is 'b' is walked by A and lies in
+    (0, 1/2]: v = (2^d + 2q + 1) / 2^(d+1+m).  The hair off a last 'a' is
+    walked by B and lies in [3/4, 1): 1 - v = (3*2^d - 2q - 1) / 2^(d+2+m).
+    At the root both formulas reduce, to 1/2^m and 1 - 1/2^(m+1).
+    """
+    n, e = v.num, v.exp
+    if e == 0:
+        raise ValueError(f"{v} is not a vertex")
+    if n << 1 <= 1 << e:
+        if n == 1:
+            return 0, 0, e
+        j = (n - 1).bit_length() + 1  # d + 2
+        return (n - (1 << (j - 2))) >> 1, j - 2, e - j + 1
+    if n << 2 < 3 << e:
+        return (n - (1 << (e - 1))) >> 1, e - 3, 0
+    z = (1 << e) - n
+    if z == 1:
+        return 0, 0, e - 1
+    j = (z - 1).bit_length() + 2  # d + 3
+    return ((3 << (j - 3)) - z) >> 1, j - 3, e - j + 1
 
 
-def _loop_count(v: Dyadic) -> int:
-    return sum(1 for ch in EDGE_LABELS if act_letter(ch, v) == v)
-
-
-def _is_hair_vertex(v: Dyadic) -> bool:
-    return _loop_count(v) == 2
-
-
-def classify(v: Dyadic, probe_depth: int = 8, max_probe_depth: int = 4096):
+def classify(v: Dyadic) -> Skeleton | Hair:
     """Structural address of v: Skeleton(path) or Hair(base path, offset).
 
-    Skeleton vertices have four distinct neighbors; hair vertices have two
-    loops and two ray neighbors.  Hair classification walks both ray
-    directions up to probe_depth looking for the skeleton end, doubling the
-    probe up to max_probe_depth before giving up with Undetermined.
+    Read off v's binary digits by _base_code; the turns follow the current
+    orientation.  The two root hairs share the address Hair((), m).  0 and 1
+    are not vertices and raise ValueError.
     """
-    memo = _ADDR_MEMO
-    if v in memo:
-        return memo[v]
-    loops = _loop_count(v)
-    if loops == 0:
-        addr = _classify_skeleton(v)
-    elif loops == 2:
-        addr = _classify_hair(v, probe_depth, max_probe_depth)
-    else:
-        raise Undetermined(f"{v} has {loops} loop edges; expected 0 or 2")
-    return addr
-
-
-def _classify_skeleton(v: Dyadic) -> Skeleton:
-    # Walk up to the root.  For a non-root skeleton vertex exactly one of the
-    # two inverse images is a skeleton vertex (the parent); the other starts
-    # the vertex's own hair.  At the root both inverse images are hair points.
-    chain: list[tuple[Dyadic, str]] = []
-    cur = v
-    while cur not in _ADDR_MEMO and cur != ROOT:
-        qa = act_letter("A", cur)
-        qb = act_letter("B", cur)
-        a_hair = _is_hair_vertex(qa)
-        b_hair = _is_hair_vertex(qb)
-        if a_hair and b_hair:
-            raise StructuralAssertFailed(
-                f"{cur} != root but both inverse images are hair points"
-            )
-        if not a_hair and not b_hair:
-            raise StructuralAssertFailed(
-                f"{cur}: both inverse images look like skeleton vertices"
-            )
-        if a_hair:
-            parent, turn = qb, _turn_for_gen("b")
-        else:
-            parent, turn = qa, _turn_for_gen("a")
-        chain.append((cur, turn))
-        cur = parent
-    base_addr = _ADDR_MEMO.get(cur)
-    path = base_addr.path if base_addr is not None else ()
-    if cur == ROOT and base_addr is None:
-        _ADDR_MEMO[ROOT] = Skeleton(())
-    for node, turn in reversed(chain):
-        path = path + (turn,)
-        _ADDR_MEMO[node] = Skeleton(path)
-    return _ADDR_MEMO[v]
-
-
-def _classify_hair(v: Dyadic, probe_depth: int, max_probe_depth: int) -> Hair:
-    ray_labels = [ch for ch in EDGE_LABELS if act_letter(ch, v) != v]
-    if len(ray_labels) != 2:
-        raise Undetermined(f"{v}: hair vertex without two ray directions")
-    depth = probe_depth
-    while depth <= max_probe_depth:
-        for lab in ray_labels:
-            trail = [v]
-            cur = v
-            for _ in range(depth):
-                cur = act_letter(lab, cur)
-                if not _is_hair_vertex(cur):
-                    base = classify(cur, probe_depth, max_probe_depth)
-                    if not isinstance(base, Skeleton):
-                        raise StructuralAssertFailed(f"{cur}: ray ends off-skeleton")
-                    for off, pt in enumerate(reversed(trail), start=1):
-                        _ADDR_MEMO[pt] = Hair(base.path, off)
-                    return _ADDR_MEMO[v]
-                trail.append(cur)
-        depth *= 2
-    raise Undetermined(
-        f"{v}: no skeleton end within probe depth {max_probe_depth}"
-    )
+    q, depth, m = _base_code(v)
+    one, zero = ("L", "R") if _STATE["orientation"] == "lr" else ("R", "L")
+    path = tuple(one if q >> i & 1 else zero for i in range(depth))
+    return Hair(path, m) if m else Skeleton(path)
 
 
 def struct_info(v: Dyadic) -> tuple[int, bool, int]:
     """(leading L-turns, whether the path continues past them, base depth).
 
-    Cached digest of classify(v) used by the bundled vertex functions: a
-    vertex belongs to subtree i exactly when leading == i and the path
-    continues (its first non-L turn is an R by construction).
+    The digest of classify(v) used by the bundled vertex functions: a vertex
+    belongs to subtree i exactly when leading == i and the path continues
+    (its first non-L turn is an R by construction).  Under 'lr' the leading
+    L-turns are the trailing ones of the base code, under 'rl' its trailing
+    zeros.
     """
-    info = _INFO_MEMO.get(v)
-    if info is None:
-        addr = classify(v)
-        path = addr.path if isinstance(addr, Skeleton) else addr.base
-        lead = 0
-        for t in path:
-            if t != "L":
-                break
-            lead += 1
-        info = (lead, len(path) > lead, len(path))
-        _INFO_MEMO[v] = info
-    return info
+    q, depth, _ = _base_code(v)
+    if _STATE["orientation"] == "lr":
+        lead = (q ^ (q + 1)).bit_length() - 1
+    else:
+        lead = (q & -q).bit_length() - 1 if q else depth
+    return lead, depth > lead, depth
 
 
 def subtree_T(i: int, v: Dyadic) -> bool:
@@ -305,20 +246,19 @@ def hair_point(base: Dyadic, m: int, root_hair: str | None = None) -> Dyadic:
     """The vertex m steps out on the hair attached at the skeleton vertex base."""
     if m < 0:
         raise ValueError("hair offset must be >= 0")
-    addr = classify(base)
-    if not isinstance(addr, Skeleton):
+    q, depth, offset = _base_code(base)
+    if offset:
         raise StructuralAssertFailed(f"{base} is not a skeleton vertex")
     if m == 0:
         return base
-    if addr.path:
-        gen = gen_for_turn(addr.path[-1])
-        away = "B" if gen == "a" else "A"
+    if depth:
+        # the inverse of the last letter steps back up; the other starts the hair
+        away = "B" if q >> (depth - 1) & 1 else "A"
     else:
         away = root_hair_letter(root_hair)
     cur = base
-    for off in range(1, m + 1):
+    for _ in range(m):
         cur = act_letter(away, cur)
-        _ADDR_MEMO.setdefault(cur, Hair(addr.path, off))
     return cur
 
 

@@ -53,10 +53,15 @@ def serialize_config(E: Config) -> str:
 
 
 def parse_config(s: str) -> Config:
+    """Comma-separated dyadics as a configuration; 0 and 1 are not vertices."""
     s = s.strip()
     if not s:
         return EMPTY
-    return config(parse_dyadic(part) for part in s.split(","))
+    E = config(parse_dyadic(part) for part in s.split(","))
+    for x in E:
+        if x.exp == 0:
+            raise ValueError(f"{x} is not a vertex")
+    return E
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,12 @@ def test_exit_zero_on_pass(capsys):
     assert '"worst_deviation": "0"' in out
 
 
+def test_deep_hair_lamp_is_a_vertex(capsys):
+    # offset 5000 on the root hair walked by A
+    assert run(["approx", "verify", "--fn", "minfun:phi_u", "--set", "1/2^5000", "--n", "2"]) == 0
+    assert capsys.readouterr().out.startswith("PASS")
+
+
 def test_exit_one_on_verified_failure(capsys):
     assert run(["approx", "verify", "--fn", "minfun:phi_u", "--set", "p", "--n", "3"]) == 1
     assert capsys.readouterr().out.startswith("FAIL")
@@ -86,6 +92,8 @@ def test_green_step_limit_exits_two(capsys, monkeypatch):
      "No such file or directory"),
     (["approx", "verify", "--fn", "minfun:phi_u", "--set", "explicit:3", "--weak",
       "--samples", "0"], "--samples must be >= 1"),
+    (["approx", "verify", "--fn", "minfun:phi_u", "--set", "0"], "0/2^0 is not a vertex"),
+    (["approx", "refute", "--set", "3/4,1", "--n", "2"], "1/2^0 is not a vertex"),
 ])
 def test_unusable_input_is_one_line(capsys, argv, message):
     assert run(argv) == 1

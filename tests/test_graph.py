@@ -121,10 +121,85 @@ def test_classify_consistent_with_vertex_at():
 
 
 def test_classify_deep_hair_needs_probe_doubling():
-    # act_word builds the point without seeding the address memo
-    v = act_word("B" * 20, ROOT)
-    assert classify(v) == Hair((), 20)
-    assert v == hair_point(ROOT, 20)
+    for m in (20, 5000):
+        for letter in ("A", "B"):
+            v = act_word(letter * m, ROOT)
+            assert classify(v) == Hair((), m), f"{letter}^{m}"
+            assert struct_info(v) == (0, False, 0)
+            assert v == hair_point(ROOT, m, root_hair=letter)
+
+
+def test_classify_rejects_non_vertices():
+    for v in (dy(0, 0), dy(1, 0)):
+        with pytest.raises(ValueError, match="not a vertex"):
+            classify(v)
+        with pytest.raises(ValueError, match="not a vertex"):
+            struct_info(v)
+
+
+def assert_local_rules(v):
+    """classify(v) against the images of v under act_letter alone.
+
+    A skeleton address steps to its children on a/b, to its parent and the
+    first point of its own hair on A/B (both root hairs at the root); a hair
+    address loops on two letters and steps to offset m - 1 (its base from
+    m = 1) and m + 1 on the others.  With classify(ROOT) == Skeleton(())
+    these rules fix every address by induction from the root.
+    """
+    addr = classify(v)
+    image = {ch: classify(act_letter(ch, v)) for ch in EDGE_LABELS}
+    turn = {"a": "L", "b": "R"} if get_orientation() == "lr" else {"a": "R", "b": "L"}
+    if isinstance(addr, Skeleton):
+        p = addr.path
+        assert image["a"] == Skeleton(p + (turn["a"],)), v
+        assert image["b"] == Skeleton(p + (turn["b"],)), v
+        if not p:
+            assert image["A"] == image["B"] == Hair((), 1), v
+            return
+        up, out = ("A", "B") if p[-1] == turn["a"] else ("B", "A")
+        assert image[up] == Skeleton(p[:-1]), v
+        assert image[out] == Hair(p, 1), v
+        return
+    loops = [ch for ch in EDGE_LABELS if act_letter(ch, v) == v]
+    assert len(loops) == 2, f"{v} ({addr}) loops on {loops}"
+    inward = Hair(addr.base, addr.offset - 1) if addr.offset > 1 else Skeleton(addr.base)
+    steps = {image[ch] for ch in EDGE_LABELS if ch not in loops}
+    assert steps == {inward, Hair(addr.base, addr.offset + 1)}, v
+
+
+@pytest.mark.parametrize("orientation", ["lr", "rl"])
+def test_classify_follows_local_rules_on_ball(orientation):
+    try:
+        set_orientation(orientation)
+        assert classify(ROOT) == Skeleton(())
+        for v in ball(ROOT, 12).vertices:
+            assert_local_rules(v)
+    finally:
+        set_orientation("lr")
+
+
+@st.composite
+def deep_dyadics(draw, max_exp=400):
+    # uniform numerators land mostly on the skeleton or near it; numerators
+    # near 0 and near 2^e reach deep into the two kinds of hair
+    e = draw(st.integers(1, max_exp))
+    top = 2**e - 1
+    n = draw(st.one_of(
+        st.integers(1, top),
+        st.integers(1, min(top, 2**20)),
+        st.integers(max(1, top - 2**20), top),
+    ))
+    return Dyadic(n, e)
+
+
+@given(deep_dyadics(), st.sampled_from(["lr", "rl"]))
+@settings(max_examples=400, deadline=None)
+def test_classify_follows_local_rules_on_random_dyadics(v, orientation):
+    try:
+        set_orientation(orientation)
+        assert_local_rules(v)
+    finally:
+        set_orientation("lr")
 
 
 def test_hair_points_on_both_root_rays():
@@ -181,6 +256,35 @@ def test_struct_info_digests():
     assert struct_info(dy(9, 4)) == (0, True, 1)
     # hairs inherit the digest of their base
     assert struct_info(dy(13, 4)) == struct_info(dy(11, 4))
+
+
+def test_struct_info_digests_rl():
+    # frozen from the probing classifier that the closed form replaced
+    frozen = {
+        # skeleton vertices
+        dy(5, 3): (0, False, 0),
+        dy(9, 4): (1, False, 1),
+        dy(11, 4): (0, True, 1),
+        dy(17, 5): (2, False, 2),
+        dy(39, 6): (0, True, 3),
+        dy(41, 6): (2, True, 3),
+        dy(33, 6): (3, False, 3),
+        dy(73, 7): (2, True, 4),
+        # hair points on both sides of the skeleton, the root's two included
+        dy(1, 3): (0, False, 0),
+        dy(15, 4): (0, False, 0),
+        dy(49, 6): (2, True, 3),
+        dy(497, 9): (2, True, 3),
+        dy(9, 5): (3, False, 3),
+        dy(9, 8): (3, False, 3),
+        dy(53, 6): (1, True, 3),
+        dy(11, 8): (0, True, 3),
+    }
+    try:
+        set_orientation("rl")
+        assert {v: struct_info(v) for v in frozen} == frozen
+    finally:
+        set_orientation("lr")
 
 
 def test_subtree_membership():
