@@ -280,6 +280,8 @@ def _cmd_walk_decay(args):
             fn_name=args.fn or "minfun:phi_u",
         )
         resolve_setfn(walk.fn_name)
+    if walk.trials * walk.steps > args.cap:
+        raise CapExceeded(f"trials*steps = {walk.trials * walk.steps} exceeds cap {args.cap}")
     rep = walks.potential_decay_experiment(walk)
     marks = sorted(rep.medians)
     decayed = rep.medians[marks[-1]] < rep.medians[marks[0]] if len(marks) > 1 else True
@@ -370,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(wr, n_default=30)
     wr.set_defaults(handler=_cmd_walk_return)
     wd = walk.add_parser("decay")
-    common(wd)
+    # like green_mc, a decay run is budgeted by trials * steps
+    common(wd, cap_default=10**10)
     wd.add_argument("--trials", type=int, default=100)
     wd.add_argument("--steps", type=int, default=1000)
     wd.add_argument("--checkpoints", default="100,1000")

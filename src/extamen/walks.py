@@ -5,10 +5,11 @@ the four-letter walk: all skeleton vertices of one depth act alike, as do all
 hair vertices of one (depth, offset), so the chain on those pairs reproduces
 the root return probabilities with a state space that grows quadratically in
 the horizon instead of exponentially.  Monte Carlo runs vectorize the same
-lumped chain.  Long lamp trajectories use a structural state that codes each
-skeleton lamp's tree node as an integer and parks hair-bound lamps in wake
-buckets, so a step costs time in the number of lamps actually on the skeleton
-and memory in the number of lamps, not in the nodes the walk has visited.
+lumped chain.  Long lamp trajectories use a structural state that keeps the
+skeleton lamps in a persistent trie over their turns, read from the last turn
+back, and parks hair-bound lamps in per-side stacks, so every step costs O(1)
+time and memory grows with the lamps and their depths, not with the nodes the
+walk has visited.
 """
 
 from __future__ import annotations
@@ -332,104 +333,155 @@ def _skeleton_vertex(nid: int) -> Dyadic:
     return cur
 
 
+# A lamp trie node is a tuple (c0, c1, mark, H, n), and None is the empty
+# trie.  The path from a trie's root reads a lamp's turns from the last back
+# to the first: c0 and c1 hold the lamps whose next-older turn is a or b,
+# mark is 1 when the node's own lamp is lit, H is the depth of the deepest
+# lamp below the node counted from it and n >= 1 is the number of lamps.
+# Nodes are never changed, so subtries are shared, not copied.
+
+
+def _trie(c0, c1, mark: int):
+    """The node over two subtries and a mark; None when it holds no lamp."""
+    h, n = mark - 1, mark
+    if c0 is not None:
+        if c0[3] >= h:
+            h = c0[3] + 1
+        n += c0[4]
+    if c1 is not None:
+        if c1[3] >= h:
+            h = c1[3] + 1
+        n += c1[4]
+    return (c0, c1, mark, h, n) if n else None
+
+
+def _lamp_codes(node) -> list[int]:
+    """Coded tree nodes of the lamps in a trie, walked without recursion: tries
+    reach depths in the hundreds."""
+    codes = []
+    stack = [(node, 0, 0)] if node is not None else []
+    while stack:
+        (c0, c1, mark, _, _), low, k = stack.pop()
+        if mark:
+            codes.append(1 << k | low)
+        if c0 is not None:
+            stack.append((c0, low, k + 1))
+        if c1 is not None:
+            stack.append((c1, low | 1 << k, k + 1))
+    return codes
+
+
+# the bottom of each side's stack of parked tries: no key, no lamps
+_NO_PARK = (None, None, -1, 0)
+
+
 class StructuralLampWalk:
     """Lamp configuration under the five-letter walk, in structural form.
 
     A skeleton lamp is its tree node coded as an integer with a sentinel bit:
     the root is 1, and the a- and b-images of node n are n << 1 and
-    n << 1 | 1.  Parent, depth and side are bit arithmetic, so nothing is
-    interned.  A lamp that steps onto a hair is parked in a wake bucket keyed
-    by the value its side's letter counter will hold when the lamp is back at
-    its base, so hair-bound lamps cost nothing per step.  Buckets fire only
-    when a counter decreases: a sleeping lamp's offset is the counter minus
-    its key, stays positive while parked, and keys are always strictly below
-    the counter when created.  Counters and buckets are indexed by side.
+    n << 1 | 1.  The skeleton lamps are held in a persistent trie over their
+    turns, read from the last turn back, so every letter costs O(1):
+    - a or b on side s makes the old trie child s of a new root;
+    - A or B on side s makes child s the root, which moves every lamp whose
+      last turn is s up to its parent; the rest (child 1 - s and the root's
+      own lamp, node 1) step onto their hairs together;
+    - s flips the root's mark.
+
+    The lamps that step onto hairs on one letter are parked as one trie,
+    keyed by the value their side's letter counter will hold when they are
+    back at their bases, so hair-bound lamps cost nothing per step.  A
+    sleeping lamp's offset is the counter minus its key: A or B parks at
+    the counter and raises it, a or b lowers it and wakes what is parked at
+    the new value.  So keys stay below the counter, and each side's parked
+    tries form a stack in key order whose top is the only one that can wake.
+    Each stack entry carries the largest base depth and the lamp count of
+    the tries up to it.  A woken trie holds only node 1 and lamps whose last
+    turn is 1 - s, while after the push every resident ends in s, so waking
+    merges two disjoint tries in one node.  Counters and stacks are indexed
+    by side.
     """
 
-    __slots__ = ("sk", "bkt", "cnt", "sleep_cnt", "sleep_total", "_mhair")
+    __slots__ = ("root", "cnt", "parked")
 
     def __init__(self) -> None:
-        self.sk: set[int] = set()
-        self.bkt: tuple[dict[int, set[int]], ...] = ({}, {})
+        self.root = None
         self.cnt = [0, 0]
-        self.sleep_cnt: dict[int, int] = {}
-        self.sleep_total = 0
-        self._mhair = 0
-
-    def _sleep_add(self, d: int) -> None:
-        self.sleep_cnt[d] = self.sleep_cnt.get(d, 0) + 1
-        self.sleep_total += 1
-        if d > self._mhair:
-            self._mhair = d
-
-    def _sleep_remove(self, d: int) -> None:
-        left = self.sleep_cnt[d] - 1
-        if left:
-            self.sleep_cnt[d] = left
-        else:
-            del self.sleep_cnt[d]
-            if d == self._mhair:
-                while self._mhair > 0 and self._mhair not in self.sleep_cnt:
-                    self._mhair -= 1
-        self.sleep_total -= 1
+        # entries (key, trie, max base depth, lamps) of the tries up to each
+        self.parked: tuple[list[tuple], ...] = ([_NO_PARK], [_NO_PARK])
 
     def lamp_count(self) -> int:
-        return len(self.sk) + self.sleep_total
+        root = self.root
+        n = root[4] if root is not None else 0
+        return n + self.parked[0][-1][3] + self.parked[1][-1][3]
 
     def step(self, ch: str) -> None:
+        root = self.root
         if ch == "s":
-            if 1 in self.sk:
-                self.sk.discard(1)
+            if root is None:
+                self.root = _trie(None, None, 1)
             else:
-                self.sk.add(1)
+                self.root = _trie(root[0], root[1], root[2] ^ 1)
             return
         s = _DOWN.get(ch)
         if s is not None:
-            new_sk = {nid << 1 | s for nid in self.sk}
-            self.cnt[s] -= 1
-            woke = self.bkt[s].pop(self.cnt[s], None)
-            if woke:
-                for nid in woke:
-                    assert nid not in new_sk, "waking lamp collided with a resident"
-                    new_sk.add(nid)
-                    self._sleep_remove(nid.bit_length() - 1)
-            self.sk = new_sk
+            key = self.cnt[s] - 1
+            self.cnt[s] = key
+            stack = self.parked[s]
+            if stack[-1][0] == key:
+                woke = stack.pop()[1]
+                if s:
+                    self.root = _trie(woke[0], root, woke[2])
+                else:
+                    self.root = _trie(root, woke[1], woke[2])
+            elif root is not None:
+                if s:
+                    self.root = (None, root, 0, root[3] + 1, root[4])
+                else:
+                    self.root = (root, None, 0, root[3] + 1, root[4])
             return
         s = _UP.get(ch)
         if s is None:
             raise ValueError(f"unknown letter {ch!r}")
-        new_sk = set()
-        entering = []
-        for nid in self.sk:
-            # the root has no side: it enters its hair under either letter
-            if nid & 1 == s and nid > 1:
-                new_sk.add(nid >> 1)
-            else:
-                entering.append(nid)
         key = self.cnt[s]
         self.cnt[s] = key + 1
-        if entering:
-            bucket = self.bkt[s].setdefault(key, set())
-            for nid in entering:
-                assert nid not in bucket, "lamp rejoined an occupied hair point"
-                bucket.add(nid)
-                self._sleep_add(nid.bit_length() - 1)
-        self.sk = new_sk
+        if root is None:
+            return
+        c0, c1, mark, _, _ = root
+        if s:
+            self.root = c1
+            trie = _trie(c0, None, mark)
+        else:
+            self.root = c0
+            trie = _trie(None, c1, mark)
+        if trie is not None:
+            stack = self.parked[s]
+            _, _, h, n = stack[-1]
+            stack.append((key, trie, trie[3] if trie[3] > h else h, n + trie[4]))
 
     def _k_parts(self):
-        msk = mka = mkb = -1
-        for nid in self.sk:
-            d = nid.bit_length() - 1
-            if d > msk:
-                msk = d
-            s = nid & 1 if nid > 1 else -1
-            da = d - 1 if s == 0 else d
-            db = d - 1 if s == 1 else d
-            if da > mka:
-                mka = da
-            if db > mkb:
-                mkb = db
-        mh = self._mhair if self.sleep_total else -1
+        """Max skeleton depth, max depth after A and after B of the skeleton
+        lamps (-1 when none), and max base depth of the parked lamps (-1 when
+        none)."""
+        h0, h1 = self.parked[0][-1][2], self.parked[1][-1][2]
+        mh = h0 if h0 > h1 else h1
+        root = self.root
+        if root is None:
+            return -1, -1, -1, mh
+        c0, c1, mark, msk, _ = root
+        mka = mkb = mark - 1
+        if c0 is not None:
+            h = c0[3]
+            if h > mka:
+                mka = h
+            if h >= mkb:
+                mkb = h + 1
+        if c1 is not None:
+            h = c1[3]
+            if h >= mka:
+                mka = h + 1
+            if h > mkb:
+                mkb = h
         return msk, mka, mkb, mh
 
     def k_now(self) -> int:
@@ -441,32 +493,55 @@ class StructuralLampWalk:
         return pow2(2 - self.k_now())
 
     def supermartingale_margin_ok(self) -> bool:
-        """Exact one-step mean decrease of the depth potential, in integers."""
+        """Exact one-step mean decrease of the depth potential, in integers.
+
+        With k0, kab, kA, kB the largest depth now and after a or b, A, B,
+        the mean of 2^-k over the five letters is at most 2^-k0.  A or B
+        never deepens a lamp, so kA, kB <= k0 <= kab, and kab sets the scale.
+        """
         msk, mka, mkb, mh = self._k_parts()
-        k0 = max(msk, mh, 0)
-        kab = max(msk + 1 if msk >= 0 else -1, mh, 0)
-        kA = max(mka, mh, 0)
-        kB = max(mkb, mh, 0)
-        km = max(k0, kab, kA, kB)
-        lhs = 5 << (km - k0)
-        rhs = (
-            2 * (1 << (km - kab))
-            + (1 << (km - kA))
-            + (1 << (km - kB))
-            + (1 << (km - k0))
-        )
-        return lhs >= rhs
+        base = mh if mh > 0 else 0
+        k0 = msk if msk > base else base
+        kab = msk + 1 if msk >= base else base
+        kA = mka if mka > base else base
+        kB = mkb if mkb > base else base
+        rhs = 2 + (1 << (kab - kA)) + (1 << (kab - kB)) + (1 << (kab - k0))
+        return 5 << (kab - k0) >= rhs
 
     def to_config(self) -> Config:
         """Reconstruct the explicit configuration (slow; for cross-checks)."""
-        pts = [_skeleton_vertex(nid) for nid in self.sk]
-        for letter, counter, bkt in zip("AB", self.cnt, self.bkt):
-            for key, bucket in bkt.items():
+        pts = [_skeleton_vertex(nid) for nid in _lamp_codes(self.root)]
+        for letter, counter, stack in zip("AB", self.cnt, self.parked):
+            for key, trie, _, _ in stack[1:]:
                 off = counter - key
                 assert off >= 1, "parked lamp with nonpositive offset"
-                for nid in bucket:
+                for nid in _lamp_codes(trie):
                     pts.append(hair_point(_skeleton_vertex(nid), off, root_hair=letter))
         return config(pts)
+
+
+class _ExplicitLampWalk:
+    """An explicit configuration under the five-letter walk, scored by any set
+    function, with the step/check/potential shape of StructuralLampWalk.  It
+    is exact but far slower, so only sensible for short horizons."""
+
+    __slots__ = ("F", "E")
+
+    def __init__(self, F, start: Config) -> None:
+        self.F = F
+        self.E = start
+
+    def lamp_count(self) -> int:
+        return len(self.E)
+
+    def step(self, ch: str) -> None:
+        self.E = apply_letter(self.E, ch)
+
+    def f_now(self):
+        return self.F(self.E)
+
+    def supermartingale_margin_ok(self) -> bool:
+        return markov_apply_set(self.F, self.E) <= self.F(self.E)
 
 
 @dataclass(frozen=True)
@@ -481,6 +556,10 @@ class WalkConfig:
     def __post_init__(self):
         if self.trials <= 0 or self.steps <= 0:
             raise ValueError("trials and steps must be positive")
+        # random.Random seeds on abs(seed), so a negative seed would replay
+        # another seed's trajectories
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.checkpoints or min(self.checkpoints) < 1 or max(self.checkpoints) > self.steps:
             raise ValueError(f"checkpoints must be nonempty and within the horizon 1..{self.steps}")
 
@@ -513,51 +592,37 @@ class DecayReport:
 def potential_decay_experiment(walk: WalkConfig = WalkConfig()) -> DecayReport:
     """Seeded lamp trajectories with exact per-state supermartingale checks.
 
-    The bundled depth potential runs on the structural state; any other
-    registered set function falls back to explicit configurations, which is
-    exact but far slower and only sensible for short horizons.
+    The bundled depth potential from the empty configuration runs on the
+    structural state; any other registered set function or start falls back
+    to explicit configurations.  Every state of every trajectory, the last
+    included, is checked.
     """
     values: dict[int, list] = {t: [] for t in sorted(set(walk.checkpoints))}
     violations = 0
-    checked = 0
     nonempty = 0
     fast = walk.fn_name == "minfun:phi_u" and walk.start == ()
     F = None if fast else resolve_setfn(walk.fn_name)
     for trial in range(walk.trials):
-        rng = random.Random(walk.seed * 1_000_003 + trial)
-        if fast:
-            state = StructuralLampWalk()
-            for t in range(1, walk.steps + 1):
-                checked += 1
-                if not state.supermartingale_margin_ok():
-                    violations += 1
-                state.step(LAMP_LETTERS[rng.randrange(5)])
-                if t in values:
-                    values[t].append(state.f_now())
-            checked += 1
-            if not state.supermartingale_margin_ok():
+        # choice(LAMP_LETTERS) draws the letters LAMP_LETTERS[randrange(5)]
+        # draws (both take _randbelow(5)), with less overhead
+        draw = random.Random(walk.seed * 1_000_003 + trial).choice
+        state = StructuralLampWalk() if fast else _ExplicitLampWalk(F, walk.start)
+        step, margin_ok = state.step, state.supermartingale_margin_ok
+        for t in range(1, walk.steps + 1):
+            if not margin_ok():
                 violations += 1
-            if state.lamp_count():
-                nonempty += 1
-        else:
-            E = walk.start
-            for t in range(1, walk.steps + 1):
-                checked += 1
-                if markov_apply_set(F, E) > F(E):
-                    violations += 1
-                E = apply_letter(E, LAMP_LETTERS[rng.randrange(5)])
-                if t in values:
-                    values[t].append(F(E))
-            checked += 1
-            if markov_apply_set(F, E) > F(E):
-                violations += 1
-            if E:
-                nonempty += 1
+            step(draw(LAMP_LETTERS))
+            if t in values:
+                values[t].append(state.f_now())
+        if not margin_ok():
+            violations += 1
+        if state.lamp_count():
+            nonempty += 1
     medians = {t: sorted(vals)[len(vals) // 2] for t, vals in values.items()}
     return DecayReport(
         walk=walk,
         medians=medians,
         supermartingale_violations=violations,
-        states_checked=checked,
+        states_checked=walk.trials * (walk.steps + 1),
         never_removed_fraction=nonempty / walk.trials,
     )

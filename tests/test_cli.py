@@ -57,6 +57,11 @@ def test_explicit_default_cap_is_honoured(capsys):
     assert "resource limit" in capsys.readouterr().err
 
 
+def test_decay_budget_over_cap_exits_two(capsys):
+    assert run(["walk", "decay", "--trials", "10", "--steps", "1000", "--cap", "100"]) == 2
+    assert "exceeds cap 100" in capsys.readouterr().err
+
+
 def test_green_step_limit_exits_two(capsys, monkeypatch):
     # within the default cap, beyond what green_mc's packed state holds;
     # refused before the walk starts
@@ -94,6 +99,8 @@ def test_green_step_limit_exits_two(capsys, monkeypatch):
       "--samples", "0"], "--samples must be >= 1"),
     (["approx", "verify", "--fn", "minfun:phi_u", "--set", "0"], "0/2^0 is not a vertex"),
     (["approx", "refute", "--set", "3/4,1", "--n", "2"], "1/2^0 is not a vertex"),
+    (["walk", "decay", "--steps", "100", "--checkpoints", "100", "--seed", "-1"],
+     "seed must be >= 0, got -1"),
 ])
 def test_unusable_input_is_one_line(capsys, argv, message):
     assert run(argv) == 1

@@ -5,6 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from extamen.dyadic import Dyadic, ROOT
 from extamen.errors import CapExceeded, PreconditionFailed
@@ -18,16 +19,27 @@ from extamen.graph import (
     vertex_at,
 )
 from extamen.harmonic import canonical_phi_u, pow2
-from extamen.lamplighter import EMPTY, LAMP_LETTERS, SetFn, apply_letter, apply_word, config
+from extamen.lamplighter import (
+    EMPTY,
+    LAMP_LETTERS,
+    Config,
+    SetFn,
+    apply_letter,
+    apply_word,
+    config,
+)
 from extamen.minfn import minfun
 from extamen.walks import (
     LUMPED_LETTERS,
+    _DOWN,
     _MC_BLOCK,
     _MC_MAX_STEPS,
     _MC_ROOT,
+    _UP,
     StructuralLampWalk,
     WalkConfig,
     _lumped_act,
+    _skeleton_vertex,
     delta_check_phi_u,
     green_mc,
     green_partial,
@@ -356,6 +368,174 @@ def test_structural_walk_matches_explicit():
         assert st.to_config() == E
 
 
+class SentinelLampWalk:
+    """Reference structural walk: the set of coded skeleton lamps, each moved
+    one by one on every letter, and hair-bound lamps parked one by one in
+    wake buckets keyed by their side's counter, with a count per base depth."""
+
+    __slots__ = ("sk", "bkt", "cnt", "sleep_cnt", "sleep_total", "_mhair")
+
+    def __init__(self) -> None:
+        self.sk: set[int] = set()
+        self.bkt: tuple[dict[int, set[int]], ...] = ({}, {})
+        self.cnt = [0, 0]
+        self.sleep_cnt: dict[int, int] = {}
+        self.sleep_total = 0
+        self._mhair = 0
+
+    def _sleep_add(self, d: int) -> None:
+        self.sleep_cnt[d] = self.sleep_cnt.get(d, 0) + 1
+        self.sleep_total += 1
+        if d > self._mhair:
+            self._mhair = d
+
+    def _sleep_remove(self, d: int) -> None:
+        left = self.sleep_cnt[d] - 1
+        if left:
+            self.sleep_cnt[d] = left
+        else:
+            del self.sleep_cnt[d]
+            if d == self._mhair:
+                while self._mhair > 0 and self._mhair not in self.sleep_cnt:
+                    self._mhair -= 1
+        self.sleep_total -= 1
+
+    def lamp_count(self) -> int:
+        return len(self.sk) + self.sleep_total
+
+    def step(self, ch: str) -> None:
+        if ch == "s":
+            if 1 in self.sk:
+                self.sk.discard(1)
+            else:
+                self.sk.add(1)
+            return
+        s = _DOWN.get(ch)
+        if s is not None:
+            new_sk = {nid << 1 | s for nid in self.sk}
+            self.cnt[s] -= 1
+            woke = self.bkt[s].pop(self.cnt[s], None)
+            if woke:
+                for nid in woke:
+                    assert nid not in new_sk, "waking lamp collided with a resident"
+                    new_sk.add(nid)
+                    self._sleep_remove(nid.bit_length() - 1)
+            self.sk = new_sk
+            return
+        s = _UP.get(ch)
+        if s is None:
+            raise ValueError(f"unknown letter {ch!r}")
+        new_sk = set()
+        entering = []
+        for nid in self.sk:
+            # the root has no side: it enters its hair under either letter
+            if nid & 1 == s and nid > 1:
+                new_sk.add(nid >> 1)
+            else:
+                entering.append(nid)
+        key = self.cnt[s]
+        self.cnt[s] = key + 1
+        if entering:
+            bucket = self.bkt[s].setdefault(key, set())
+            for nid in entering:
+                assert nid not in bucket, "lamp rejoined an occupied hair point"
+                bucket.add(nid)
+                self._sleep_add(nid.bit_length() - 1)
+        self.sk = new_sk
+
+    def _k_parts(self):
+        msk = mka = mkb = -1
+        for nid in self.sk:
+            d = nid.bit_length() - 1
+            if d > msk:
+                msk = d
+            s = nid & 1 if nid > 1 else -1
+            da = d - 1 if s == 0 else d
+            db = d - 1 if s == 1 else d
+            if da > mka:
+                mka = da
+            if db > mkb:
+                mkb = db
+        mh = self._mhair if self.sleep_total else -1
+        return msk, mka, mkb, mh
+
+    def k_now(self) -> int:
+        """Largest lamp depth (hair lamps count their base), 0 when empty."""
+        msk, _, _, mh = self._k_parts()
+        return max(msk, mh, 0)
+
+    def f_now(self) -> Fraction:
+        return pow2(2 - self.k_now())
+
+    def supermartingale_margin_ok(self) -> bool:
+        """Exact one-step mean decrease of the depth potential, in integers."""
+        msk, mka, mkb, mh = self._k_parts()
+        k0 = max(msk, mh, 0)
+        kab = max(msk + 1 if msk >= 0 else -1, mh, 0)
+        kA = max(mka, mh, 0)
+        kB = max(mkb, mh, 0)
+        km = max(k0, kab, kA, kB)
+        lhs = 5 << (km - k0)
+        rhs = (
+            2 * (1 << (km - kab))
+            + (1 << (km - kA))
+            + (1 << (km - kB))
+            + (1 << (km - k0))
+        )
+        return lhs >= rhs
+
+    def to_config(self) -> Config:
+        """Reconstruct the explicit configuration (slow; for cross-checks)."""
+        pts = [_skeleton_vertex(nid) for nid in self.sk]
+        for letter, counter, bkt in zip("AB", self.cnt, self.bkt):
+            for key, bucket in bkt.items():
+                off = counter - key
+                assert off >= 1, "parked lamp with nonpositive offset"
+                for nid in bucket:
+                    pts.append(hair_point(_skeleton_vertex(nid), off, root_hair=letter))
+        return config(pts)
+
+
+@pytest.mark.parametrize("orientation", ["lr", "rl"])
+def test_structural_walk_matches_sentinel_oracle(orientation):
+    set_orientation(orientation)
+    try:
+        for trial in range(4):
+            rng = random.Random(4200 + trial)
+            st, ref = StructuralLampWalk(), SentinelLampWalk()
+            for t in range(1, 10_001):
+                ch = LAMP_LETTERS[rng.randrange(5)]
+                st.step(ch)
+                ref.step(ch)
+                assert st._k_parts() == ref._k_parts(), f"trial {trial} step {t}"
+                assert st.supermartingale_margin_ok() == ref.supermartingale_margin_ok()
+                assert st.lamp_count() == ref.lamp_count()
+                # rebuilding configurations costs in the offsets of hair
+                # lamps, so deep states are compared only at the end
+                if t % 25 == 0 and t <= 1000 or t == 10_000:
+                    assert st.to_config() == ref.to_config(), f"trial {trial} step {t}"
+                    assert st.cnt == ref.cnt
+                    for side in (0, 1):
+                        got = [(key, trie[4]) for key, trie, _, _ in st.parked[side][1:]]
+                        assert got == sorted((key, len(b)) for key, b in ref.bkt[side].items())
+    finally:
+        set_orientation("lr")
+
+
+@pytest.mark.parametrize("orientation", ["lr", "rl"])
+@given(word=strategies.text(alphabet="aAbBs", max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_structural_walk_config_equals_apply_word(orientation, word):
+    set_orientation(orientation)
+    try:
+        st = StructuralLampWalk()
+        for ch in word:
+            st.step(ch)
+        assert st.to_config() == apply_word(EMPTY, word[::-1])
+    finally:
+        set_orientation("lr")
+
+
 def test_decay_experiment_fast_path():
     rep = potential_decay_experiment(
         WalkConfig(trials=30, steps=400, seed=3, checkpoints=(50, 400))
@@ -400,6 +580,8 @@ def test_decay_experiment_validation():
     for bad in ((0,), (-5, 10), ()):
         with pytest.raises(ValueError, match="within the horizon"):
             WalkConfig(steps=10, checkpoints=bad)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        WalkConfig(seed=-1)
 
 
 def test_decay_report_serializes():
