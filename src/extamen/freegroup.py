@@ -11,6 +11,7 @@ exactly three.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -32,6 +33,7 @@ __all__ = [
     "tail_segment",
     "z_boundary_ratio",
     "z_ball",
+    "ZBall",
     "random_z_configs",
 ]
 
@@ -161,11 +163,52 @@ def z_ball(radius: int) -> list[ZVertex]:
     return list(bfs(Z_E, radius, Z_LETTERS, _act))
 
 
+class ZBall(Sequence):
+    """z_ball(radius) as a sequence that builds each vertex from its index.
+
+    Level r >= 1 of the breadth-first order is tail(r), then the 3^r reduced
+    words of length r not starting with 'a', in lexicographic order over
+    a < A < b < B.  So the vertex at an index is read off its base-3 digits,
+    and a sample of a few vertices needs no walk over the whole ball.
+    """
+
+    def __init__(self, radius: int):
+        if radius < 0:
+            raise ValueError("radius must be >= 0")
+        self.radius = radius
+
+    def __len__(self) -> int:
+        # 1 for e, then 1 + 3^r for each level r = 1..radius
+        return 1 + self.radius + (3 ** (self.radius + 1) - 3) // 2
+
+    def __getitem__(self, i: int) -> ZVertex:
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("ZBall index out of range")
+        if i == 0:
+            return Z_E
+        r, p = 1, i - 1  # p: offset into level r, which holds tail(r) and 3^r words
+        while p > 3**r:
+            p -= 3**r + 1
+            r += 1
+        if p == 0:
+            return ZVertex("tail", k=r)
+        word = ""
+        for place in range(r - 1, -1, -1):
+            barred = _INV[word[-1]] if word else "a"
+            word += [g for g in Z_LETTERS if g != barred][(p - 1) // 3**place % 3]
+        return ZVertex("word", word)
+
+
 def random_z_configs(
     count: int, radius: int = 10, max_size: int = 6, seed: int = 0
 ) -> list[tuple[ZVertex, ...]]:
-    """Seeded sample of small configurations inside a ball around e."""
-    verts = z_ball(radius)
+    """Seeded sample of small configurations inside a ball around e.
+
+    Samples ZBall(radius), which draws exactly what sampling z_ball(radius) does.
+    """
+    verts = ZBall(radius)
     rng = random.Random(seed)
     out = []
     for _ in range(count):

@@ -14,8 +14,10 @@ arguments, so the free-group graph of ``freegroup`` uses them too.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .dyadic import Dyadic, ROOT
@@ -281,6 +283,9 @@ def golden_path(i: int) -> list[Dyadic]:
 
 @dataclass(frozen=True)
 class Ball:
+    """A ball as ball() builds it: vertices in breadth-first order, so the
+    interior (distance below the radius) is a prefix of vertices."""
+
     center: Dyadic
     radius: int
     vertices: tuple[Dyadic, ...]
@@ -288,6 +293,23 @@ class Ball:
 
     def interior(self) -> list[Dyadic]:
         return [v for v in self.vertices if self.dist[v] < self.radius]
+
+    @cached_property
+    def neighbor_index(self) -> array:
+        """Positions in vertices of the a, b, A, B images of each interior vertex.
+
+        Flat, four entries per vertex in that order; the interior is the
+        first len(neighbor_index) // 4 vertices.  Built on first use and kept
+        on the ball, so repeated sweeps over one ball call no act_letter.
+        """
+        pos = {v: i for i, v in enumerate(self.vertices)}
+        index = array("i")
+        for v in self.vertices:
+            if self.dist[v] == self.radius:
+                break
+            for ch in EDGE_LABELS:
+                index.append(pos[act_letter(ch, v)])
+        return index
 
     def to_json(self) -> dict:
         return {

@@ -5,10 +5,17 @@ phi(v) >= P phi(v) at every vertex, where P averages phi over the four
 labeled neighbor images (loops count with multiplicity).  The two bundled
 families evaluate to exact Fractions; user-supplied functions may return
 floats, in which case margin comparisons take a tolerance.
+
+A sweep over a ball (is_superharmonic_on) reads phi once per ball vertex and
+takes the neighbours from the ball's neighbor_index, which is built on the
+first sweep and cached on the Ball.  When every value is a Fraction, each
+margin is an exact integer sum over the lcm of the five denominators; other
+values go through the same quarter-sum as markov_apply_X.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -105,15 +112,51 @@ class SuperharmonicReport:
 
 
 def is_superharmonic_on(phi, region: Ball, tol=0) -> SuperharmonicReport:
-    """Margins phi - P phi on the interior of the region; negatives are violations."""
+    """Margins phi - P phi on the interior of the region; negatives are violations.
+
+    phi is read once per ball vertex, and the neighbours come from the
+    ball's cached neighbor_index.  When every value is a Fraction, P phi and
+    the margin are exact integer sums over the lcm of the five denominators,
+    and each (sum, 4 * lcm) pair is made into a Fraction once per sweep;
+    otherwise they are the quarter-sum and the difference markov_apply_X
+    gives, so floats and ints come out as before.
+    """
     rep = SuperharmonicReport(region.center, region.radius)
-    for v in region.interior():
-        val = phi(v)
-        pval = markov_apply_X(phi, v)
+    index = region.neighbor_index
+    if not index:
+        return rep
+    vals = [phi(v) for v in region.vertices]
+    entries, violations = rep.entries, rep.violations
+    it = iter(index)
+    if all(type(x) is Fraction for x in vals):
+        nums = [x.numerator for x in vals]
+        dens = [x.denominator for x in vals]
+        lcm = math.lcm
+        made = {}  # (numerator, denominator) -> Fraction; few distinct pairs recur
+        zero_tol = tol == 0  # then the sign of the integer numerator decides
+        for v, val, n, d, ia, ib, iA, iB in zip(region.vertices, vals, nums, dens, it, it, it, it):
+            da, db, dA, dB = dens[ia], dens[ib], dens[iA], dens[iB]
+            L = lcm(d, da, db, dA, dB)
+            S = (nums[ia] * (L // da) + nums[ib] * (L // db)
+                 + nums[iA] * (L // dA) + nums[iB] * (L // dB))
+            diff = 4 * n * (L // d) - S
+            L4 = 4 * L
+            pval = made.get((S, L4))
+            if pval is None:
+                pval = made[S, L4] = Fraction(S, L4)
+            margin = made.get((diff, L4))
+            if margin is None:
+                margin = made[diff, L4] = Fraction(diff, L4)
+            entries.append((v, val, pval, margin))
+            if diff < 0 if zero_tol else margin < -tol:
+                violations.append((v, margin))
+        return rep
+    for v, val, ia, ib, iA, iB in zip(region.vertices, vals, it, it, it, it):
+        pval = (vals[ia] + vals[ib] + vals[iA] + vals[iB]) / 4
         margin = val - pval
-        rep.entries.append((v, val, pval, margin))
+        entries.append((v, val, pval, margin))
         if margin < -tol:
-            rep.violations.append((v, margin))
+            violations.append((v, margin))
     return rep
 
 

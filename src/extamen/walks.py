@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 from .dyadic import Dyadic, ROOT
 from .errors import CapExceeded, PreconditionFailed
 from .graph import EDGE_LABELS, act_letter, ball, hair_point, transition_series
-from .harmonic import canonical_phi_u, markov_apply_X, pow2
+from .harmonic import canonical_phi_u, is_superharmonic_on, markov_apply_X, pow2
 from .lamplighter import (
     LAMP_LETTERS,
     Config,
@@ -266,17 +266,13 @@ class DeltaReport:
 
 def delta_check_phi_u(R: int, cap: int = 10**6) -> DeltaReport:
     """phi_u minus its one-step average: 1 at the root, 0 at every other vertex."""
-    phi = canonical_phi_u()
-    region = ball(ROOT, R, cap=cap)
+    rep = is_superharmonic_on(canonical_phi_u(), ball(ROOT, R, cap=cap))
     mismatches = []
-    checked = 0
-    for v in region.interior():
-        checked += 1
-        margin = phi(v) - markov_apply_X(phi, v)
+    for v, _, _, margin in rep.entries:
         expected = Fraction(1) if v == ROOT else _ZERO
         if margin != expected:
             mismatches.append((v, margin, expected))
-    return DeltaReport(radius=R, checked=checked, mismatches=mismatches)
+    return DeltaReport(radius=R, checked=len(rep.entries), mismatches=mismatches)
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import reduce
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from extamen.errors import PreconditionFailed
 from extamen.freegroup import (
     Z_E,
+    ZBall,
     ZVertex,
     minfun_Z,
     phi_Z,
@@ -157,6 +159,21 @@ def test_ball_sizes():
     assert len(z_ball(2)) == 15
     with pytest.raises(ValueError):
         z_ball(-1)
+
+
+def test_zball_sequence_equals_bfs_ball():
+    for r in range(9):
+        assert list(ZBall(r)) == z_ball(r), r
+    assert len(ZBall(10)) == len(z_ball(10)) == 88583
+    for r, k in ((1, 5), (2, 6), (6, 6)):
+        for seed in range(5):
+            assert random.Random(seed).sample(ZBall(r), k) == random.Random(seed).sample(z_ball(r), k)
+    zb = ZBall(3)
+    assert zb[-1] == z_ball(3)[-1] and zb.index(w("Ab")) == z_ball(3).index(w("Ab"))
+    with pytest.raises(IndexError):
+        zb[len(zb)]
+    with pytest.raises(ValueError):
+        ZBall(-1)
 
 
 def test_random_configs_are_seeded():

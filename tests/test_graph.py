@@ -341,3 +341,23 @@ def test_ball_json_edges_match_brute_force(r):
         if act_letter(ch, u) == w
     ]
     assert B.to_json()["edges"] == brute
+
+
+@pytest.mark.parametrize("orientation", ["lr", "rl"])
+def test_ball_neighbor_index(orientation):
+    set_orientation(orientation)
+    try:
+        for center in (ROOT, hair_point(vertex_at("R"), 3)):
+            for r in range(8):
+                B = ball(center, r)
+                assert "neighbor_index" not in vars(B)  # built on first use only
+                index = B.neighbor_index
+                assert B.neighbor_index is index
+                interior = B.interior()
+                assert len(index) == 4 * len(interior)
+                assert list(B.vertices[: len(interior)]) == interior
+                for i, v in enumerate(interior):
+                    got = [B.vertices[j] for j in index[4 * i : 4 * i + 4]]
+                    assert got == [act_letter(ch, v) for ch in EDGE_LABELS], v
+    finally:
+        set_orientation("lr")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from extamen.dyadic import Dyadic, ROOT
 from extamen.errors import PreconditionFailed
-from extamen.graph import Hair, ball, classify, golden_path, hair_point, struct_info, vertex_at
+from extamen.graph import (
+    Hair,
+    ball,
+    classify,
+    golden_path,
+    hair_point,
+    set_orientation,
+    struct_info,
+    vertex_at,
+)
 from extamen.harmonic import (
+    SuperharmonicReport,
     VertexFn,
     canonical_phi_u,
     harmonic_witness_search,
@@ -195,3 +206,62 @@ def test_superharmonic_report_roundtrip():
     assert d["interior_vertices"] == len(ball(ROOT, 2).interior())
     with pytest.raises(KeyError):
         rep.margin_at(dy(1, 5))
+
+
+def _sweep_reference(phi, region, tol=0):
+    """The per-vertex sweep: phi and markov_apply_X at each interior vertex."""
+    rep = SuperharmonicReport(region.center, region.radius)
+    for v in region.interior():
+        val = phi(v)
+        pval = markov_apply_X(phi, v)
+        margin = val - pval
+        rep.entries.append((v, val, pval, margin))
+        if margin < -tol:
+            rep.violations.append((v, margin))
+    return rep
+
+
+def _identical(got, want):
+    """Equal entries and violations, element by element, with equal types."""
+    assert len(got.entries) == len(want.entries)
+    assert len(got.violations) == len(want.violations)
+    for g, w in zip(got.entries + got.violations, want.entries + want.violations):
+        assert [type(x) for x in g] == [type(x) for x in w], (g, w)
+        assert g == w
+
+
+def _sweep_cases():
+    """(function, tol) pairs: exact families, exact with violations, floats, ints."""
+    depth = lambda v: struct_info(v)[2]
+    value = VertexFn("value", lambda v: Fraction(v.num, 1 << v.exp))
+    cases = [(canonical_phi_u(), 0)] + [(phi_family(i), 0) for i in range(6)]
+    cases += [(value, 0), (value, 0.0), (value, Fraction(1, 64))]
+    cases += [(lambda v: math.sqrt(v.num) / v.exp, tol) for tol in (1e-9, 0.05)]
+    cases += [(depth, 0), (lambda v: 3 * depth(v) - 10, 0.5)]
+    return cases
+
+
+@pytest.mark.parametrize("orientation", ["lr", "rl"])
+def test_sweep_matches_reference(orientation):
+    set_orientation(orientation)
+    try:
+        for center in (ROOT, hair_point(vertex_at("L"), 2)):
+            for r in range(9):
+                shared = ball(center, r)
+                for phi, tol in _sweep_cases():
+                    want = _sweep_reference(phi, shared, tol)
+                    _identical(is_superharmonic_on(phi, shared, tol), want)
+                    _identical(is_superharmonic_on(phi, ball(center, r), tol), want)
+    finally:
+        set_orientation("lr")
+
+
+def test_sweep_cases_cover_violations_and_value_types():
+    B = ball(ROOT, 4)
+    reps = [is_superharmonic_on(phi, B, tol) for phi, tol in _sweep_cases()]
+    value_types = {type(e[1]) for rep in reps for e in rep.entries}
+    margin_types = {type(e[3]) for rep in reps for e in rep.entries}
+    assert value_types == {Fraction, float, int}
+    assert margin_types == {Fraction, float}
+    assert all(rep.ok for rep in reps[:7])
+    assert all(not rep.ok for rep in reps[7:])
