@@ -128,15 +128,17 @@ class VerifyReport:
         }
 
 
-def strong_verify(F, E: Config, n: int, beta: Fraction, cap: int = 10**6) -> VerifyReport:
-    """Exact relative deviation of F over the whole length-<=n orbit of E."""
+def _deviation_scan(F, E: Config, n: int, beta: Fraction, mode: str, pairs) -> VerifyReport:
+    """Largest relative deviation |F(C) - F(E)| / F(E) over the (C, word)
+    pairs that pairs() yields, called once F(E) is known to be nonzero; the
+    first word to reach the largest deviation is reported."""
     base = F(E)
     if base == 0:
         raise ZeroBase(f"{F.name} vanishes on the tested configuration")
     worst = Fraction(0)
     worst_word = ""
-    orbit = orbit_enumerate(E, n, cap=cap)
-    for C, word in orbit.items():
+    checked = 0
+    for checked, (C, word) in enumerate(pairs(), 1):
         dev = abs(F(C) - base) / base
         if dev > worst:
             worst, worst_word = dev, word
@@ -145,11 +147,18 @@ def strong_verify(F, E: Config, n: int, beta: Fraction, cap: int = 10**6) -> Ver
         E=E,
         n=n,
         beta=beta,
-        mode="strong",
-        checked=len(orbit),
+        mode=mode,
+        checked=checked,
         base_value=base,
         worst_word=worst_word,
         worst_deviation=worst,
+    )
+
+
+def strong_verify(F, E: Config, n: int, beta: Fraction, cap: int = 10**6) -> VerifyReport:
+    """Exact relative deviation of F over the whole length-<=n orbit of E."""
+    return _deviation_scan(
+        F, E, n, beta, "strong", lambda: orbit_enumerate(E, n, cap=cap).items()
     )
 
 
@@ -157,28 +166,14 @@ def weak_verify(
     F, E: Config, n: int, beta: Fraction, samples: int = 500, seed: int = 0
 ) -> VerifyReport:
     """Same deviation statistic over random words instead of the full orbit."""
-    base = F(E)
-    if base == 0:
-        raise ZeroBase(f"{F.name} vanishes on the tested configuration")
-    rng = random.Random(seed)
-    worst = Fraction(0)
-    worst_word = ""
-    for _ in range(samples):
-        word = "".join(rng.choice(LAMP_LETTERS) for _ in range(rng.randint(1, n)))
-        dev = abs(F(apply_word(E, word)) - base) / base
-        if dev > worst:
-            worst, worst_word = dev, word
-    return VerifyReport(
-        fn_name=F.name,
-        E=E,
-        n=n,
-        beta=beta,
-        mode="weak",
-        checked=samples,
-        base_value=base,
-        worst_word=worst_word,
-        worst_deviation=worst,
-    )
+
+    def pairs():
+        rng = random.Random(seed)
+        for _ in range(samples):
+            word = "".join(rng.choice(LAMP_LETTERS) for _ in range(rng.randint(1, n)))
+            yield apply_word(E, word), word
+
+    return _deviation_scan(F, E, n, beta, "weak", pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -119,9 +119,9 @@ class PLMap:
 
     breakpoints: tuple[Dyadic, ...]
     slopes: tuple[int, ...]
-    _images: tuple[Fraction, ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
+    # the values of the breakpoints and of their images, computed once per map
+    _values: tuple[Fraction, ...] = field(init=False, repr=False, compare=False, default=())
+    _images: tuple[Fraction, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         bps, slopes = self.breakpoints, self.slopes
@@ -133,12 +133,14 @@ class PLMap:
             raise ValueError("breakpoints must be strictly ascending")
         if any(slopes[i] == slopes[i + 1] for i in range(len(slopes) - 1)):
             raise ValueError("not canonical: adjacent pieces share a slope")
+        values = tuple(b.value for b in bps)
         images = [Fraction(0)]
         for i, e in enumerate(slopes):
-            step = (bps[i + 1].value - bps[i].value) * Fraction(2) ** e
+            step = (values[i + 1] - values[i]) * Fraction(2) ** e
             images.append(images[-1] + step)
         if images[-1] != 1:
             raise ValueError("map does not fix 1")
+        object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_images", tuple(images))
 
     @classmethod
@@ -165,15 +167,14 @@ class PLMap:
 
     def _piece_at(self, x: Fraction) -> int:
         """Index of the piece whose interior or left endpoint region contains x."""
-        vals = [b.value for b in self.breakpoints]
-        i = bisect_right(vals, x) - 1
+        i = bisect_right(self._values, x) - 1
         return min(i, len(self.slopes) - 1)
 
     def apply_fraction(self, x: Fraction) -> Fraction:
         if not 0 <= x <= 1:
             raise ValueError(f"{x} outside [0,1]")
         i = self._piece_at(x)
-        return self._images[i] + (x - self.breakpoints[i].value) * Fraction(2) ** self.slopes[i]
+        return self._images[i] + (x - self._values[i]) * Fraction(2) ** self.slopes[i]
 
     def apply(self, x: Dyadic) -> Dyadic:
         return Dyadic.from_fraction(self.apply_fraction(x.value))
@@ -185,8 +186,8 @@ class PLMap:
     def compose(self, other: "PLMap") -> "PLMap":
         """self after other (apply ``other`` first)."""
         other_inv = other.invert()
-        cut_vals = {b.value for b in other.breakpoints}
-        cut_vals.update(other_inv.apply_fraction(b.value) for b in self.breakpoints)
+        cut_vals = set(other._values)
+        cut_vals.update(other_inv.apply_fraction(x) for x in self._values)
         cuts = sorted(cut_vals)
         slopes = []
         for lo, hi in zip(cuts, cuts[1:]):

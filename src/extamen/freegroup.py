@@ -209,6 +209,8 @@ def random_z_configs(
     Samples ZBall(radius), which draws exactly what sampling z_ball(radius) does.
     """
     verts = ZBall(radius)
+    if not 0 <= max_size <= len(verts):
+        raise ValueError(f"max_size {max_size} is not in 0..{len(verts)}, the ball's size")
     rng = random.Random(seed)
     out = []
     for _ in range(count):

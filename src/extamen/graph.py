@@ -3,10 +3,12 @@
 Vertices are dyadics in (0,1).  The graph is 4-regular with labeled edges
 a, A, b, B (A and B are the inverse generators).  Structurally it is a binary
 tree (the skeleton) rooted at 5/8 with an infinite ray (hair) attached to
-every vertex, two rays at the root (Savchuk, arXiv:0803.0043).  Structural
-addresses are read off a vertex's binary digits in closed form from that
-picture; the test suite checks them against the local rules of the action
-(children, parent, hair steps and loops) on a ball and on random dyadics.
+every vertex, two rays at the root (Savchuk, arXiv:0803.0043).  code(v) =
+(node, m) reads a vertex's structural address off its binary digits in closed
+form from that picture, and vertex(node, m) inverts it; classify and
+struct_info read the same digits.  The test suite checks them against the
+local rules of the action (children, parent, hair steps and loops) on a ball
+and on random dyadics.
 
 The balls, leaving-edge shares and walk steps at the end take the action as
 arguments, so the free-group graph of ``freegroup`` uses them too.
@@ -20,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .dyadic import Dyadic, ROOT
+from .dyadic import Dyadic
 from .errors import CapExceeded, StructuralAssertFailed
 
 __all__ = [
@@ -32,6 +34,8 @@ __all__ = [
     "Ball",
     "ball",
     "classify",
+    "code",
+    "vertex",
     "struct_info",
     "hair_point",
     "subtree_T",
@@ -44,16 +48,11 @@ __all__ = [
     "transition_series",
     "set_orientation",
     "get_orientation",
-    "gen_for_turn",
     "vertex_at",
     "root_hair_letter",
 ]
 
 EDGE_LABELS = ("a", "b", "A", "B")
-
-
-def _mk(num: int, exp: int) -> Dyadic:
-    return Dyadic(num, exp)
 
 
 def act_letter(ch: str, d: Dyadic) -> Dyadic:
@@ -67,35 +66,35 @@ def act_letter(ch: str, d: Dyadic) -> Dyadic:
     if ch == "a":
         # 2x on [0,1/4]; x/2 + 3/8 on (1/4,3/4]; x on (3/4,1]
         if n << 2 <= scale:
-            return _mk(n << 1, e)
+            return Dyadic(n << 1, e)
         if n << 2 <= 3 * scale:
-            return _mk((n << 2) + 3 * scale, e + 3)
+            return Dyadic((n << 2) + 3 * scale, e + 3)
         return d
     if ch == "A":
         # x/2 on [0,1/2]; 2x - 3/4 on (1/2,3/4]; x on (3/4,1]
         if n << 1 <= scale:
-            return _mk(n, e + 1)
+            return Dyadic(n, e + 1)
         if n << 2 <= 3 * scale:
-            return _mk((n << 3) - 3 * scale, e + 2)
+            return Dyadic((n << 3) - 3 * scale, e + 2)
         return d
     if ch == "b":
         # x on [0,1/2]; x/2 + 1/4 on (1/2,3/4]; x - 1/8 on (3/4,7/8]; 2x - 1 on (7/8,1]
         if n << 1 <= scale:
             return d
         if n << 2 <= 3 * scale:
-            return _mk((n << 1) + scale, e + 2)
+            return Dyadic((n << 1) + scale, e + 2)
         if n << 3 <= 7 * scale:
-            return _mk((n << 3) - scale, e + 3)
-        return _mk((n << 1) - scale, e)
+            return Dyadic((n << 3) - scale, e + 3)
+        return Dyadic((n << 1) - scale, e)
     if ch == "B":
         # x on [0,1/2]; 2x - 1/2 on (1/2,5/8]; x + 1/8 on (5/8,3/4]; (x+1)/2 on (3/4,1]
         if n << 1 <= scale:
             return d
         if n << 3 <= 5 * scale:
-            return _mk((n << 2) - scale, e + 1)
+            return Dyadic((n << 2) - scale, e + 1)
         if n << 2 <= 3 * scale:
-            return _mk((n << 3) + scale, e + 3)
-        return _mk(n + scale, e + 1)
+            return Dyadic((n << 3) + scale, e + 3)
+        return Dyadic(n + scale, e + 1)
     raise ValueError(f"unknown letter {ch!r}")
 
 
@@ -150,32 +149,25 @@ def get_orientation() -> str:
     return _STATE["orientation"]
 
 
-def gen_for_turn(turn: str) -> str:
-    """Generator letter producing the given tree turn under the current orientation."""
-    if _STATE["orientation"] == "lr":
-        return "a" if turn == "L" else "b"
-    return "b" if turn == "L" else "a"
-
-
 def vertex_at(path: Iterable[str]) -> Dyadic:
     """Skeleton vertex reached from the root by the given L/R turns."""
-    cur = ROOT
-    for turn in path:
-        cur = act_letter(gen_for_turn(turn), cur)
-    return cur
+    one = "L" if _STATE["orientation"] == "lr" else "R"
+    letters = "".join("1" if turn == one else "0" for turn in path)
+    return vertex(int("1" + letters[::-1], 2))
 
 
-def _base_code(v: Dyadic) -> tuple[int, int, int]:
-    """(q, depth, m): v's skeleton base and v's offset on the base's hair.
+def _digits(v: Dyadic) -> tuple[int, int, int]:
+    """(q, depth, m): v's skeleton base and v's signed offset on its hair.
 
     Bit i of q is the (i+1)-th letter on the path from the root to the base,
     1 for 'a'; depth d is the base's depth; m is 0 on the skeleton.  In
     t = 4v - 2, 'a' is t -> (1+t)/2 and 'b' is t -> t/2, so a skeleton vertex
     is v = (2^(d+2) + 2q + 1) / 2^(d+3), strictly between 1/2 and 3/4.  The
     hair off a base whose last letter is 'b' is walked by A and lies in
-    (0, 1/2]: v = (2^d + 2q + 1) / 2^(d+1+m).  The hair off a last 'a' is
-    walked by B and lies in [3/4, 1): 1 - v = (3*2^d - 2q - 1) / 2^(d+2+m).
-    At the root both formulas reduce, to 1/2^m and 1 - 1/2^(m+1).
+    (0, 1/2]: v = (2^d + 2q + 1) / 2^(d+1+m) with m > 0.  The hair off a last
+    'a' is walked by B and lies in [3/4, 1): 1 - v = (3*2^d - 2q - 1) /
+    2^(d+2-m) with m < 0.  At the root both formulas reduce, to 1/2^m and
+    1 - 1/2^(1-m).
     """
     n, e = v.num, v.exp
     if e == 0:
@@ -189,22 +181,55 @@ def _base_code(v: Dyadic) -> tuple[int, int, int]:
         return (n - (1 << (e - 1))) >> 1, e - 3, 0
     z = (1 << e) - n
     if z == 1:
-        return 0, 0, e - 1
+        return 0, 0, 1 - e
     j = (z - 1).bit_length() + 2  # d + 3
-    return ((3 << (j - 3)) - z) >> 1, j - 3, e - j + 1
+    return ((3 << (j - 3)) - z) >> 1, j - 3, j - 1 - e
+
+
+def code(v: Dyadic) -> tuple[int, int]:
+    """The injective structural address (node, m) of the vertex v.
+
+    node = 2^depth + q codes v's skeleton base (q as in _digits, so the
+    orientation plays no part); m is 0 on the skeleton, v's offset on a hair
+    walked by A and minus its offset on a hair walked by B.
+    """
+    q, depth, m = _digits(v)
+    return 1 << depth | q, m
+
+
+def vertex(node: int, m: int = 0) -> Dyadic:
+    """The vertex with structural address (node, m), the inverse of code.
+
+    ValueError for a node below 1 or a hair the base lacks: off the root, a
+    last letter 'a' leaves only the hair walked by B (m < 0), a last 'b' only
+    the hair walked by A.
+    """
+    if node < 1:
+        raise ValueError(f"node code must be >= 1, got {node}")
+    d = node.bit_length() - 1
+    q = node ^ (1 << d)
+    if m == 0:
+        return Dyadic((4 << d) + 2 * q + 1, d + 3)
+    if d and q >> (d - 1) == (m > 0):
+        raise ValueError(f"skeleton node {node} has no hair walked by {'A' if m > 0 else 'B'}")
+    if m > 0:
+        return Dyadic((1 << d) + 2 * q + 1, d + 1 + m)
+    k = d + 2 - m
+    return Dyadic((1 << k) - (3 << d) + 2 * q + 1, k)
 
 
 def classify(v: Dyadic) -> Skeleton | Hair:
     """Structural address of v: Skeleton(path) or Hair(base path, offset).
 
-    Read off v's binary digits by _base_code; the turns follow the current
-    orientation.  The two root hairs share the address Hair((), m).  0 and 1
-    are not vertices and raise ValueError.
+    Read off v's binary digits by _digits; the turns follow the current
+    orientation.  The two root hairs share the address Hair((), m), so
+    classify is not injective there; code is the injective address.  0 and
+    1 are not vertices and raise ValueError.
     """
-    q, depth, m = _base_code(v)
+    q, depth, m = _digits(v)
     one, zero = ("L", "R") if _STATE["orientation"] == "lr" else ("R", "L")
     path = tuple(one if q >> i & 1 else zero for i in range(depth))
-    return Hair(path, m) if m else Skeleton(path)
+    return Hair(path, abs(m)) if m else Skeleton(path)
 
 
 def struct_info(v: Dyadic) -> tuple[int, bool, int]:
@@ -216,7 +241,7 @@ def struct_info(v: Dyadic) -> tuple[int, bool, int]:
     L-turns are the trailing ones of the base code, under 'rl' its trailing
     zeros.
     """
-    q, depth, _ = _base_code(v)
+    q, depth, _ = _digits(v)
     if _STATE["orientation"] == "lr":
         lead = (q ^ (q + 1)).bit_length() - 1
     else:
@@ -248,33 +273,24 @@ def hair_point(base: Dyadic, m: int, root_hair: str | None = None) -> Dyadic:
     """The vertex m steps out on the hair attached at the skeleton vertex base."""
     if m < 0:
         raise ValueError("hair offset must be >= 0")
-    q, depth, offset = _base_code(base)
+    q, depth, offset = _digits(base)
     if offset:
         raise StructuralAssertFailed(f"{base} is not a skeleton vertex")
     if m == 0:
         return base
     if depth:
-        # the inverse of the last letter steps back up; the other starts the hair
-        away = "B" if q >> (depth - 1) & 1 else "A"
+        # the inverse of the last letter steps back up: after an 'a', B walks the hair
+        by_b = q >> (depth - 1)
     else:
-        away = root_hair_letter(root_hair)
-    cur = base
-    for _ in range(m):
-        cur = act_letter(away, cur)
-    return cur
+        by_b = root_hair_letter(root_hair) == "B"
+    return vertex(1 << depth | q, -m if by_b else m)
 
 
 def golden_path(i: int) -> list[Dyadic]:
-    """[root, a.root, ..., a^i.root, b a^i.root], computed by the action."""
+    """[root, a.root, ..., a^i.root, b a^i.root]: nodes 2^(k+1) - 1, then 3*2^i - 1."""
     if i < 0:
         raise ValueError("index must be >= 0")
-    pts = [ROOT]
-    cur = ROOT
-    for _ in range(i):
-        cur = act_letter("a", cur)
-        pts.append(cur)
-    pts.append(act_letter("b", cur))
-    return pts
+    return [vertex((2 << k) - 1) for k in range(i + 1)] + [vertex((3 << i) - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +356,8 @@ def folner_hair_segment(L: int, root_hair: str | None = None) -> tuple[Dyadic, .
     """L consecutive points on the designated root hair, offsets 1..L."""
     if L < 1:
         raise ValueError("segment length must be >= 1")
-    away = root_hair_letter(root_hair)
-    pts = []
-    cur = ROOT
-    for _ in range(L):
-        cur = act_letter(away, cur)
-        pts.append(cur)
-    return tuple(pts)
+    sign = 1 if root_hair_letter(root_hair) == "A" else -1
+    return tuple(vertex(1, sign * m) for m in range(1, L + 1))
 
 
 def boundary_ratio(segment: Iterable[Dyadic]) -> Fraction:

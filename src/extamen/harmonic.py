@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .dyadic import Dyadic, ROOT
@@ -44,16 +45,10 @@ __all__ = [
     "harmonic_witness_search",
 ]
 
-_POW2: dict[int, Fraction] = {}
-
-
+@lru_cache(maxsize=1024)
 def pow2(k: int) -> Fraction:
     """Fraction 2**k, cached (the bundled families only ever produce these)."""
-    q = _POW2.get(k)
-    if q is None:
-        q = Fraction(1 << k) if k >= 0 else Fraction(1, 1 << -k)
-        _POW2[k] = q
-    return q
+    return Fraction(1 << k) if k >= 0 else Fraction(1, 1 << -k)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from .dyadic import Dyadic, ROOT
 from .errors import CapExceeded, PreconditionFailed
-from .graph import EDGE_LABELS, act_letter, ball, hair_point, transition_series
+from .graph import EDGE_LABELS, act_letter, ball, transition_series, vertex
 from .harmonic import canonical_phi_u, is_superharmonic_on, markov_apply_X, pow2
 from .lamplighter import (
     LAMP_LETTERS,
@@ -320,15 +320,6 @@ _DOWN = {"a": 0, "b": 1}
 _UP = {"A": 0, "B": 1}
 
 
-def _skeleton_vertex(nid: int) -> Dyadic:
-    """The skeleton vertex of a coded node: its bits after the sentinel, read
-    from the top, are the letters a (0) and b (1) that lead to it from the root."""
-    cur = ROOT
-    for bit in bin(nid)[3:]:
-        cur = act_letter("a" if bit == "0" else "b", cur)
-    return cur
-
-
 # A lamp trie node is a tuple (c0, c1, mark, H, n), and None is the empty
 # trie.  The path from a trie's root reads a lamp's turns from the last back
 # to the first: c0 and c1 hold the lamps whose next-older turn is a or b,
@@ -352,18 +343,19 @@ def _trie(c0, c1, mark: int):
 
 
 def _lamp_codes(node) -> list[int]:
-    """Coded tree nodes of the lamps in a trie, walked without recursion: tries
-    reach depths in the hundreds."""
+    """graph.code nodes of the lamps in a trie, walked without recursion:
+    tries reach depths in the hundreds.  Each step from the trie's root puts
+    the next-older turn under the code's sentinel bit, 1 for a, 0 for b."""
     codes = []
-    stack = [(node, 0, 0)] if node is not None else []
+    stack = [(node, 1)] if node is not None else []
     while stack:
-        (c0, c1, mark, _, _), low, k = stack.pop()
+        (c0, c1, mark, _, _), nid = stack.pop()
         if mark:
-            codes.append(1 << k | low)
+            codes.append(nid)
         if c0 is not None:
-            stack.append((c0, low, k + 1))
+            stack.append((c0, nid << 1 | 1))
         if c1 is not None:
-            stack.append((c1, low | 1 << k, k + 1))
+            stack.append((c1, nid << 1))
     return codes
 
 
@@ -374,14 +366,12 @@ _NO_PARK = (None, None, -1, 0)
 class StructuralLampWalk:
     """Lamp configuration under the five-letter walk, in structural form.
 
-    A skeleton lamp is its tree node coded as an integer with a sentinel bit:
-    the root is 1, and the a- and b-images of node n are n << 1 and
-    n << 1 | 1.  The skeleton lamps are held in a persistent trie over their
-    turns, read from the last turn back, so every letter costs O(1):
+    The skeleton lamps are held in a persistent trie over their turns, read
+    from the last turn back, so every letter costs O(1):
     - a or b on side s makes the old trie child s of a new root;
     - A or B on side s makes child s the root, which moves every lamp whose
-      last turn is s up to its parent; the rest (child 1 - s and the root's
-      own lamp, node 1) step onto their hairs together;
+      last turn is s up to its parent; the rest (child 1 - s and the lamp at
+      the tree's root, node 1 of graph.code) step onto their hairs together;
     - s flips the root's mark.
 
     The lamps that step onto hairs on one letter are parked as one trie,
@@ -506,13 +496,12 @@ class StructuralLampWalk:
 
     def to_config(self) -> Config:
         """Reconstruct the explicit configuration (slow; for cross-checks)."""
-        pts = [_skeleton_vertex(nid) for nid in _lamp_codes(self.root)]
-        for letter, counter, stack in zip("AB", self.cnt, self.parked):
+        pts = [vertex(nid) for nid in _lamp_codes(self.root)]
+        for sign, counter, stack in zip((1, -1), self.cnt, self.parked):
             for key, trie, _, _ in stack[1:]:
                 off = counter - key
                 assert off >= 1, "parked lamp with nonpositive offset"
-                for nid in _lamp_codes(trie):
-                    pts.append(hair_point(_skeleton_vertex(nid), off, root_hair=letter))
+                pts.extend(vertex(nid, sign * off) for nid in _lamp_codes(trie))
         return config(pts)
 
 

@@ -20,7 +20,7 @@ from extamen.approx import (
     golden_witness,
     strong_verify,
 )
-from extamen.dyadic import Dyadic, cocycle_identity_check, word_to_pl
+from extamen.dyadic import ROOT, Dyadic, cocycle_identity_check, word_to_pl
 from extamen.freegroup import (
     random_z_configs,
     tail_segment,
@@ -35,7 +35,6 @@ from extamen.graph import (
     ball,
     classify,
     golden_path,
-    ROOT,
 )
 from extamen.harmonic import canonical_phi_u, phi_family, pow2
 from extamen.lamplighter import apply_letter, config

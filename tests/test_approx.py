@@ -27,7 +27,7 @@ from extamen.errors import (
 )
 from extamen.graph import ball, classify, hair_point
 from extamen.harmonic import VertexFn, canonical_phi_u, phi_family, pow2
-from extamen.lamplighter import EMPTY, apply_word, config
+from extamen.lamplighter import EMPTY, LAMP_LETTERS, apply_word, config, orbit_enumerate
 from extamen.minfn import (
     countable_sum,
     minfun,
@@ -100,6 +100,39 @@ def test_weak_verify_is_a_lower_bound():
     assert 0 < weak.worst_deviation <= strong.worst_deviation
     again = weak_verify(F, E, 3, Fraction(1, 3), samples=200, seed=1)
     assert again.worst_word == weak.worst_word
+
+
+def _verify_reference(F, E, n, beta, mode, pairs):
+    """The deviation scan as strong_verify and weak_verify each wrote it."""
+    base = F(E)
+    worst, worst_word, checked = Fraction(0), "", 0
+    for C, word in pairs:
+        checked += 1
+        dev = abs(F(C) - base) / base
+        if dev > worst:
+            worst, worst_word = dev, word
+    return (F.name, E, n, beta, mode, checked, base, worst_word, worst)
+
+
+def _fields(rep):
+    return (rep.fn_name, rep.E, rep.n, rep.beta, rep.mode, rep.checked,
+            rep.base_value, rep.worst_word, rep.worst_deviation)
+
+
+def test_verifiers_match_their_reference_scans():
+    F = minfun(canonical_phi_u())
+    for E in (EMPTY, (ROOT,), config([dy(9, 4), hair_point(dy(11, 4), 3)])):
+        for n in (1, 3):
+            beta = Fraction(1, 3)
+            orbit = orbit_enumerate(E, n).items()
+            assert _fields(strong_verify(F, E, n, beta)) == _verify_reference(
+                F, E, n, beta, "strong", orbit)
+            rng = random.Random(4)
+            words = ["".join(rng.choice(LAMP_LETTERS) for _ in range(rng.randint(1, n)))
+                     for _ in range(50)]
+            pairs = [(apply_word(E, word), word) for word in words]
+            assert _fields(weak_verify(F, E, n, beta, samples=50, seed=4)) == _verify_reference(
+                F, E, n, beta, "weak", pairs)
 
 
 def test_golden_witness_vacant_path():

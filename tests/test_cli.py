@@ -2,7 +2,10 @@ import ast
 import hashlib
 import importlib
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -299,3 +302,21 @@ def test_every_imported_name_is_used():
         module = importlib.import_module(f"extamen.{path.stem}")
         unused = imported - used - set(getattr(module, "__all__", ()))
         assert not unused, f"{path.name} imports unused names {sorted(unused)}"
+
+
+def test_graph_explore_leaves_numpy_unimported(tmp_path):
+    # numpy is imported only when green_mc runs; a fresh interpreter shows it
+    script = (
+        "import sys\n"
+        "import extamen\n"
+        "from extamen import cli\n"
+        f"code = cli.main(['graph', 'explore', '--n', '2', '--out', {str(tmp_path)!r}])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    src = str(Path(extamen.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 False"

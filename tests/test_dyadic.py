@@ -157,6 +157,17 @@ def test_pl_apply_stays_interior(w, x):
     assert ZERO < y < ONE, f"{w} moved {x} to the boundary"
 
 
+@given(fwords)
+@settings(max_examples=100, deadline=None)
+def test_pl_breakpoint_values_are_kept_outside_equality(w):
+    g = word_to_pl(w)
+    assert g._values == tuple(b.value for b in g.breakpoints)
+    # a fresh map with the same pieces is equal and hashes alike
+    twin = PLMap(g.breakpoints, g.slopes)
+    assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
+    assert word_to_pl(w + invert_fword(w)) == PLMap.identity()
+
+
 def test_cocycle_known_values():
     assert cocycle_eval(g0_map(), dy(1, 1)) == 1
     assert cocycle_eval(g0_map(), dy(3, 2)) == 1

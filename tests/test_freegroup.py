@@ -179,3 +179,12 @@ def test_zball_sequence_equals_bfs_ball():
 def test_random_configs_are_seeded():
     assert random_z_configs(5, seed=4) == random_z_configs(5, seed=4)
     assert all(len(E) <= 6 for E in random_z_configs(30, seed=4))
+
+
+def test_random_configs_reject_sizes_beyond_the_ball():
+    # ZBall(0) holds e alone, ZBall(1) five vertices
+    for radius, size, max_size in ((0, 1, 6), (1, 5, 6), (1, 5, -1)):
+        with pytest.raises(ValueError, match=rf"max_size {max_size} is not in 0\.\.{size},"):
+            random_z_configs(3, radius=radius, max_size=max_size)
+    assert set(random_z_configs(20, radius=0, max_size=1, seed=2)) == {(), (Z_E,)}
+    assert all(len(E) <= 5 for E in random_z_configs(20, radius=1, max_size=5))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from extamen.graph import (
     ball,
     boundary_ratio,
     classify,
+    code,
     folner_hair_segment,
     get_orientation,
     golden_path,
@@ -22,6 +24,7 @@ from extamen.graph import (
     set_orientation,
     struct_info,
     subtree_T,
+    vertex,
     vertex_at,
 )
 
@@ -125,6 +128,7 @@ def test_classify_deep_hair_needs_probe_doubling():
         for letter in ("A", "B"):
             v = act_word(letter * m, ROOT)
             assert classify(v) == Hair((), m), f"{letter}^{m}"
+            assert code(v) == (1, m if letter == "A" else -m)
             assert struct_info(v) == (0, False, 0)
             assert v == hair_point(ROOT, m, root_hair=letter)
 
@@ -200,6 +204,109 @@ def test_classify_follows_local_rules_on_random_dyadics(v, orientation):
         assert_local_rules(v)
     finally:
         set_orientation("lr")
+
+
+# Letter-walking oracles for the closed forms: each vertex is reached by one
+# act_letter step per letter.
+
+
+def walk_vertex_at(path):
+    letter = {"L": "a", "R": "b"} if get_orientation() == "lr" else {"L": "b", "R": "a"}
+    cur = ROOT
+    for turn in path:
+        cur = act_letter(letter[turn], cur)
+    return cur
+
+
+def walk_hair(base, away, M):
+    """[base, then M points out on its hair], by M steps of the letter away."""
+    pts = [base]
+    for _ in range(M):
+        pts.append(act_letter(away, pts[-1]))
+    return pts
+
+
+def walk_golden_path(i):
+    pts = [ROOT]
+    for _ in range(i):
+        pts.append(act_letter("a", pts[-1]))
+    return pts + [act_letter("b", pts[-1])]
+
+
+@pytest.mark.parametrize("orientation", ["lr", "rl"])
+def test_closed_forms_match_letter_walks(orientation):
+    """Skeleton depths up to 10; hair offsets up to 64 to depth 6, up to 4 below."""
+    turn = {"a": "L", "b": "R"} if orientation == "lr" else {"a": "R", "b": "L"}
+    set_orientation(orientation)
+    try:
+        for d in range(11):
+            for letters in product("ab", repeat=d):
+                base = act_word("".join(reversed(letters)), ROOT)
+                node = 1 << d | sum(1 << i for i, ch in enumerate(letters) if ch == "a")
+                path = tuple(turn[ch] for ch in letters)
+                assert vertex_at(path) == walk_vertex_at(path) == base == vertex(node), path
+                assert code(base) == (node, 0)
+                # the inverse of the last letter steps back up; the other walks the hair
+                aways = ("A", "B") if not d else ("B",) if letters[-1] == "a" else ("A",)
+                for away in aways:
+                    sign = 1 if away == "A" else -1
+                    for m, v in enumerate(walk_hair(base, away, 64 if d <= 6 else 4)):
+                        assert hair_point(base, m, root_hair=away) == v, (path, m)
+                        assert vertex(node, sign * m) == v and code(v) == (node, sign * m)
+        for i in range(11):
+            assert golden_path(i) == walk_golden_path(i)
+        for away in ("A", "B"):
+            assert folner_hair_segment(64, root_hair=away) == tuple(walk_hair(ROOT, away, 64)[1:])
+    finally:
+        set_orientation("lr")
+
+
+@pytest.mark.parametrize("orientation", ["lr", "rl"])
+def test_code_is_injective_and_inverted_by_vertex_on_ball(orientation):
+    set_orientation(orientation)
+    try:
+        verts = ball(ROOT, 12).vertices
+        codes = [code(v) for v in verts]
+        assert len(set(codes)) == len(verts) == 16_381
+        for v, (node, m) in zip(verts, codes):
+            assert vertex(node, m) == v
+            # classify forgets only the sign of m
+            addr = classify(v)
+            assert addr == (Hair(addr.base, abs(m)) if m else Skeleton(addr.path))
+            assert (m > 0) == (v <= dy(1, 1)) and (m < 0) == (v >= dy(3, 2))
+    finally:
+        set_orientation("lr")
+
+
+@given(st.one_of(interior_dyadics(max_exp=60), deep_dyadics(max_exp=60)))
+@settings(max_examples=400, deadline=None)
+def test_code_round_trip_on_random_dyadics(v):
+    assert vertex(*code(v)) == v
+
+
+@given(st.integers(1, 2**40), st.integers(-70, 70))
+@settings(max_examples=400, deadline=None)
+def test_vertex_round_trip_on_random_codes(node, m):
+    d = node.bit_length() - 1
+    last_a = d and node >> (d - 1) & 1
+    if m and d and (m > 0) == bool(last_a):
+        with pytest.raises(ValueError, match="has no hair walked by"):
+            vertex(node, m)
+    else:
+        assert code(vertex(node, m)) == (node, m)
+
+
+def test_vertex_rejects_hairs_the_base_lacks():
+    assert vertex(1, 1) == dy(1, 1) and vertex(1, -1) == dy(3, 2)
+    with pytest.raises(ValueError, match="no hair walked by A"):
+        vertex(0b11, 1)  # last letter a: only the B-hair
+    with pytest.raises(ValueError, match="no hair walked by B"):
+        vertex(0b10, -1)  # last letter b: only the A-hair
+    assert vertex(0b11, -1) == hair_point(dy(11, 4), 1)
+    assert vertex(0b10, 1) == hair_point(dy(9, 4), 1)
+    for node in (0, -1):
+        with pytest.raises(ValueError, match="node code must be >= 1"):
+            vertex(node)
 
 
 def test_hair_points_on_both_root_rays():

@@ -38,6 +38,8 @@ def test_pow2():
     assert pow2(3) == 8
     assert pow2(0) == 1
     assert pow2(-4) == Fraction(1, 16)
+    assert type(pow2(-4)) is Fraction and type(pow2(3)) is Fraction
+    assert pow2.cache_info().maxsize == 1024
 
 
 def test_phi_u_values():

@@ -10,12 +10,14 @@ from hypothesis import given, settings, strategies
 from extamen.dyadic import Dyadic, ROOT
 from extamen.errors import CapExceeded, PreconditionFailed
 from extamen.graph import (
+    act_letter,
     act_word,
     ball,
     evolve,
     hair_point,
     set_orientation,
     transition_series,
+    vertex,
     vertex_at,
 )
 from extamen.harmonic import canonical_phi_u, pow2
@@ -38,8 +40,8 @@ from extamen.walks import (
     _UP,
     StructuralLampWalk,
     WalkConfig,
+    _lamp_codes,
     _lumped_act,
-    _skeleton_vertex,
     delta_check_phi_u,
     green_mc,
     green_partial,
@@ -368,6 +370,37 @@ def test_structural_walk_matches_explicit():
         assert st.to_config() == E
 
 
+def sentinel_vertex(nid: int) -> Dyadic:
+    """The skeleton vertex of a sentinel code, by letters: its bits after the
+    sentinel, read from the top, are the letters a (0) and b (1) that lead
+    to it from the root."""
+    cur = ROOT
+    for bit in bin(nid)[3:]:
+        cur = act_letter("a" if bit == "0" else "b", cur)
+    return cur
+
+
+def graph_node(nid: int) -> int:
+    """The graph.code node of a sentinel code: letters first-lowest, a = 1."""
+    letters = bin(nid)[3:]
+    return int("1" + "".join("1" if bit == "0" else "0" for bit in reversed(letters)), 2)
+
+
+def test_sentinel_oracle_matches_graph_codes():
+    """Skeleton depths up to 10; hair offsets up to 64 to depth 6."""
+    for nid in range(1, 1 << 11):
+        base, node = sentinel_vertex(nid), graph_node(nid)
+        assert vertex(node) == base, nid
+        # a parked lamp's side: A for the root and a last b (low bit 1), else B
+        for letter, sign in (("A", 1), ("B", -1)):
+            if nid > 1 and nid & 1 != (letter == "A"):
+                continue
+            cur = base
+            for m in range(1, 65 if nid < 1 << 7 else 5):
+                cur = act_letter(letter, cur)
+                assert vertex(node, sign * m) == cur, (nid, letter, m)
+
+
 class SentinelLampWalk:
     """Reference structural walk: the set of coded skeleton lamps, each moved
     one by one on every letter, and hair-bound lamps parked one by one in
@@ -486,13 +519,13 @@ class SentinelLampWalk:
 
     def to_config(self) -> Config:
         """Reconstruct the explicit configuration (slow; for cross-checks)."""
-        pts = [_skeleton_vertex(nid) for nid in self.sk]
+        pts = [sentinel_vertex(nid) for nid in self.sk]
         for letter, counter, bkt in zip("AB", self.cnt, self.bkt):
             for key, bucket in bkt.items():
                 off = counter - key
                 assert off >= 1, "parked lamp with nonpositive offset"
                 for nid in bucket:
-                    pts.append(hair_point(_skeleton_vertex(nid), off, root_hair=letter))
+                    pts.append(act_word(letter * off, sentinel_vertex(nid)))
         return config(pts)
 
 
@@ -513,6 +546,7 @@ def test_structural_walk_matches_sentinel_oracle(orientation):
                 # rebuilding configurations costs in the offsets of hair
                 # lamps, so deep states are compared only at the end
                 if t % 25 == 0 and t <= 1000 or t == 10_000:
+                    assert sorted(_lamp_codes(st.root)) == sorted(map(graph_node, ref.sk))
                     assert st.to_config() == ref.to_config(), f"trial {trial} step {t}"
                     assert st.cnt == ref.cnt
                     for side in (0, 1):
