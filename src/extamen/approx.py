@@ -2,6 +2,9 @@
 
 Verification is exact: the whole length-<=n word orbit is enumerated and the
 relative change of the target function is compared with the tolerance beta.
+Both verifiers convert the configuration to graph.code addresses once, move
+it by graph.struct_act and read the target through SetFn.at_codes (or on the
+Dyadic form rebuilt by vertex); reports keep the caller's Dyadic set.
 The constructors park lamps far out on hairs below skeleton vertices whose
 function values sit strictly under everything reachable from the root, which
 pins the minimum and makes the target exactly invariant on the orbit.  In the
@@ -24,6 +27,7 @@ from .errors import (
     ZeroBase,
 )
 from .graph import (
+    ROOT_CODE,
     Hair,
     act_letter,
     act_word,
@@ -31,6 +35,7 @@ from .graph import (
     classify,
     golden_path,
     hair_point,
+    struct_act,
     struct_info,
     subtree_T,
 )
@@ -39,10 +44,13 @@ from .lamplighter import (
     LAMP_LETTERS,
     Config,
     SetFn,
+    act_on_config,
     apply_word,
     config,
+    from_codes,
     orbit_enumerate,
     serialize_config,
+    to_codes,
 )
 from .minfn import (
     SymmetricConcaveFn,
@@ -130,18 +138,25 @@ class VerifyReport:
 
 def _deviation_scan(F, E: Config, n: int, beta: Fraction, mode: str, pairs) -> VerifyReport:
     """Largest relative deviation |F(C) - F(E)| / F(E) over the (C, word)
-    pairs that pairs() yields, called once F(E) is known to be nonzero; the
-    first word to reach the largest deviation is reported."""
-    base = F(E)
+    pairs that pairs(to_codes(E)) yields, C in addresses, called once F(E)
+    is known to be nonzero; the first word to reach the largest deviation
+    is reported."""
+    at_codes = getattr(F, "at_codes", None)
+    value = at_codes if at_codes is not None else lambda C: F(from_codes(C))
+    start = to_codes(E)
+    base = value(start)
     if base == 0:
         raise ZeroBase(f"{F.name} vanishes on the tested configuration")
     worst = Fraction(0)
     worst_word = ""
     checked = 0
-    for checked, (C, word) in enumerate(pairs(), 1):
-        dev = abs(F(C) - base) / base
-        if dev > worst:
-            worst, worst_word = dev, word
+    for checked, (C, word) in enumerate(pairs(start), 1):
+        v = value(C)
+        # equal values deviate by 0, which never beats worst
+        if v != base:
+            dev = abs(v - base) / base
+            if dev > worst:
+                worst, worst_word = dev, word
     return VerifyReport(
         fn_name=F.name,
         E=E,
@@ -158,7 +173,8 @@ def _deviation_scan(F, E: Config, n: int, beta: Fraction, mode: str, pairs) -> V
 def strong_verify(F, E: Config, n: int, beta: Fraction, cap: int = 10**6) -> VerifyReport:
     """Exact relative deviation of F over the whole length-<=n orbit of E."""
     return _deviation_scan(
-        F, E, n, beta, "strong", lambda: orbit_enumerate(E, n, cap=cap).items()
+        F, E, n, beta, "strong",
+        lambda C: orbit_enumerate(C, n, cap=cap, act=struct_act, root=ROOT_CODE).items(),
     )
 
 
@@ -167,11 +183,11 @@ def weak_verify(
 ) -> VerifyReport:
     """Same deviation statistic over random words instead of the full orbit."""
 
-    def pairs():
+    def pairs(C):
         rng = random.Random(seed)
         for _ in range(samples):
             word = "".join(rng.choice(LAMP_LETTERS) for _ in range(rng.randint(1, n)))
-            yield apply_word(E, word), word
+            yield act_on_config(C, word, struct_act, ROOT_CODE), word
 
     return _deviation_scan(F, E, n, beta, "weak", pairs)
 

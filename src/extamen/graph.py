@@ -10,6 +10,10 @@ struct_info read the same digits.  The test suite checks them against the
 local rules of the action (children, parent, hair steps and loops) on a ball
 and on random dyadics.
 
+struct_act is the action on addresses and node_info the struct_info of an
+address.  Orbits, verification and exact n-step probabilities run on
+addresses; act_letter stays the Dyadic action and struct_act's oracle.
+
 The balls, leaving-edge shares and walk steps at the end take the action as
 arguments, so the free-group graph of ``freegroup`` uses them too.
 """
@@ -36,7 +40,10 @@ __all__ = [
     "classify",
     "code",
     "vertex",
+    "ROOT_CODE",
+    "struct_act",
     "struct_info",
+    "node_info",
     "hair_point",
     "subtree_T",
     "golden_path",
@@ -218,6 +225,42 @@ def vertex(node: int, m: int = 0) -> Dyadic:
     return Dyadic((1 << k) - (3 << d) + 2 * q + 1, k)
 
 
+ROOT_CODE = (1, 0)  # code(ROOT)
+
+# what a letter adds to m on a hair walked by B (m < 0) and by A (m > 0)
+_HAIR_STEP = ({"a": 0, "A": 0, "b": 1, "B": -1}, {"a": -1, "A": 1, "b": 0, "B": 0})
+
+
+def struct_act(ch: str, c: tuple[int, int]) -> tuple[int, int]:
+    """Image of the address c = (node, m) under one generator letter.
+
+    The address form of act_letter, so orientation plays no part.  On the
+    skeleton a and b append their letter, A steps back over a last 'a' and
+    B over a last 'b'; otherwise the inverse letter steps onto the base's
+    hair.  On a hair the hair's own letter steps out, its forward letter
+    steps back toward the base, and the other pair loops.
+    """
+    node, m = c
+    if m == 0:
+        d = node.bit_length() - 1
+        if ch == "a":
+            return node + (2 << d), 0
+        if ch == "b":
+            return node + (1 << d), 0
+        # the top two bits of the node: 3 after a last 'a', 2 after a last 'b'
+        if ch == "A":
+            return (node - (1 << d), 0) if d and node >> (d - 1) == 3 else (node, 1)
+        if ch == "B":
+            return (node - (1 << (d - 1)), 0) if d and node >> (d - 1) == 2 else (node, -1)
+    else:
+        step = _HAIR_STEP[m > 0].get(ch)
+        if step == 0:
+            return c
+        if step:
+            return node, m + step
+    raise ValueError(f"unknown letter {ch!r}")
+
+
 def classify(v: Dyadic) -> Skeleton | Hair:
     """Structural address of v: Skeleton(path) or Hair(base path, offset).
 
@@ -242,11 +285,21 @@ def struct_info(v: Dyadic) -> tuple[int, bool, int]:
     zeros.
     """
     q, depth, _ = _digits(v)
-    if _STATE["orientation"] == "lr":
-        lead = (q ^ (q + 1)).bit_length() - 1
-    else:
-        lead = (q & -q).bit_length() - 1 if q else depth
+    lead = _lead(q, depth)
     return lead, depth > lead, depth
+
+
+def node_info(node: int) -> tuple[int, bool, int]:
+    """struct_info of any vertex whose address has this node."""
+    depth = node.bit_length() - 1
+    lead = _lead(node ^ (1 << depth), depth)
+    return lead, depth > lead, depth
+
+
+def _lead(q: int, depth: int) -> int:
+    if _STATE["orientation"] == "lr":
+        return (q ^ (q + 1)).bit_length() - 1
+    return (q & -q).bit_length() - 1 if q else depth
 
 
 def subtree_T(i: int, v: Dyadic) -> bool:

@@ -28,6 +28,7 @@ from .graph import (
     act_letter,
     hair_point,
     neighbors,
+    node_info,
     struct_info,
     vertex_at,
 )
@@ -58,7 +59,8 @@ class VertexFn:
     find_below, when present, returns some skeleton vertex with value below a
     given positive threshold; the constructors use it instead of scanning
     tree levels (which is hopeless once the needed depth passes ~20) and
-    always re-check the returned value.
+    always re-check the returned value.  at_code, when present, gives the
+    value at a vertex from its graph.code address.
     """
 
     name: str
@@ -68,6 +70,7 @@ class VertexFn:
     infimum: Optional[Fraction] = None
     constant_on_hairs: Optional[bool] = None
     find_below: Optional[Callable[[Fraction], Dyadic]] = None
+    at_code: Optional[Callable[[tuple[int, int]], Fraction]] = None
 
     def __call__(self, v: Dyadic):
         return self.fn(v)
@@ -166,6 +169,10 @@ def canonical_phi_u() -> VertexFn:
         _, _, depth = struct_info(v)
         return pow2(2 - depth)
 
+    def at_code(c: tuple[int, int]) -> Fraction:
+        _, _, depth = node_info(c[0])
+        return pow2(2 - depth)
+
     def find_below(threshold: Fraction) -> Dyadic:
         d = 0
         while pow2(2 - d) >= threshold:
@@ -180,6 +187,7 @@ def canonical_phi_u() -> VertexFn:
         infimum=Fraction(0),
         constant_on_hairs=True,
         find_below=find_below,
+        at_code=at_code,
     )
 
 
@@ -199,6 +207,12 @@ def phi_family(n: int) -> VertexFn:
             return pow2(-depth)
         return pow2(-n)
 
+    def at_code(c: tuple[int, int]) -> Fraction:
+        lead, deeper, depth = node_info(c[0])
+        if lead == n and deeper:
+            return pow2(-depth)
+        return pow2(-n)
+
     def find_below(threshold: Fraction) -> Dyadic:
         k = 0
         while pow2(-(n + 1 + k)) >= threshold:
@@ -213,6 +227,7 @@ def phi_family(n: int) -> VertexFn:
         infimum=Fraction(0),
         constant_on_hairs=True,
         find_below=find_below,
+        at_code=at_code,
     )
 
 

@@ -5,7 +5,9 @@ pointwise; the switch letter 's' toggles membership of the root.  Words act
 right to left, matching the convention for the underlying vertex action.
 The walk operator averages uniformly over the five letters.  The action on
 configurations takes the vertex action as arguments, so the free-group graph
-of ``freegroup`` uses it too.
+of ``freegroup`` uses it too; given graph.struct_act, orbits and walks run on
+configurations of addresses, sorted tuples of graph.code pairs (to_codes,
+from_codes).
 """
 
 from __future__ import annotations
@@ -17,13 +19,15 @@ from typing import Callable, Iterable, Optional
 
 from .dyadic import Dyadic, ROOT, parse_dyadic
 from .errors import CapExceeded
-from .graph import act_letter, evolve
+from .graph import ROOT_CODE, act_letter, code, evolve, struct_act, vertex
 
 __all__ = [
     "Config",
     "config",
     "EMPTY",
     "parse_config",
+    "to_codes",
+    "from_codes",
     "SetFn",
     "LAMP_LETTERS",
     "act_on_config",
@@ -64,15 +68,27 @@ def parse_config(s: str) -> Config:
     return E
 
 
+def to_codes(E: Config) -> tuple:
+    """The configuration as a sorted tuple of graph.code addresses."""
+    return config(map(code, E))
+
+
+def from_codes(C: tuple) -> Config:
+    """The Dyadic configuration of a tuple of addresses, inverse of to_codes."""
+    return config(vertex(*c) for c in C)
+
+
 @dataclass(frozen=True)
 class SetFn:
-    """Evaluatable nonnegative function on configurations, with claimed traits."""
+    """Evaluatable nonnegative function on configurations, with claimed traits.
+    at_codes, when present, gives the same values on the to_codes form."""
 
     name: str
     fn: Callable[[Config], Fraction]
     switch_invariant: Optional[bool] = None
     superharmonic: Optional[bool] = None
     meta: tuple = ()
+    at_codes: Optional[Callable[[tuple], Fraction]] = None
 
     def __call__(self, E: Config):
         return self.fn(E)
@@ -107,44 +123,53 @@ def markov_apply_set(F, E: Config):
     return sum(F(apply_letter(E, ch)) for ch in LAMP_LETTERS) / 5
 
 
-def markov_iterate(F, E: Config, n: int, cap: int = 8):
+def markov_iterate(F, E: tuple, n: int, cap: int = 8, act=None, root=None):
     """Exact n-step walk average of F started at E.
 
     Dynamic programming over distinct reachable configurations; each one
     carries its integer count of the 5**n words reaching it, and the counts
     always sum to 5**n, which is asserted.  Equal by construction to the
-    naive 5**n enumeration.
+    naive 5**n enumeration.  act and root are as in orbit_enumerate; without
+    them the walk runs on E's addresses when F has at_codes.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > cap:
         raise CapExceeded(f"markov_iterate n={n} exceeds cap {cap}")
+    if act is None:
+        if getattr(F, "at_codes", None) is not None:
+            F, E, act, root = F.at_codes, to_codes(E), struct_act, ROOT_CODE
+        else:
+            act, root = act_letter, ROOT
     counts = {E: 1}
     for _ in range(n):
-        counts = evolve(counts, LAMP_LETTERS, lambda ch, C: apply_letter(C, ch))
+        counts = evolve(counts, LAMP_LETTERS, lambda ch, C: act_on_config(C, ch, act, root))
     assert sum(counts.values()) == 5**n, "path counts must sum to 5**n"
     return sum(Fraction(c, 5**n) * F(C) for C, c in counts.items())
 
 
-def orbit_enumerate(E: Config, n: int, cap: int = 10**6) -> dict[Config, str]:
+def orbit_enumerate(E: tuple, n: int, cap: int = 10**6, act=None, root=None) -> dict:
     """Configurations reachable by words of length <= n, each with one witness word.
 
     Breadth-first with deduplication; the witness is the first word found,
     so witnesses are shortest and deterministic given the letter order.
+    act and root are as in act_on_config, by default the Dyadic action.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    seen: dict[Config, str] = {E: ""}
+    if act is None:
+        act, root = act_letter, ROOT
+    seen = {E: ""}
     frontier = [E]
     for _ in range(n):
         nxt = []
         for C in frontier:
             w = seen[C]
             for ch in LAMP_LETTERS:
-                img = apply_letter(C, ch)
+                img = act_on_config(C, ch, act, root)
                 if img not in seen:
                     if len(seen) >= cap:
-                        raise CapExceeded(f"orbit of {E} exceeds cap {cap}")
+                        raise CapExceeded(f"orbit of {len(E)} lamps exceeds cap {cap}")
                     # the new word acts after w, so it goes on the left
                     seen[img] = ch + w
                     nxt.append(img)

@@ -4,7 +4,9 @@ The basic construction takes the minimum of a vertex function over the
 configuration (empty set valued at the root).  On top of that: positive
 weighted sums, certified truncations of countable sums, walk images, and the
 generalized form that feeds the sorted value vector into a symmetric concave
-non-decreasing function after padding with 1.
+non-decreasing function after padding with 1.  Every SetFn built here also
+gets at_codes, its values on address configurations, when all of its parts
+have it (vertex functions through VertexFn.at_code).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .dyadic import Dyadic, ROOT
 from .errors import (
@@ -21,7 +23,7 @@ from .errors import (
     PreconditionFailed,
     PropertySelfTestFailed,
 )
-from .graph import ball, struct_info
+from .graph import ROOT_CODE, ball, node_info, struct_act, struct_info
 from .harmonic import VertexFn, canonical_phi_u, markov_apply_X, phi_family, pow2
 from .lamplighter import Config, SetFn, apply_letter, markov_apply_set, markov_iterate
 
@@ -51,18 +53,24 @@ def minfun(phi) -> SetFn:
         warnings.warn(f"{phi.name}: maximum at the root not confirmed on a probe ball")
     root_val = phi(ROOT)
 
-    def fn(E: Config):
-        if not E:
-            return root_val
-        return min(phi(x) for x in E)
+    def over(value):
+        return lambda E: min(map(value, E)) if E else root_val
 
+    fn, at_codes = _on_both(phi, over)
     return SetFn(
         name=f"minfun:{phi.name}",
         fn=fn,
         switch_invariant=True,
         superharmonic=phi.superharmonic,
         meta=(("phi", phi),),
+        at_codes=at_codes,
     )
+
+
+def _on_both(phi, over):
+    """over(phi), and over(phi.at_code) when phi has one (else None)."""
+    at_code = getattr(phi, "at_code", None)
+    return over(phi), None if at_code is None else over(at_code)
 
 
 def T_operator(F, E: Config, alpha: Fraction):
@@ -118,17 +126,22 @@ def weighted_sum(Fs: Sequence[SetFn], lambdas: Sequence[Fraction]) -> SetFn:
     if any(lam <= 0 for lam in lambdas):
         raise ValueError("weights must be positive")
     terms = list(zip(lambdas, Fs))
-
-    def fn(E: Config):
-        return sum(lam * F(E) for lam, F in terms)
-
     return SetFn(
         name="+".join(f"{lam}*{F.name}" for lam, F in terms),
-        fn=fn,
+        fn=_linear(lambdas, Fs),
         switch_invariant=all(F.switch_invariant for F in Fs) or None,
         superharmonic=all(F.superharmonic for F in Fs) or None,
         meta=(("terms", tuple(terms)),),
+        at_codes=_linear(lambdas, [F.at_codes for F in Fs]),
     )
+
+
+def _linear(weights, parts):
+    """E -> sum of weight * part(E); None when a part is None."""
+    if any(part is None for part in parts):
+        return None
+    terms = list(zip(weights, parts))
+    return lambda E: sum(w * part(E) for w, part in terms)
 
 
 def phi_family_tail_bound(eps: Fraction) -> int:
@@ -161,39 +174,46 @@ def countable_sum(
     when deeper (equivalently depth > lead) and lead <= N.  With e_i the
     larger of i and the deepest such depth, F(E) = sum over i = 0..N of
     2^-e_i, summed as one integer over 2^max(e_i); the empty set gives
-    2 - 2^-N.  Every other family takes the generic sum of minfun terms,
-    which is the oracle the closed form is tested against.
+    2 - 2^-N; at_codes reads the triples by node_info.  Every other family
+    takes the generic sum of minfun terms, which is the oracle the closed
+    form is tested against.
     """
     if tail_bound is None:
         raise MissingTailBound("countable_sum needs a certified tail bound")
     N = tail_bound(eps)
     if family is phi_family:
-        fn = _phi_family_sum(N)
-    else:
-        terms = [minfun(family(i)) for i in range(N + 1)]
+        total = _phi_family_sum(N)
 
         def fn(E: Config):
-            return sum(term(E) for term in terms)
+            return total(map(struct_info, E))
 
-    out = SetFn(
+        def at_codes(C: tuple):
+            return total(node_info(node) for node, _ in C)
+
+    else:
+        terms = [minfun(family(i)) for i in range(N + 1)]
+        ones = [1] * len(terms)
+        fn = _linear(ones, terms)
+        at_codes = _linear(ones, [term.at_codes for term in terms])
+    return SetFn(
         name=f"sum:{family_name}:eps={eps}",
         fn=fn,
         switch_invariant=True,
         superharmonic=True,
         meta=(("truncation_N", N), ("certified_error", eps), ("family", family_name)),
+        at_codes=at_codes,
     )
-    return out
 
 
-def _phi_family_sum(N: int) -> Callable[[Config], Fraction]:
-    """Closed form of the sum of minfun(phi_family(i)) for i = 0..N."""
+def _phi_family_sum(N: int) -> Callable[[Iterable], Fraction]:
+    """Closed form of the sum of minfun(phi_family(i)) for i = 0..N, from
+    each lamp's struct_info."""
 
-    def fn(E: Config) -> Fraction:
+    def fn(infos: Iterable) -> Fraction:
         deepest: dict[int, int] = {}
-        for x in E:
+        for lead, _, depth in infos:
             # depth > lead exactly when the path continues past its leading
-            # L-turns, i.e. when x lies in subtree lead
-            lead, _, depth = struct_info(x)
+            # L-turns, i.e. when the lamp lies in subtree lead
             if lead <= N and depth > deepest.get(lead, lead):
                 deepest[lead] = depth
         top = max([N, *deepest.values()])
@@ -213,12 +233,16 @@ def markov_image(F: SetFn, n: int, cap: int = 8) -> SetFn:
     def fn(E: Config):
         return markov_iterate(F, E, n, cap=cap)
 
+    def at_codes(C: tuple):
+        return markov_iterate(F.at_codes, C, n, cap, struct_act, ROOT_CODE)
+
     return SetFn(
         name=f"P^{n}[{F.name}]",
         fn=fn,
         switch_invariant=None,
         superharmonic=F.superharmonic,
         meta=(("base", F), ("power", n)),
+        at_codes=None if F.at_codes is None else at_codes,
     )
 
 
@@ -308,17 +332,22 @@ def generalized_minfun(r: SymmetricConcaveFn, phi) -> SetFn:
     m = r.arity
     one = Fraction(1)
 
-    def fn(E: Config):
-        vals = sorted(phi(x) / factor for x in E)[:m]
-        vals.extend([one] * (m - len(vals)))
-        return r(tuple(vals))
+    def over(value):
+        def fn(E: tuple):
+            vals = sorted(value(x) / factor for x in E)[:m]
+            vals.extend([one] * (m - len(vals)))
+            return r(tuple(vals))
 
+        return fn
+
+    fn, at_codes = _on_both(phi, over)
     return SetFn(
         name=f"gmin:{r.name}:{phi.name}",
         fn=fn,
         switch_invariant=True,
         superharmonic=phi.superharmonic,
         meta=(("r", r), ("phi", phi), ("normalization", factor)),
+        at_codes=at_codes,
     )
 
 

@@ -4,7 +4,9 @@ Exact return probabilities at the root go through a depth/offset lumping of
 the four-letter walk: all skeleton vertices of one depth act alike, as do all
 hair vertices of one (depth, offset), so the chain on those pairs reproduces
 the root return probabilities with a state space that grows quadratically in
-the horizon instead of exponentially.  Monte Carlo runs vectorize the same
+the horizon instead of exponentially.  Other exact n-step probabilities
+evolve the full distribution on graph.code addresses by graph.struct_act,
+converting the Dyadic endpoints on entry.  Monte Carlo runs vectorize the
 lumped chain.  Long lamp trajectories use a structural state that keeps the
 skeleton lamps in a persistent trie over their turns, read from the last turn
 back, and parks hair-bound lamps in per-side stacks, so every step costs O(1)
@@ -23,7 +25,7 @@ from typing import Iterable, Sequence
 
 from .dyadic import Dyadic, ROOT
 from .errors import CapExceeded, PreconditionFailed
-from .graph import EDGE_LABELS, act_letter, ball, transition_series, vertex
+from .graph import EDGE_LABELS, ball, code, struct_act, transition_series, vertex
 from .harmonic import canonical_phi_u, is_superharmonic_on, markov_apply_X, pow2
 from .lamplighter import (
     LAMP_LETTERS,
@@ -90,8 +92,9 @@ def lumped_return_series(N: int) -> list[Fraction]:
 
 
 def pn_exact(x: Dyadic, y: Dyadic, n: int, cap: int = 200_000) -> Fraction:
-    """Exact n-step probability from x to y, evolving the full distribution."""
-    return transition_series(x, y, n, EDGE_LABELS, act_letter, cap)[-1]
+    """Exact n-step probability from x to y, evolving the full distribution;
+    ValueError when x or y is not a vertex."""
+    return transition_series(code(x), code(y), n, EDGE_LABELS, struct_act, cap)[-1]
 
 
 def power_partial_sums(series: Sequence[Fraction], r: Fraction) -> list[Fraction]:
@@ -103,12 +106,13 @@ def green_partial(x: Dyadic, y: Dyadic, r: Fraction, N: int, cap: int = 200_000)
     """Partial Green sum: p_n(x,y) r^n over n = 0..N.
 
     The root-to-root case runs on the lumped chain; other pairs evolve the
-    full distribution once and read off the y-mass each step.
+    full distribution once and read off the y-mass each step (ValueError
+    when x or y is not a vertex).
     """
     if x == ROOT and y == ROOT:
         series = lumped_return_series(N)
     else:
-        series = transition_series(x, y, N, EDGE_LABELS, act_letter, cap)
+        series = transition_series(code(x), code(y), N, EDGE_LABELS, struct_act, cap)
     return power_partial_sums(series, r)[-1]
 
 

@@ -27,12 +27,23 @@ from extamen.errors import (
 )
 from extamen.graph import ball, classify, hair_point
 from extamen.harmonic import VertexFn, canonical_phi_u, phi_family, pow2
-from extamen.lamplighter import EMPTY, LAMP_LETTERS, apply_word, config, orbit_enumerate
+from extamen.lamplighter import (
+    EMPTY,
+    LAMP_LETTERS,
+    SetFn,
+    apply_word,
+    config,
+    orbit_enumerate,
+    to_codes,
+)
 from extamen.minfn import (
     countable_sum,
+    markov_image,
     minfun,
     phi_family_tail_bound,
     r_family_kmean,
+    resolve_setfn,
+    weighted_sum,
 )
 
 
@@ -75,8 +86,6 @@ def test_explicit_exactly_invariant():
 
 
 def test_strong_verify_zero_base():
-    from extamen.lamplighter import SetFn
-
     zero = SetFn(name="zero", fn=lambda E: Fraction(0))
     with pytest.raises(ZeroBase):
         strong_verify(zero, EMPTY, 2, Fraction(1, 2))
@@ -133,6 +142,58 @@ def test_verifiers_match_their_reference_scans():
             pairs = [(apply_word(E, word), word) for word in words]
             assert _fields(weak_verify(F, E, n, beta, samples=50, seed=4)) == _verify_reference(
                 F, E, n, beta, "weak", pairs)
+
+
+def _set_functions():
+    """Every kind of registry set function, with whether it reads addresses
+    and the largest level it is verified at here."""
+    phi_u = canonical_phi_u()
+    plain_phi = VertexFn("plain_phi_u", phi_u.fn, superharmonic=True, max_at_p=True)
+    lamps = SetFn("lamps", fn=lambda E: Fraction(len(E) + 1, 1 + sum(x.exp for x in E)))
+    return [
+        ("minfun:phi_u", resolve_setfn("minfun:phi_u"), True, 7),
+        ("minfun:phi:0", resolve_setfn("minfun:phi:0"), True, 7),
+        ("minfun:phi:2", resolve_setfn("minfun:phi:2"), True, 7),
+        ("gmin:kmean:2:3:phi_u", resolve_setfn("gmin:kmean:2:3:phi_u"), True, 7),
+        ("gmin:kmean:1:2:phi:1", resolve_setfn("gmin:kmean:1:2:phi:1"), True, 7),
+        ("sum:phi_family", resolve_setfn("sum:phi_family:eps=1/128"), True, 7),
+        # the generic countable sum: a family that is not phi_family itself
+        ("sum:generic", countable_sum(lambda i: phi_family(i), Fraction(1, 16),
+                                      tail_bound=phi_family_tail_bound), True, 7),
+        ("markov_image", weighted_sum(
+            [markov_image(minfun(phi_u), 1), minfun(phi_family(1))],
+            [Fraction(1), Fraction(1, 2)]), True, 4),
+        ("minfun:plain_phi_u", minfun(plain_phi), False, 7),
+        ("user", lamps, False, 7),
+    ]
+
+
+SET_FUNCTIONS = _set_functions()
+
+
+@pytest.mark.parametrize("F, on_codes, top", [f[1:] for f in SET_FUNCTIONS],
+                         ids=[f[0] for f in SET_FUNCTIONS])
+def test_verifiers_match_the_dyadic_path(F, on_codes, top):
+    # the orbit and the random words of the verifiers run on addresses; the
+    # reference scans run them on Dyadic configurations and call F.fn there
+    assert (F.at_codes is not None) == on_codes
+    cases = [(EMPTY, 5), ((ROOT,), 4), (config([dy(9, 4), hair_point(dy(11, 4), 3)]), 6),
+             (explicit_En_hairs(3), 7)]
+    for E, n in cases:
+        n = min(n, top)
+        beta = Fraction(1, n)
+        orbit = orbit_enumerate(E, n)
+        assert _fields(strong_verify(F, E, n, beta)) == _verify_reference(
+            F, E, n, beta, "strong", orbit.items())
+        rng = random.Random(n)
+        words = ["".join(rng.choice(LAMP_LETTERS) for _ in range(rng.randint(1, n)))
+                 for _ in range(40)]
+        pairs = [(apply_word(E, word), word) for word in words]
+        assert _fields(weak_verify(F, E, n, beta, samples=40, seed=n)) == _verify_reference(
+            F, E, n, beta, "weak", pairs)
+        if on_codes:
+            for C in orbit:
+                assert F.at_codes(to_codes(C)) == F(C), C
 
 
 def test_golden_witness_vacant_path():

@@ -258,6 +258,12 @@ README_DIGESTS = [
     (["--orientation", "rl", "graph", "explore", "--n", "4"],
      "e7fa7658e361e92edcb91709fc5debaa2dd0e3a42d59e98f47af4ad4b9d3f92e",
      "7a17b9d7ac0e7497c81928a6cc84565ce9431df900355b59375e36339a74440e"),
+    # larger than the README commands; frozen from the Dyadic orbit, before
+    # verification ran on structural addresses
+    (["approx", "verify", "--fn", "sum:phi_family:eps=1e-6", "--set", "explicit:8", "--n", "8"],
+     "ee8be6fc028d1d64792bbe5d5368a9fbc8aa107b4a2c590e49c84eb7ee470de6", None),
+    (["approx", "construct", "--kind", "countable", "--n", "4"],
+     "ea4eff14db6954a7ca2abd9e14d6bc5a27bfc1f87c55b3217334ea7d38823013", None),
 ]
 
 

@@ -8,6 +8,7 @@ from extamen.dyadic import Dyadic, ROOT, letter_map, word_to_pl
 from extamen.errors import CapExceeded
 from extamen.graph import (
     EDGE_LABELS,
+    ROOT_CODE,
     Hair,
     Skeleton,
     act_letter,
@@ -21,7 +22,9 @@ from extamen.graph import (
     golden_path,
     hair_point,
     neighbors,
+    node_info,
     set_orientation,
+    struct_act,
     struct_info,
     subtree_T,
     vertex,
@@ -276,6 +279,32 @@ def test_code_is_injective_and_inverted_by_vertex_on_ball(orientation):
             assert (m > 0) == (v <= dy(1, 1)) and (m < 0) == (v >= dy(3, 2))
     finally:
         set_orientation("lr")
+
+
+@pytest.mark.parametrize("orientation", ["lr", "rl"])
+def test_struct_act_and_node_info_match_the_dyadic_action_on_ball(orientation):
+    set_orientation(orientation)
+    try:
+        assert code(ROOT) == ROOT_CODE
+        for v in ball(ROOT, 12).vertices:
+            c = code(v)
+            assert node_info(c[0]) == struct_info(v), v
+            for ch in EDGE_LABELS:
+                assert struct_act(ch, c) == code(act_letter(ch, v)), (v, ch)
+    finally:
+        set_orientation("lr")
+
+
+@given(deep_dyadics(), st.sampled_from(EDGE_LABELS))
+@settings(max_examples=400, deadline=None)
+def test_struct_act_matches_act_letter_on_random_dyadics(v, ch):
+    assert struct_act(ch, code(v)) == code(act_letter(ch, v))
+
+
+def test_struct_act_rejects_unknown_letters():
+    for c in (ROOT_CODE, (1, 3), (1, -3)):
+        with pytest.raises(ValueError, match="unknown letter"):
+            struct_act("s", c)
 
 
 @given(st.one_of(interior_dyadics(max_exp=60), deep_dyadics(max_exp=60)))

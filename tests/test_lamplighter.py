@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -7,19 +8,21 @@ from hypothesis import given, settings, strategies as st
 
 from extamen.dyadic import Dyadic, ROOT
 from extamen.errors import CapExceeded
-from extamen.graph import ball
+from extamen.graph import ball, code
 from extamen.lamplighter import (
     EMPTY,
     LAMP_LETTERS,
     apply_letter,
     apply_word,
     config,
+    from_codes,
     markov_apply_set,
     markov_iterate,
     orbit_enumerate,
     parse_config,
     serialize_config,
     switch_invariant_check,
+    to_codes,
 )
 from extamen.minfn import minfun
 from extamen.harmonic import canonical_phi_u
@@ -114,6 +117,25 @@ def test_markov_iterate_matches_naive():
     for E in (EMPTY, (ROOT,), config([dy(11, 4), dy(1, 1)])):
         for n in range(4):
             assert markov_iterate(F, E, n) == _naive_iterate(F, E, n), f"{E} n={n}"
+
+
+def test_markov_iterate_on_addresses_matches_the_dyadic_walk():
+    # with at_codes the walk runs on addresses; without it, on Dyadic sets
+    F = minfun(canonical_phi_u())
+    dyadic_only = replace(F, at_codes=None)
+    rng = random.Random(5)
+    for _ in range(8):
+        E = config(rng.sample(BALL6, rng.randrange(4)))
+        for n in range(5):
+            assert markov_iterate(F, E, n) == markov_iterate(dyadic_only, E, n), (E, n)
+
+
+def test_code_configurations_round_trip():
+    rng = random.Random(2)
+    for _ in range(50):
+        E = config(rng.sample(BALL6, rng.randrange(6)))
+        assert from_codes(to_codes(E)) == E
+        assert to_codes(E) == tuple(sorted(code(x) for x in E))
 
 
 def test_markov_iterate_cap():

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from extamen.dyadic import Dyadic, ROOT
+from extamen.dyadic import ONE, ROOT, ZERO, Dyadic
 from extamen.errors import CapExceeded, PreconditionFailed
 from extamen.graph import (
+    EDGE_LABELS,
     act_letter,
     act_word,
     ball,
@@ -94,6 +95,30 @@ def test_pn_exact_counts_words():
         for x, y in pairs:
             hits = sum(act_word(w, x) == y for w in words)
             assert pn_exact(x, y, n) == Fraction(hits, 4**n), f"{x} -> {y}, n={n}"
+
+
+def test_pn_exact_and_green_partial_match_the_dyadic_series():
+    # the address walk against the same kernel on Dyadic vertices and act_letter
+    rng = random.Random(11)
+    near = ball(ROOT, 5).vertices
+    for N in (7, 8):
+        for _ in range(6):
+            x = rng.choice(near)
+            y = act_word("".join(rng.choice("aAbB") for _ in range(rng.randint(0, 6))), x)
+            series = transition_series(x, y, N, EDGE_LABELS, act_letter)
+            assert pn_exact(x, y, N) == series[-1], (x, y, N)
+            r = Fraction(1, 3)
+            assert green_partial(x, y, r, N) == power_partial_sums(series, r)[-1], (x, y, N)
+
+
+def test_pn_exact_and_green_partial_refuse_non_vertices():
+    # 0 and 1 are fixed by every letter but are not vertices of the graph
+    for bad in (ZERO, ONE):
+        for x, y in ((bad, bad), (bad, ROOT), (ROOT, bad)):
+            with pytest.raises(ValueError, match="not a vertex"):
+                pn_exact(x, y, 3)
+            with pytest.raises(ValueError, match="not a vertex"):
+                green_partial(x, y, Fraction(1, 2), 4)
 
 
 def test_transition_series_validates():
