@@ -59,12 +59,13 @@ from .minfn import (
     markov_image,
     minfun,
     phi_family_tail_bound,
+    resolve_phi,
     weighted_sum,
 )
 
 __all__ = [
     "BetaSchedule",
-    "beta_schedule",
+    "BETA_SCHEDULES",
     "VerifyReport",
     "strong_verify",
     "weak_verify",
@@ -73,6 +74,8 @@ __all__ = [
     "construct_En_sum",
     "construct_En_markov",
     "construct_En_countable",
+    "CONSTRUCTIONS",
+    "construct",
     "explicit_En_hairs",
     "WitnessResult",
     "golden_witness",
@@ -96,13 +99,6 @@ BETA_SCHEDULES = {
     "inv_n": BetaSchedule("inv_n", lambda n: Fraction(1, n)),
     "inv_2n": BetaSchedule("inv_2n", lambda n: pow2(-n)),
 }
-
-
-def beta_schedule(name: str) -> BetaSchedule:
-    try:
-        return BETA_SCHEDULES[name]
-    except KeyError:
-        raise KeyError(f"unknown beta schedule {name!r}") from None
 
 
 @dataclass
@@ -284,21 +280,18 @@ def construct_En_single(
 def construct_En_sum(
     phis: Sequence[VertexFn],
     n: int,
-    lambdas: Optional[Sequence[Fraction]] = None,
     beta: BetaSchedule = BETA_SCHEDULES["inv_n"],
 ) -> ConstructionResult:
-    """One lamp per summand, each pinning its own minimum below the common floor."""
+    """One lamp per unit-weight summand, each pinning its own minimum below the common floor."""
     _require_level(n)
     if not phis:
         raise PreconditionFailed("need at least one summand")
-    if lambdas is None:
-        lambdas = [Fraction(1)] * len(phis)
     region = ball(ROOT, n)
     eps = min(min(phi(v) for v in region.vertices) for phi in phis)
     threshold = eps / (4 * n * n)
     points = [hair_point(find_vertex_below(phi, threshold), n * n) for phi in phis]
     E = config(points)
-    F = weighted_sum([minfun(phi) for phi in phis], lambdas)
+    F = weighted_sum([minfun(phi) for phi in phis], [Fraction(1)] * len(phis))
     return ConstructionResult(
         E=E,
         setfn=F,
@@ -316,7 +309,6 @@ def construct_En_markov(
     phis: Sequence[VertexFn],
     powers: Sequence[int],
     n: int,
-    lambdas: Optional[Sequence[Fraction]] = None,
     beta: BetaSchedule = BETA_SCHEDULES["inv_n"],
 ) -> ConstructionResult:
     """Walk images only widen the word window, so delegate to the sum recipe
@@ -326,12 +318,9 @@ def construct_En_markov(
     if any(k < 0 for k in powers):
         raise PreconditionFailed("walk powers must be >= 0")
     m = n + max(powers)
-    inner = construct_En_sum(phis, m, lambdas=lambdas, beta=beta)
-    if lambdas is None:
-        lambdas = [Fraction(1)] * len(phis)
-    F = weighted_sum(
-        [markov_image(minfun(phi), k) for phi, k in zip(phis, powers)], lambdas
-    )
+    inner = construct_En_sum(phis, m, beta=beta)
+    images = [markov_image(minfun(phi), k) for phi, k in zip(phis, powers)]
+    F = weighted_sum(images, [Fraction(1)] * len(phis))
     return ConstructionResult(
         E=inner.E,
         setfn=F,
@@ -383,6 +372,35 @@ def construct_En_countable(
             ("hair_offset", str(4 * n * n)),
         ),
     )
+
+
+# construction kind -> the vertex functions it builds on unless others are named
+CONSTRUCTIONS = {
+    "single": "phi_u",
+    "sum": "phi:0,phi:1,phi:2",
+    "markov": "phi:0,phi:1",
+    "countable": None,
+}
+
+
+def construct(
+    kind: str, n: int, fn: Optional[str] = None, powers: Optional[str] = None,
+    beta: BetaSchedule = BETA_SCHEDULES["inv_n"],
+) -> ConstructionResult:
+    """Construction kind at level n on the vertex functions named in fn
+    (comma-separated; CONSTRUCTIONS[kind] by default) and, for markov, the
+    walk powers in powers (default 1,1); countable uses all of phi_family."""
+    default = CONSTRUCTIONS[kind]  # a KeyError for an unknown kind
+    names = fn or default
+    if kind == "single":
+        return construct_En_single(resolve_phi(names), n, beta=beta)
+    if kind == "countable":
+        return construct_En_countable(n, beta=beta)
+    phis = [resolve_phi(name) for name in names.split(",")]
+    if kind == "sum":
+        return construct_En_sum(phis, n, beta=beta)
+    walk_powers = [int(p) for p in (powers or "1,1").split(",")]
+    return construct_En_markov(phis, walk_powers, n, beta=beta)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +513,7 @@ def generalized_En_search(
     r: SymmetricConcaveFn,
     phi,
     n: int,
-    beta: Optional[Fraction] = None,
+    beta: BetaSchedule = BETA_SCHEDULES["inv_n"],
     budget: int = 8,
     cap: int = 10**6,
 ) -> SearchResult:
@@ -507,8 +525,6 @@ def generalized_En_search(
     result with found=None and the last report.
     """
     _require_level(n)
-    if beta is None:
-        beta = Fraction(1, n)
     F = generalized_minfun(r, phi)
     region = ball(ROOT, n)
     floor = min(phi(v) for v in region.vertices)
@@ -530,7 +546,7 @@ def generalized_En_search(
                     frontier={"candidate": t, "collected": len(bases)},
                 )
         E = config(hair_point(q, n * n) for q in bases)
-        report = strong_verify(F, E, n, beta, cap=cap)
+        report = strong_verify(F, E, n, beta.value(n), cap=cap)
         if report.passed:
             return SearchResult(found=E, tried=tried, report=report)
         last = report

@@ -7,10 +7,10 @@ re-running the same command reproduces them byte for byte; volatile data
 accompanying manifest.json instead.
 
 Exit codes: 0 when the requested check passed, 1 when it ran and the
-property failed (or the inputs were unusable: an unknown name, a set that
-does not parse, cannot be read or holds 0 or 1, a negative or oversized
-size, a run of zero trials, steps or samples), 2 when a resource cap or
-search budget was exhausted.
+property failed (or the inputs were unusable: an unknown or inexact name,
+a set that does not parse, cannot be read, holds 0 or 1 or names a recipe
+below its least n, a negative or oversized size, a run of zero trials,
+steps or samples), 2 when a resource cap or search budget was exhausted.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from . import approx, freegroup, walks
 from .dyadic import ROOT
-from .errors import CapExceeded, ExtamenError, SearchExhausted
+from .errors import CapExceeded, ExtamenError, PreconditionFailed, SearchExhausted
 from .graph import (
     Skeleton,
     ball,
@@ -38,9 +38,9 @@ from .graph import (
     root_hair_letter,
     set_orientation,
 )
-from .harmonic import canonical_phi_u, is_superharmonic_on, phi_family
+from .harmonic import VertexFn, is_superharmonic_on
 from .lamplighter import orbit_enumerate, parse_config, serialize_config, switch_invariant_check
-from .minfn import _parse_eps, _resolve_phi, resolve_setfn
+from .minfn import parse_rational, resolve_phi, resolve_setfn
 from .walks import WalkConfig
 
 __all__ = ["main", "build_parser"]
@@ -71,18 +71,17 @@ def _resolving():
 
 
 def parse_set_spec(spec: str):
-    """Configurations by recipe (explicit:n, single:n, sum:n, countable:n),
-    from a file, or inline as comma-separated dyadics."""
+    """Configurations by recipe (explicit:<n>, or single:<n>, sum:<n> and
+    countable:<n>, the set approx.construct builds at level n; an n too small
+    is a ValueError), from a file, or inline as comma-separated dyadics."""
     head, _, tail = spec.partition(":")
-    if head == "explicit":
-        return approx.explicit_En_hairs(int(tail))
-    if head == "single":
-        return approx.construct_En_single(canonical_phi_u(), int(tail)).E
-    if head == "sum":
-        phis = [phi_family(i) for i in range(3)]
-        return approx.construct_En_sum(phis, int(tail)).E
-    if head == "countable":
-        return approx.construct_En_countable(int(tail)).E
+    if head in ("explicit", "single", "sum", "countable"):
+        try:
+            if head == "explicit":
+                return approx.explicit_En_hairs(int(tail))
+            return approx.construct(head, int(tail)).E
+        except PreconditionFailed as exc:
+            raise ValueError(f"{spec}: {exc}") from exc
     if head == "file":
         return parse_config(Path(tail).read_text().strip())
     return parse_config(spec)
@@ -159,25 +158,25 @@ def _cmd_graph_explore(args):
 
 
 def _cmd_fn_check(args):
-    name = args.fn
-    if name == "phi_u" or name.startswith("phi:"):
-        with _resolving():
-            phi = _resolve_phi(name.split(":"))
+    with _resolving():
+        try:
+            F = resolve_phi(args.fn)
+        except KeyError:
+            F = resolve_setfn(args.fn)
+    if isinstance(F, VertexFn):
         region = ball(ROOT, args.n, cap=args.cap)
-        rep = is_superharmonic_on(phi, region)
+        rep = is_superharmonic_on(F, region)
         rows = [
             [str(v), str(val), str(pval), str(marg)]
             for v, val, pval, marg in rep.entries
         ]
         report = rep.to_json()
         return rep.ok, report, (["vertex", "phi", "P_phi", "margin"], rows)
-    with _resolving():
-        F = resolve_setfn(name)
     samples = list(orbit_enumerate((), args.n, cap=args.cap))
     ok_sw, _ = switch_invariant_check(F, samples)
     sup = walks.supermartingale_check(F, samples, mode="lamp")
     report = {
-        "fn": name,
+        "fn": args.fn,
         "samples": len(samples),
         "switch_invariant": ok_sw,
         "supermartingale": sup.to_json(),
@@ -191,7 +190,7 @@ def _cmd_approx_verify(args):
     with _resolving():
         F = resolve_setfn(args.fn)
         E = parse_set_spec(args.set)
-    beta = approx.beta_schedule(args.beta).value(args.n)
+    beta = approx.BETA_SCHEDULES[args.beta].value(args.n)
     if args.weak:
         rep = approx.weak_verify(F, E, args.n, beta, samples=args.samples, seed=args.seed)
     else:
@@ -200,24 +199,9 @@ def _cmd_approx_verify(args):
 
 
 def _cmd_approx_construct(args):
-    beta = approx.beta_schedule(args.beta)
-    if args.kind == "single":
-        with _resolving():
-            phi = _resolve_phi((args.fn or "phi_u").split(":"))
-        result = approx.construct_En_single(phi, args.n, beta=beta)
-    elif args.kind == "sum":
-        names = (args.fn or "phi:0,phi:1,phi:2").split(",")
-        with _resolving():
-            phis = [_resolve_phi(nm.split(":")) for nm in names]
-        result = approx.construct_En_sum(phis, args.n, beta=beta)
-    elif args.kind == "markov":
-        names = (args.fn or "phi:0,phi:1").split(",")
-        with _resolving():
-            phis = [_resolve_phi(nm.split(":")) for nm in names]
-            powers = [int(p) for p in (args.powers or "1,1").split(",")]
-        result = approx.construct_En_markov(phis, powers, args.n, beta=beta)
-    else:
-        result = approx.construct_En_countable(args.n, beta=beta)
+    beta = approx.BETA_SCHEDULES[args.beta]
+    with _resolving():
+        result = approx.construct(args.kind, args.n, args.fn, args.powers, beta)
     rep = approx.strong_verify(result.setfn, result.E, args.n, result.beta, cap=args.cap)
     report = {"construction": result.to_json(), "verify": rep.to_json()}
     return rep.passed, report, None
@@ -233,7 +217,7 @@ def _cmd_approx_refute(args):
 
 def _cmd_walk_green(args):
     with _resolving():
-        r = _parse_eps(args.r)
+        r = parse_rational(args.r)
     if args.trials and not args.steps:
         raise UnusableInput("--steps must be >= 1 for a Monte Carlo run")
     mc = None
@@ -277,7 +261,7 @@ def _cmd_walk_decay(args):
             steps=args.steps,
             seed=args.seed,
             checkpoints=tuple(int(c) for c in args.checkpoints.split(",")),
-            fn_name=args.fn or "minfun:phi_u",
+            fn_name=args.fn,
         )
         resolve_setfn(walk.fn_name)
     if walk.trials * walk.steps > args.cap:
@@ -344,16 +328,16 @@ def build_parser() -> argparse.ArgumentParser:
     common(v, n_default=4)
     v.add_argument("--fn", required=True)
     v.add_argument("--set", required=True)
-    v.add_argument("--beta", choices=("inv_n", "inv_2n"), default="inv_n")
+    v.add_argument("--beta", choices=tuple(approx.BETA_SCHEDULES), default="inv_n")
     v.add_argument("--weak", action="store_true")
     v.add_argument("--samples", type=int, default=500)
     v.set_defaults(handler=_cmd_approx_verify)
     c = ap.add_parser("construct")
     common(c, n_default=4)
-    c.add_argument("--kind", choices=("single", "sum", "markov", "countable"), required=True)
+    c.add_argument("--kind", choices=tuple(approx.CONSTRUCTIONS), required=True)
     c.add_argument("--fn", default=None)
     c.add_argument("--powers", default=None)
-    c.add_argument("--beta", choices=("inv_n", "inv_2n"), default="inv_n")
+    c.add_argument("--beta", choices=tuple(approx.BETA_SCHEDULES), default="inv_n")
     c.set_defaults(handler=_cmd_approx_construct)
     rf = ap.add_parser("refute")
     common(rf, n_default=5)
@@ -377,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     wd.add_argument("--trials", type=int, default=100)
     wd.add_argument("--steps", type=int, default=1000)
     wd.add_argument("--checkpoints", default="100,1000")
-    wd.add_argument("--fn", default=None)
+    wd.add_argument("--fn", default=WalkConfig.fn_name)
     wd.set_defaults(handler=_cmd_walk_decay)
 
     cx = sub.add_parser("cx").add_subparsers(dest="action", required=True)

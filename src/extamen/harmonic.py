@@ -289,23 +289,12 @@ def level_min(phi, n: int):
         raise ValueError("n must be >= 0")
     level = [ROOT]
     best = phi(ROOT)
-    witness = None
     for depth in range(n + 1):
         vals = [phi(v) for v in level]
-        lo = min(vals)
-        if lo < best:
-            best = lo
-        if depth == n:
-            for v, val in zip(level, vals):
-                if val == best:
-                    witness = v
-                    break
+        best = min(best, *vals)
         if depth < n:
-            nxt = []
-            for v in level:
-                nxt.append(act_letter("a", v))
-                nxt.append(act_letter("b", v))
-            level = nxt
+            level = [act_letter(ch, v) for v in level for ch in ("a", "b")]
+    witness = next((v for v, val in zip(level, vals) if val == best), None)
     if witness is None:
         raise PreconditionFailed(
             f"minimum over depths 0..{n} not attained at depth {n}; "

@@ -12,6 +12,7 @@ have it (vertex functions through VertexFn.at_code).
 from __future__ import annotations
 
 import random
+import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +39,8 @@ __all__ = [
     "SymmetricConcaveFn",
     "r_family_kmean",
     "generalized_minfun",
+    "parse_rational",
+    "resolve_phi",
     "resolve_setfn",
 ]
 
@@ -355,36 +358,41 @@ def generalized_minfun(r: SymmetricConcaveFn, phi) -> SetFn:
 # registry
 
 
-def _parse_eps(s: str) -> Fraction:
+def parse_rational(s: str) -> Fraction:
+    """3/4 or 1e-6 as a Fraction; inf and nan raise as Fraction(float(s)) does."""
     try:
         return Fraction(s)
     except ValueError:
         return Fraction(float(s))
 
 
-def _resolve_phi(token: Sequence[str]) -> VertexFn:
-    if token and token[0] == "phi_u":
-        return canonical_phi_u()
-    if len(token) == 2 and token[0] == "phi":
-        return phi_family(int(token[1]))
-    raise KeyError(f"unknown vertex function {':'.join(token)!r}")
+# the name grammar; integers in canonical decimal, so names match exactly
+_PHI_NAME = re.compile(r"phi_u|phi:(0|[1-9][0-9]*)")
+_SETFN_NAME = re.compile(
+    r"minfun:(.*)|gmin:kmean:([1-9][0-9]*):([1-9][0-9]*):(.*)|sum:phi_family:eps=(.*)"
+)
+
+
+def resolve_phi(name: str) -> VertexFn:
+    """The vertex function named exactly phi_u or phi:<i>."""
+    match = _PHI_NAME.fullmatch(name)
+    if match is None:
+        raise KeyError(f"unknown vertex function {name!r}")
+    return canonical_phi_u() if match[1] is None else phi_family(int(match[1]))
 
 
 def resolve_setfn(name: str) -> SetFn:
-    """Look up a SetFn by its registry name.
-
-    Supported forms: minfun:phi_u, minfun:phi:<n>, gmin:kmean:<k>:<m>:<phi...>,
-    sum:phi_family:eps=<rational or float>.
+    """Look up a SetFn by its registry name: minfun:<phi>,
+    gmin:kmean:<k>:<m>:<phi> or sum:phi_family:eps=<rational or decimal>,
+    <phi> a resolve_phi name.  Names match exactly, so F.name is the name
+    given, but for eps, which is read as a number and named in lowest terms.
     """
-    parts = name.split(":")
-    if parts[0] == "minfun":
-        return minfun(_resolve_phi(parts[1:]))
-    if parts[:2] == ["gmin", "kmean"] and len(parts) > 4:
-        k, m = int(parts[2]), int(parts[3])
-        return generalized_minfun(r_family_kmean(k, m), _resolve_phi(parts[4:]))
-    if parts[0] == "sum" and parts[1] == "phi_family":
-        if len(parts) != 3 or not parts[2].startswith("eps="):
-            raise KeyError(f"malformed sum name {name!r}")
-        eps = _parse_eps(parts[2][4:])
-        return countable_sum(phi_family, eps, tail_bound=phi_family_tail_bound)
-    raise KeyError(f"unknown set function {name!r}")
+    match = _SETFN_NAME.fullmatch(name)
+    if match is None:
+        raise KeyError(f"unknown set function {name!r}")
+    phi, k, m, r_phi, eps = match.groups()
+    if phi is not None:
+        return minfun(resolve_phi(phi))
+    if r_phi is not None:
+        return generalized_minfun(r_family_kmean(int(k), int(m)), resolve_phi(r_phi))
+    return countable_sum(phi_family, parse_rational(eps), tail_bound=phi_family_tail_bound)

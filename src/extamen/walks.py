@@ -589,7 +589,7 @@ def potential_decay_experiment(walk: WalkConfig = WalkConfig()) -> DecayReport:
     values: dict[int, list] = {t: [] for t in sorted(set(walk.checkpoints))}
     violations = 0
     nonempty = 0
-    fast = walk.fn_name == "minfun:phi_u" and walk.start == ()
+    fast = walk.fn_name == WalkConfig.fn_name and walk.start == ()
     F = None if fast else resolve_setfn(walk.fn_name)
     for trial in range(walk.trials):
         # choice(LAMP_LETTERS) draws the letters LAMP_LETTERS[randrange(5)]

@@ -6,7 +6,8 @@ import pytest
 
 from extamen.approx import (
     BETA_SCHEDULES,
-    beta_schedule,
+    CONSTRUCTIONS,
+    construct,
     construct_En_countable,
     construct_En_markov,
     construct_En_single,
@@ -56,11 +57,10 @@ def family_sum(n):
 
 
 def test_beta_schedules():
-    assert beta_schedule("inv_n").value(4) == Fraction(1, 4)
-    assert beta_schedule("inv_2n").value(4) == Fraction(1, 16)
-    with pytest.raises(KeyError):
-        beta_schedule("linear")
+    assert BETA_SCHEDULES["inv_n"].value(4) == Fraction(1, 4)
+    assert BETA_SCHEDULES["inv_2n"].value(4) == Fraction(1, 16)
     assert set(BETA_SCHEDULES) == {"inv_n", "inv_2n"}
+    assert all(schedule.name == name for name, schedule in BETA_SCHEDULES.items())
 
 
 def test_explicit_first_levels():
@@ -284,6 +284,22 @@ def test_construct_markov_delegates():
     assert rep.worst_deviation == 0
     with pytest.raises(PreconditionFailed):
         construct_En_markov([phi_family(0)], [0, 1], 3)
+
+
+def test_construct_reads_the_kind_table():
+    assert list(CONSTRUCTIONS) == ["single", "sum", "markov", "countable"]
+    assert construct("single", 3).E == construct_En_single(canonical_phi_u(), 3).E
+    phis = [phi_family(i) for i in range(3)]
+    assert construct("sum", 3).E == construct_En_sum(phis, 3).E
+    markov = construct("markov", 2)
+    assert markov.setfn.name == construct_En_markov(phis[:2], [1, 1], 2).setfn.name
+    assert construct("countable", 2).E == construct_En_countable(2).E
+    named = construct("markov", 2, fn="phi_u,phi:1", powers="2,0", beta=BETA_SCHEDULES["inv_2n"])
+    assert named.setfn.name == "1*P^2[minfun:phi_u]+1*P^0[minfun:phi:1]"
+    assert named.beta == Fraction(1, 4)
+    for kind, fn in (("bogus", None), ("bogus", "phi:0"), ("single", "phi:0,phi:1")):
+        with pytest.raises(KeyError):
+            construct(kind, 3, fn=fn)
 
 
 def test_construct_requires_level_two():

@@ -13,6 +13,7 @@ import pytest
 
 import extamen
 
+from extamen.approx import construct
 from extamen.cli import main, parse_set_spec
 from extamen.dyadic import Dyadic, ROOT
 from extamen.graph import set_orientation
@@ -104,6 +105,20 @@ def test_green_step_limit_exits_two(capsys, monkeypatch):
     (["approx", "refute", "--set", "3/4,1", "--n", "2"], "1/2^0 is not a vertex"),
     (["walk", "decay", "--steps", "100", "--checkpoints", "100", "--seed", "-1"],
      "seed must be >= 0, got -1"),
+    (["approx", "verify", "--fn", "sum", "--set", "explicit:3"], "unknown set function 'sum'"),
+    (["fn", "check", "--fn", "sum"], "unknown set function 'sum'"),
+    (["walk", "decay", "--fn", "sum", "--steps", "100", "--checkpoints", "10,100"],
+     "unknown set function 'sum'"),
+    (["approx", "verify", "--fn", "minfun:phi_u:junk", "--set", "explicit:3"],
+     "unknown vertex function 'phi_u:junk'"),
+    (["approx", "verify", "--fn", "gmin:kmean:2:3:phi_u:x", "--set", "explicit:3"],
+     "unknown vertex function 'phi_u:x'"),
+    (["approx", "verify", "--fn", "minfun:phi_u", "--set", "single:1"],
+     "single:1: constructions need n >= 2"),
+    (["approx", "verify", "--fn", "minfun:phi_u", "--set", "countable:0"],
+     "countable:0: constructions need n >= 2"),
+    (["approx", "verify", "--fn", "minfun:phi_u", "--set", "explicit:0"],
+     "explicit:0: need n >= 1"),
 ])
 def test_unusable_input_is_one_line(capsys, argv, message):
     assert run(argv) == 1
@@ -222,6 +237,10 @@ def test_parse_set_spec(tmp_path):
     f = tmp_path / "lamps.txt"
     f.write_text("5/2^3,1/2^1\n")
     assert parse_set_spec(f"file:{f}") == (Dyadic(1, 1), ROOT)
+    for kind in ("single", "sum", "countable"):
+        assert parse_set_spec(f"{kind}:3") == construct(kind, 3).E
+    with pytest.raises(ValueError, match="need n >= 2"):
+        parse_set_spec("sum:1")
 
 
 # report.json and series.csv sha256 of each README command, frozen from a run
@@ -308,6 +327,29 @@ def test_every_imported_name_is_used():
         module = importlib.import_module(f"extamen.{path.stem}")
         unused = imported - used - set(getattr(module, "__all__", ()))
         assert not unused, f"{path.name} imports unused names {sorted(unused)}"
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    # an underscore name is its module's own; share it by making it public
+    package = Path(extamen.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "extamen"
+            ):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, f"{path.name} imports {private} from {node.module or '.'}"
+                if node.module in (None, "extamen"):
+                    modules.update(a.asname or a.name for a in node.names)
+        reached = {
+            f"{node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and node.attr.startswith("_")
+        }
+        assert not reached, f"{path.name} reaches into {sorted(reached)}"
 
 
 def test_graph_explore_leaves_numpy_unimported(tmp_path):

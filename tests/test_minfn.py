@@ -22,8 +22,10 @@ from extamen.minfn import (
     markov_image,
     minfun,
     non_superharmonic_transfer,
+    parse_rational,
     phi_family_tail_bound,
     r_family_kmean,
+    resolve_phi,
     resolve_setfn,
     weighted_sum,
 )
@@ -253,16 +255,68 @@ def test_kmean_between_min_and_mean(k, m):
 
 
 def test_resolve_setfn_roundtrips():
+    for name in ("phi_u", "phi:0", "phi:7"):
+        assert resolve_phi(name).name == name
     for name in ("minfun:phi_u", "minfun:phi:2", "gmin:kmean:2:3:phi_u", "gmin:kmean:1:2:phi:1"):
         F = resolve_setfn(name)
         assert F.name == name
     F = resolve_setfn("sum:phi_family:eps=1/1048576")
     assert dict(F.meta)["truncation_N"] == 21
     assert resolve_setfn("sum:phi_family:eps=1e-6")(EMPTY) > 0
+    # eps is a number, named in lowest terms whatever its spelling
+    for eps in ("1e-6", "0.000001", "2/2000000", "1/1000000"):
+        assert resolve_setfn(f"sum:phi_family:eps={eps}").name == "sum:phi_family:eps=1/1000000"
 
 
 def test_resolve_setfn_rejects_unknown():
     for bad in ("minfun:psi", "gmin:median:2:3:phi_u", "sum:phi_family", "nope",
-                "minfun", "gmin", "gmin:kmean:2:3"):
+                "minfun", "gmin", "gmin:kmean:2:3", "sum",
+                # trailing text and integers not written as str writes them
+                "minfun:phi_u:junk", "minfun:phi_u:", "gmin:kmean:2:3:phi_u:x", "minfun:phi:1:2",
+                "minfun:phi:01", "gmin:kmean:02:3:phi_u", "minfun:phi: 1", "minfun:phi_u\n"):
         with pytest.raises(KeyError):
             resolve_setfn(bad)
+    for bad in ("phi_u:junk", "phi:1:2", "phi:01", "phi:-1", "phi:x", "phi", "phi_family"):
+        with pytest.raises(KeyError):
+            resolve_phi(bad)
+
+
+# tokens of the name grammar, well- and ill-formed, each half the time.
+# Integers stay small, as a kmean arity m costs ensure_tested 1000 probes of
+# m coordinates, and every positive eps is at least 2^-64.
+_ints = st.one_of(
+    st.sampled_from(["0", "1", "2", "3", "4"]),
+    st.sampled_from(["-1", "01", "+1", " 1", "1_0", "x", "", "1/0", "inf", "\u0661"]),
+)
+_eps = st.one_of(
+    st.sampled_from(["1/2", "1/1024", f"1/{2 ** 64}", "1e-6", "0.5", "2/4", "3"]),
+    st.sampled_from(["0", "-1/2", "1/0", "inf", "-inf", "nan", "", "x", "1:2"]),
+)
+_words = st.sampled_from(
+    ["minfun", "gmin", "kmean", "sum", "phi_family", "phi", "phi_u", "eps=1/2", "psi"]
+)
+_phi_names = st.one_of(st.just("phi_u"), _ints.map("phi:{}".format), _words)
+_heads = st.one_of(
+    _phi_names,
+    _phi_names.map("minfun:{}".format),
+    st.tuples(_ints, _ints, _phi_names).map(lambda t: "gmin:kmean:{}:{}:{}".format(*t)),
+    _eps.map("sum:phi_family:eps={}".format),
+    st.lists(st.one_of(_words, _ints), min_size=1, max_size=4).map(":".join),
+)
+_tails = st.one_of(st.just([]), st.lists(st.one_of(_words, _ints), min_size=1, max_size=2))
+_names = st.tuples(_heads, _tails).map(lambda t: ":".join([t[0], *t[1]]))
+
+
+@given(_names)
+@settings(max_examples=300, deadline=None)
+def test_every_name_resolves_exactly_or_is_refused(name):
+    # only what the command line maps to one "unusable input" line may escape
+    for resolve in (resolve_phi, resolve_setfn):
+        try:
+            F = resolve(name)
+        except (KeyError, ValueError, ZeroDivisionError, OverflowError):
+            continue
+        expected = name
+        if name.startswith("sum:phi_family:eps="):
+            expected = f"sum:phi_family:eps={parse_rational(name[19:])}"
+        assert F.name == expected
