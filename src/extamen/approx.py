@@ -3,8 +3,8 @@
 Verification is exact: the whole length-<=n word orbit is enumerated and the
 relative change of the target function is compared with the tolerance beta.
 Both verifiers convert the configuration to graph.code addresses once, move
-it by graph.struct_act and read the target through SetFn.at_codes (or on the
-Dyadic form rebuilt by vertex); reports keep the caller's Dyadic set.
+it by graph.struct_act and read the target through SetFn.fn, which takes
+addresses; reports keep the caller's Dyadic set.
 The constructors park lamps far out on hairs below skeleton vertices whose
 function values sit strictly under everything reachable from the root, which
 pins the minimum and makes the target exactly invariant on the orbit.  In the
@@ -47,7 +47,6 @@ from .lamplighter import (
     act_on_config,
     apply_word,
     config,
-    from_codes,
     orbit_enumerate,
     serialize_config,
     to_codes,
@@ -137,8 +136,7 @@ def _deviation_scan(F, E: Config, n: int, beta: Fraction, mode: str, pairs) -> V
     pairs that pairs(to_codes(E)) yields, C in addresses, called once F(E)
     is known to be nonzero; the first word to reach the largest deviation
     is reported."""
-    at_codes = getattr(F, "at_codes", None)
-    value = at_codes if at_codes is not None else lambda C: F(from_codes(C))
+    value = F.fn
     start = to_codes(E)
     base = value(start)
     if base == 0:
@@ -389,8 +387,13 @@ def construct(
 ) -> ConstructionResult:
     """Construction kind at level n on the vertex functions named in fn
     (comma-separated; CONSTRUCTIONS[kind] by default) and, for markov, the
-    walk powers in powers (default 1,1); countable uses all of phi_family."""
+    walk powers in powers (default 1,1); countable uses all of phi_family.
+    ValueError for fn given to countable or powers to any kind but markov."""
     default = CONSTRUCTIONS[kind]  # a KeyError for an unknown kind
+    if fn is not None and default is None:
+        raise ValueError(f"construction kind {kind!r} takes no fn")
+    if powers is not None and kind != "markov":
+        raise ValueError(f"construction kind {kind!r} takes no powers")
     names = fn or default
     if kind == "single":
         return construct_En_single(resolve_phi(names), n, beta=beta)

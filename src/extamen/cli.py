@@ -30,14 +30,7 @@ from typing import Optional, Sequence
 from . import approx, freegroup, walks
 from .dyadic import ROOT
 from .errors import CapExceeded, ExtamenError, PreconditionFailed, SearchExhausted
-from .graph import (
-    Skeleton,
-    ball,
-    classify,
-    get_orientation,
-    root_hair_letter,
-    set_orientation,
-)
+from .graph import Skeleton, ball, classify, get_orientation, root_hair_letter
 from .harmonic import VertexFn, is_superharmonic_on
 from .lamplighter import orbit_enumerate, parse_config, serialize_config, switch_invariant_check
 from .minfn import parse_rational, resolve_phi, resolve_setfn
@@ -187,6 +180,10 @@ def _cmd_fn_check(args):
 def _cmd_approx_verify(args):
     if args.weak and not args.samples:
         raise UnusableInput("--samples must be >= 1")
+    if args.beta == "inv_n" and not args.n:
+        raise UnusableInput("--n must be >= 1 for --beta inv_n")
+    if args.weak and not args.n:
+        raise UnusableInput("--n must be >= 1 for --weak")
     with _resolving():
         F = resolve_setfn(args.fn)
         E = parse_set_spec(args.set)
@@ -303,7 +300,6 @@ def _cmd_cx_scan(args):
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="extamen")
-    top.add_argument("--orientation", choices=("lr", "rl"), default="lr")
     sub = top.add_subparsers(dest="group", required=True)
 
     def common(p, *, n_default=None, cap_default=10**6):
@@ -378,7 +374,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.monotonic()
     parser = build_parser()
     args = parser.parse_args(argv)
-    set_orientation(args.orientation)
     try:
         for size in SIZE_OPTIONS:
             value = getattr(args, size, None)

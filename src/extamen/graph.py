@@ -8,7 +8,8 @@ every vertex, two rays at the root (Savchuk, arXiv:0803.0043).  code(v) =
 form from that picture, and vertex(node, m) inverts it; classify and
 struct_info read the same digits.  The test suite checks them against the
 local rules of the action (children, parent, hair steps and loops) on a ball
-and on random dyadics.
+and on random dyadics.  The skeleton orientation is fixed: the a-image of a
+skeleton vertex is its L child and the b-image its R child.
 
 struct_act is the action on addresses and node_info the struct_info of an
 address.  Orbits, verification and exact n-step probabilities run on
@@ -53,7 +54,6 @@ __all__ = [
     "leaving_share",
     "evolve",
     "transition_series",
-    "set_orientation",
     "get_orientation",
     "vertex_at",
     "root_hair_letter",
@@ -136,30 +136,19 @@ class Hair:
     offset: int
 
 
-# Orientation maps tree turns to generator letters.  Under 'lr' the a-image
-# of a skeleton vertex is its L child and the b-image its R child; 'rl' swaps
-# them.  Exactly one orientation matches the bundled function families, which
-# the test suite pins via the golden-path value pattern.
-_STATE = {"orientation": "lr"}
-
 # Always empty: addresses are computed, not cached.  perfbench reads its size.
 _ADDR_MEMO: dict = {}
 
 
-def set_orientation(o: str) -> None:
-    if o not in ("lr", "rl"):
-        raise ValueError("orientation must be 'lr' or 'rl'")
-    _STATE["orientation"] = o
-
-
 def get_orientation() -> str:
-    return _STATE["orientation"]
+    """'lr', the fixed skeleton orientation (a-image the L child, b-image the
+    R child), the one the bundled function families fit.  Manifests record it."""
+    return "lr"
 
 
 def vertex_at(path: Iterable[str]) -> Dyadic:
     """Skeleton vertex reached from the root by the given L/R turns."""
-    one = "L" if _STATE["orientation"] == "lr" else "R"
-    letters = "".join("1" if turn == one else "0" for turn in path)
+    letters = "".join("1" if turn == "L" else "0" for turn in path)
     return vertex(int("1" + letters[::-1], 2))
 
 
@@ -196,9 +185,9 @@ def _digits(v: Dyadic) -> tuple[int, int, int]:
 def code(v: Dyadic) -> tuple[int, int]:
     """The injective structural address (node, m) of the vertex v.
 
-    node = 2^depth + q codes v's skeleton base (q as in _digits, so the
-    orientation plays no part); m is 0 on the skeleton, v's offset on a hair
-    walked by A and minus its offset on a hair walked by B.
+    node = 2^depth + q codes v's skeleton base (q as in _digits); m is 0 on
+    the skeleton, v's offset on a hair walked by A and minus its offset on a
+    hair walked by B.
     """
     q, depth, m = _digits(v)
     return 1 << depth | q, m
@@ -234,11 +223,11 @@ _HAIR_STEP = ({"a": 0, "A": 0, "b": 1, "B": -1}, {"a": -1, "A": 1, "b": 0, "B": 
 def struct_act(ch: str, c: tuple[int, int]) -> tuple[int, int]:
     """Image of the address c = (node, m) under one generator letter.
 
-    The address form of act_letter, so orientation plays no part.  On the
-    skeleton a and b append their letter, A steps back over a last 'a' and
-    B over a last 'b'; otherwise the inverse letter steps onto the base's
-    hair.  On a hair the hair's own letter steps out, its forward letter
-    steps back toward the base, and the other pair loops.
+    The address form of act_letter.  On the skeleton a and b append their
+    letter, A steps back over a last 'a' and B over a last 'b'; otherwise
+    the inverse letter steps onto the base's hair.  On a hair the hair's own
+    letter steps out, its forward letter steps back toward the base, and the
+    other pair loops.
     """
     node, m = c
     if m == 0:
@@ -264,14 +253,13 @@ def struct_act(ch: str, c: tuple[int, int]) -> tuple[int, int]:
 def classify(v: Dyadic) -> Skeleton | Hair:
     """Structural address of v: Skeleton(path) or Hair(base path, offset).
 
-    Read off v's binary digits by _digits; the turns follow the current
-    orientation.  The two root hairs share the address Hair((), m), so
-    classify is not injective there; code is the injective address.  0 and
-    1 are not vertices and raise ValueError.
+    Read off v's binary digits by _digits, an 'a' turn as L and a 'b' turn
+    as R.  The two root hairs share the address Hair((), m), so classify is
+    not injective there; code is the injective address.  0 and 1 are not
+    vertices and raise ValueError.
     """
     q, depth, m = _digits(v)
-    one, zero = ("L", "R") if _STATE["orientation"] == "lr" else ("R", "L")
-    path = tuple(one if q >> i & 1 else zero for i in range(depth))
+    path = tuple("L" if q >> i & 1 else "R" for i in range(depth))
     return Hair(path, abs(m)) if m else Skeleton(path)
 
 
@@ -280,26 +268,24 @@ def struct_info(v: Dyadic) -> tuple[int, bool, int]:
 
     The digest of classify(v) used by the bundled vertex functions: a vertex
     belongs to subtree i exactly when leading == i and the path continues
-    (its first non-L turn is an R by construction).  Under 'lr' the leading
-    L-turns are the trailing ones of the base code, under 'rl' its trailing
-    zeros.
+    (its first non-L turn is an R by construction).  The leading L-turns
+    are the trailing ones of the base code.
     """
     q, depth, _ = _digits(v)
-    lead = _lead(q, depth)
+    lead = _lead(q)
     return lead, depth > lead, depth
 
 
 def node_info(node: int) -> tuple[int, bool, int]:
     """struct_info of any vertex whose address has this node."""
     depth = node.bit_length() - 1
-    lead = _lead(node ^ (1 << depth), depth)
+    lead = _lead(node ^ (1 << depth))
     return lead, depth > lead, depth
 
 
-def _lead(q: int, depth: int) -> int:
-    if _STATE["orientation"] == "lr":
-        return (q ^ (q + 1)).bit_length() - 1
-    return (q & -q).bit_length() - 1 if q else depth
+def _lead(q: int) -> int:
+    """The number of trailing ones of q."""
+    return (q ^ (q + 1)).bit_length() - 1
 
 
 def subtree_T(i: int, v: Dyadic) -> bool:

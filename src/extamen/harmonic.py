@@ -11,6 +11,10 @@ takes the neighbours from the ball's neighbor_index, which is built on the
 first sweep and cached on the Ball.  When every value is a Fraction, each
 margin is an exact integer sum over the lcm of the five denominators; other
 values go through the same quarter-sum as markov_apply_X.
+
+A VertexFn reads a vertex two ways: fn on the Dyadic vertex, which the
+sweeps over Dyadic balls call, and at_code on its graph.code address, which
+the set functions of ``minfn`` call on address configurations.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .graph import (
     neighbors,
     node_info,
     struct_info,
+    vertex,
     vertex_at,
 )
 
@@ -59,8 +64,9 @@ class VertexFn:
     find_below, when present, returns some skeleton vertex with value below a
     given positive threshold; the constructors use it instead of scanning
     tree levels (which is hopeless once the needed depth passes ~20) and
-    always re-check the returned value.  at_code, when present, gives the
-    value at a vertex from its graph.code address.
+    always re-check the returned value.  at_code gives the value at a vertex
+    from its graph.code address; when none is given it is fn at the vertex
+    the address names.
     """
 
     name: str
@@ -71,6 +77,11 @@ class VertexFn:
     constant_on_hairs: Optional[bool] = None
     find_below: Optional[Callable[[Fraction], Dyadic]] = None
     at_code: Optional[Callable[[tuple[int, int]], Fraction]] = None
+
+    def __post_init__(self):
+        if self.at_code is None:
+            fn = self.fn
+            object.__setattr__(self, "at_code", lambda c: fn(vertex(*c)))
 
     def __call__(self, v: Dyadic):
         return self.fn(v)

@@ -5,9 +5,10 @@ pointwise; the switch letter 's' toggles membership of the root.  Words act
 right to left, matching the convention for the underlying vertex action.
 The walk operator averages uniformly over the five letters.  The action on
 configurations takes the vertex action as arguments, so the free-group graph
-of ``freegroup`` uses it too; given graph.struct_act, orbits and walks run on
-configurations of addresses, sorted tuples of graph.code pairs (to_codes,
-from_codes).
+of ``freegroup`` uses it too; given graph.struct_act, orbits run on
+configurations of addresses, sorted tuples of graph.code pairs (to_codes).
+Set functions read addresses only: SetFn.fn takes the to_codes form, and
+the exact walk average markov_iterate runs on it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, Iterable, Optional
 
 from .dyadic import Dyadic, ROOT, parse_dyadic
 from .errors import CapExceeded
-from .graph import ROOT_CODE, act_letter, code, evolve, struct_act, vertex
+from .graph import ROOT_CODE, act_letter, code, evolve, struct_act
 
 __all__ = [
     "Config",
@@ -27,7 +28,6 @@ __all__ = [
     "EMPTY",
     "parse_config",
     "to_codes",
-    "from_codes",
     "SetFn",
     "LAMP_LETTERS",
     "act_on_config",
@@ -73,25 +73,22 @@ def to_codes(E: Config) -> tuple:
     return config(map(code, E))
 
 
-def from_codes(C: tuple) -> Config:
-    """The Dyadic configuration of a tuple of addresses, inverse of to_codes."""
-    return config(vertex(*c) for c in C)
-
-
 @dataclass(frozen=True)
 class SetFn:
     """Evaluatable nonnegative function on configurations, with claimed traits.
-    at_codes, when present, gives the same values on the to_codes form."""
+
+    fn reads a configuration's addresses, the sorted tuple to_codes gives;
+    calling the SetFn on a configuration of vertices evaluates fn there.
+    """
 
     name: str
-    fn: Callable[[Config], Fraction]
+    fn: Callable[[tuple], Fraction]
     switch_invariant: Optional[bool] = None
     superharmonic: Optional[bool] = None
     meta: tuple = ()
-    at_codes: Optional[Callable[[tuple], Fraction]] = None
 
     def __call__(self, E: Config):
-        return self.fn(E)
+        return self.fn(to_codes(E))
 
 
 def act_on_config(E: tuple, word: str, act, root, key=None) -> tuple:
@@ -123,29 +120,26 @@ def markov_apply_set(F, E: Config):
     return sum(F(apply_letter(E, ch)) for ch in LAMP_LETTERS) / 5
 
 
-def markov_iterate(F, E: tuple, n: int, cap: int = 8, act=None, root=None):
-    """Exact n-step walk average of F started at E.
+def markov_iterate(F: SetFn, C: tuple, n: int, cap: int = 8):
+    """Exact n-step walk average of F started at the address configuration C
+    (to_codes of a configuration of vertices).
 
-    Dynamic programming over distinct reachable configurations; each one
-    carries its integer count of the 5**n words reaching it, and the counts
-    always sum to 5**n, which is asserted.  Equal by construction to the
-    naive 5**n enumeration.  act and root are as in orbit_enumerate; without
-    them the walk runs on E's addresses when F has at_codes.
+    Dynamic programming over distinct reachable address configurations; each
+    one carries its integer count of the 5**n words reaching it, and the
+    counts always sum to 5**n, which is asserted.  Equal by construction to
+    the naive 5**n enumeration.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > cap:
         raise CapExceeded(f"markov_iterate n={n} exceeds cap {cap}")
-    if act is None:
-        if getattr(F, "at_codes", None) is not None:
-            F, E, act, root = F.at_codes, to_codes(E), struct_act, ROOT_CODE
-        else:
-            act, root = act_letter, ROOT
-    counts = {E: 1}
+    counts = {C: 1}
     for _ in range(n):
-        counts = evolve(counts, LAMP_LETTERS, lambda ch, C: act_on_config(C, ch, act, root))
+        counts = evolve(
+            counts, LAMP_LETTERS, lambda ch, D: act_on_config(D, ch, struct_act, ROOT_CODE)
+        )
     assert sum(counts.values()) == 5**n, "path counts must sum to 5**n"
-    return sum(Fraction(c, 5**n) * F(C) for C, c in counts.items())
+    return sum(Fraction(c, 5**n) * F.fn(D) for D, c in counts.items())
 
 
 def orbit_enumerate(E: tuple, n: int, cap: int = 10**6, act=None, root=None) -> dict:

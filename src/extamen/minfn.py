@@ -4,9 +4,8 @@ The basic construction takes the minimum of a vertex function over the
 configuration (empty set valued at the root).  On top of that: positive
 weighted sums, certified truncations of countable sums, walk images, and the
 generalized form that feeds the sorted value vector into a symmetric concave
-non-decreasing function after padding with 1.  Every SetFn built here also
-gets at_codes, its values on address configurations, when all of its parts
-have it (vertex functions through VertexFn.at_code).
+non-decreasing function after padding with 1.  Every SetFn built here reads
+address configurations, the vertex functions through VertexFn.at_code.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .dyadic import Dyadic, ROOT
 from .errors import (
@@ -24,7 +23,7 @@ from .errors import (
     PreconditionFailed,
     PropertySelfTestFailed,
 )
-from .graph import ROOT_CODE, ball, node_info, struct_act, struct_info
+from .graph import ball, node_info
 from .harmonic import VertexFn, canonical_phi_u, markov_apply_X, phi_family, pow2
 from .lamplighter import Config, SetFn, apply_letter, markov_apply_set, markov_iterate
 
@@ -55,25 +54,13 @@ def minfun(phi) -> SetFn:
     if phi.max_at_p is not True and not _check_max_at_root(phi):
         warnings.warn(f"{phi.name}: maximum at the root not confirmed on a probe ball")
     root_val = phi(ROOT)
-
-    def over(value):
-        return lambda E: min(map(value, E)) if E else root_val
-
-    fn, at_codes = _on_both(phi, over)
     return SetFn(
         name=f"minfun:{phi.name}",
-        fn=fn,
+        fn=lambda C: min(map(phi.at_code, C)) if C else root_val,
         switch_invariant=True,
         superharmonic=phi.superharmonic,
         meta=(("phi", phi),),
-        at_codes=at_codes,
     )
-
-
-def _on_both(phi, over):
-    """over(phi), and over(phi.at_code) when phi has one (else None)."""
-    at_code = getattr(phi, "at_code", None)
-    return over(phi), None if at_code is None else over(at_code)
 
 
 def T_operator(F, E: Config, alpha: Fraction):
@@ -135,16 +122,13 @@ def weighted_sum(Fs: Sequence[SetFn], lambdas: Sequence[Fraction]) -> SetFn:
         switch_invariant=all(F.switch_invariant for F in Fs) or None,
         superharmonic=all(F.superharmonic for F in Fs) or None,
         meta=(("terms", tuple(terms)),),
-        at_codes=_linear(lambdas, [F.at_codes for F in Fs]),
     )
 
 
-def _linear(weights, parts):
-    """E -> sum of weight * part(E); None when a part is None."""
-    if any(part is None for part in parts):
-        return None
-    terms = list(zip(weights, parts))
-    return lambda E: sum(w * part(E) for w, part in terms)
+def _linear(weights, Fs):
+    """C -> sum of weight * F.fn(C)."""
+    terms = [(w, F.fn) for w, F in zip(weights, Fs)]
+    return lambda C: sum(w * fn(C) for w, fn in terms)
 
 
 def phi_family_tail_bound(eps: Fraction) -> int:
@@ -173,48 +157,37 @@ def countable_sum(
     When family is phi_family itself the sum is evaluated in closed form, in
     integers and O(|E| + N) time.  Member i is 2^-depth inside subtree i
     (where depth >= i + 1) and 2^-i everywhere else, root included, so a lamp
-    with struct_info (lead, deeper, depth) can lower only term lead, and only
+    with node_info (lead, deeper, depth) can lower only term lead, and only
     when deeper (equivalently depth > lead) and lead <= N.  With e_i the
     larger of i and the deepest such depth, F(E) = sum over i = 0..N of
     2^-e_i, summed as one integer over 2^max(e_i); the empty set gives
-    2 - 2^-N; at_codes reads the triples by node_info.  Every other family
-    takes the generic sum of minfun terms, which is the oracle the closed
-    form is tested against.
+    2 - 2^-N.  Every other family takes the generic sum of minfun terms,
+    which is the oracle the closed form is tested against.
     """
     if tail_bound is None:
         raise MissingTailBound("countable_sum needs a certified tail bound")
     N = tail_bound(eps)
     if family is phi_family:
-        total = _phi_family_sum(N)
-
-        def fn(E: Config):
-            return total(map(struct_info, E))
-
-        def at_codes(C: tuple):
-            return total(node_info(node) for node, _ in C)
-
+        fn = _phi_family_sum(N)
     else:
         terms = [minfun(family(i)) for i in range(N + 1)]
-        ones = [1] * len(terms)
-        fn = _linear(ones, terms)
-        at_codes = _linear(ones, [term.at_codes for term in terms])
+        fn = _linear([1] * len(terms), terms)
     return SetFn(
         name=f"sum:{family_name}:eps={eps}",
         fn=fn,
         switch_invariant=True,
         superharmonic=True,
         meta=(("truncation_N", N), ("certified_error", eps), ("family", family_name)),
-        at_codes=at_codes,
     )
 
 
-def _phi_family_sum(N: int) -> Callable[[Iterable], Fraction]:
-    """Closed form of the sum of minfun(phi_family(i)) for i = 0..N, from
-    each lamp's struct_info."""
+def _phi_family_sum(N: int) -> Callable[[tuple], Fraction]:
+    """Closed form of the sum of minfun(phi_family(i)) for i = 0..N on an
+    address configuration, from each lamp's node_info."""
 
-    def fn(infos: Iterable) -> Fraction:
+    def fn(C: tuple) -> Fraction:
         deepest: dict[int, int] = {}
-        for lead, _, depth in infos:
+        for lead, _, depth in (node_info(node) for node, _ in C):
             # depth > lead exactly when the path continues past its leading
             # L-turns, i.e. when the lamp lies in subtree lead
             if lead <= N and depth > deepest.get(lead, lead):
@@ -232,20 +205,12 @@ def _phi_family_sum(N: int) -> Callable[[Iterable], Fraction]:
 
 def markov_image(F: SetFn, n: int, cap: int = 8) -> SetFn:
     """The n-step walk image of F as a SetFn (exact dynamic programming)."""
-
-    def fn(E: Config):
-        return markov_iterate(F, E, n, cap=cap)
-
-    def at_codes(C: tuple):
-        return markov_iterate(F.at_codes, C, n, cap, struct_act, ROOT_CODE)
-
     return SetFn(
         name=f"P^{n}[{F.name}]",
-        fn=fn,
+        fn=lambda C: markov_iterate(F, C, n, cap),
         switch_invariant=None,
         superharmonic=F.superharmonic,
         meta=(("base", F), ("power", n)),
-        at_codes=None if F.at_codes is None else at_codes,
     )
 
 
@@ -306,14 +271,20 @@ class SymmetricConcaveFn:
         object.__setattr__(self, "_tested", True)
 
 
+# resolving a kmean name probes its properties in time linear in m
+_KMEAN_MAX_ARITY = 64
+
+
 def r_family_kmean(k: int, m: int) -> SymmetricConcaveFn:
-    """Mean of the k smallest of m coordinates.
+    """Mean of the k smallest of m coordinates, for m up to 64.
 
     Concave because it is the minimum over k-subsets of the subset means;
     k = 1 recovers the plain minimum and k = m the full mean.
     """
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
+    if m > _KMEAN_MAX_ARITY:
+        raise ValueError(f"kmean arity m = {m} exceeds the bound {_KMEAN_MAX_ARITY}")
 
     def fn(xs: tuple) -> Fraction:
         return sum(sorted(xs)[:k]) / k
@@ -335,22 +306,17 @@ def generalized_minfun(r: SymmetricConcaveFn, phi) -> SetFn:
     m = r.arity
     one = Fraction(1)
 
-    def over(value):
-        def fn(E: tuple):
-            vals = sorted(value(x) / factor for x in E)[:m]
-            vals.extend([one] * (m - len(vals)))
-            return r(tuple(vals))
+    def fn(C: tuple):
+        vals = sorted(phi.at_code(c) / factor for c in C)[:m]
+        vals.extend([one] * (m - len(vals)))
+        return r(tuple(vals))
 
-        return fn
-
-    fn, at_codes = _on_both(phi, over)
     return SetFn(
         name=f"gmin:{r.name}:{phi.name}",
         fn=fn,
         switch_invariant=True,
         superharmonic=phi.superharmonic,
         meta=(("r", r), ("phi", phi), ("normalization", factor)),
-        at_codes=at_codes,
     )
 
 

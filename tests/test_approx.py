@@ -35,7 +35,6 @@ from extamen.lamplighter import (
     apply_word,
     config,
     orbit_enumerate,
-    to_codes,
 )
 from extamen.minfn import (
     countable_sum,
@@ -145,38 +144,39 @@ def test_verifiers_match_their_reference_scans():
 
 
 def _set_functions():
-    """Every kind of registry set function, with whether it reads addresses
-    and the largest level it is verified at here."""
+    """Every kind of registry set function, with the largest level it is
+    verified at here."""
     phi_u = canonical_phi_u()
+    # no at_code given, so minfun reads the one VertexFn derives from fn
     plain_phi = VertexFn("plain_phi_u", phi_u.fn, superharmonic=True, max_at_p=True)
-    lamps = SetFn("lamps", fn=lambda E: Fraction(len(E) + 1, 1 + sum(x.exp for x in E)))
+    lamps = SetFn("lamps", fn=lambda C: Fraction(
+        len(C) + 1, 1 + sum(node.bit_length() + abs(m) for node, m in C)))
     return [
-        ("minfun:phi_u", resolve_setfn("minfun:phi_u"), True, 7),
-        ("minfun:phi:0", resolve_setfn("minfun:phi:0"), True, 7),
-        ("minfun:phi:2", resolve_setfn("minfun:phi:2"), True, 7),
-        ("gmin:kmean:2:3:phi_u", resolve_setfn("gmin:kmean:2:3:phi_u"), True, 7),
-        ("gmin:kmean:1:2:phi:1", resolve_setfn("gmin:kmean:1:2:phi:1"), True, 7),
-        ("sum:phi_family", resolve_setfn("sum:phi_family:eps=1/128"), True, 7),
+        ("minfun:phi_u", resolve_setfn("minfun:phi_u"), 7),
+        ("minfun:phi:0", resolve_setfn("minfun:phi:0"), 7),
+        ("minfun:phi:2", resolve_setfn("minfun:phi:2"), 7),
+        ("gmin:kmean:2:3:phi_u", resolve_setfn("gmin:kmean:2:3:phi_u"), 7),
+        ("gmin:kmean:1:2:phi:1", resolve_setfn("gmin:kmean:1:2:phi:1"), 7),
+        ("sum:phi_family", resolve_setfn("sum:phi_family:eps=1/128"), 7),
         # the generic countable sum: a family that is not phi_family itself
         ("sum:generic", countable_sum(lambda i: phi_family(i), Fraction(1, 16),
-                                      tail_bound=phi_family_tail_bound), True, 7),
+                                      tail_bound=phi_family_tail_bound), 7),
         ("markov_image", weighted_sum(
             [markov_image(minfun(phi_u), 1), minfun(phi_family(1))],
-            [Fraction(1), Fraction(1, 2)]), True, 4),
-        ("minfun:plain_phi_u", minfun(plain_phi), False, 7),
-        ("user", lamps, False, 7),
+            [Fraction(1), Fraction(1, 2)]), 4),
+        ("minfun:plain_phi_u", minfun(plain_phi), 7),
+        ("user", lamps, 7),
     ]
 
 
 SET_FUNCTIONS = _set_functions()
 
 
-@pytest.mark.parametrize("F, on_codes, top", [f[1:] for f in SET_FUNCTIONS],
+@pytest.mark.parametrize("F, top", [f[1:] for f in SET_FUNCTIONS],
                          ids=[f[0] for f in SET_FUNCTIONS])
-def test_verifiers_match_the_dyadic_path(F, on_codes, top):
+def test_verifiers_match_the_dyadic_path(F, top):
     # the orbit and the random words of the verifiers run on addresses; the
-    # reference scans run them on Dyadic configurations and call F.fn there
-    assert (F.at_codes is not None) == on_codes
+    # reference scans run them on Dyadic configurations and call F there
     cases = [(EMPTY, 5), ((ROOT,), 4), (config([dy(9, 4), hair_point(dy(11, 4), 3)]), 6),
              (explicit_En_hairs(3), 7)]
     for E, n in cases:
@@ -191,9 +191,6 @@ def test_verifiers_match_the_dyadic_path(F, on_codes, top):
         pairs = [(apply_word(E, word), word) for word in words]
         assert _fields(weak_verify(F, E, n, beta, samples=40, seed=n)) == _verify_reference(
             F, E, n, beta, "weak", pairs)
-        if on_codes:
-            for C in orbit:
-                assert F.at_codes(to_codes(C)) == F(C), C
 
 
 def test_golden_witness_vacant_path():
@@ -300,6 +297,12 @@ def test_construct_reads_the_kind_table():
     for kind, fn in (("bogus", None), ("bogus", "phi:0"), ("single", "phi:0,phi:1")):
         with pytest.raises(KeyError):
             construct(kind, 3, fn=fn)
+    # an option the kind does not read is refused, not ignored
+    with pytest.raises(ValueError, match="'countable' takes no fn"):
+        construct("countable", 3, fn="phi:0")
+    for kind in ("single", "sum", "countable"):
+        with pytest.raises(ValueError, match=f"'{kind}' takes no powers"):
+            construct(kind, 3, powers="1,1")
 
 
 def test_construct_requires_level_two():

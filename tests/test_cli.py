@@ -16,7 +16,6 @@ import extamen
 from extamen.approx import construct
 from extamen.cli import main, parse_set_spec
 from extamen.dyadic import Dyadic, ROOT
-from extamen.graph import set_orientation
 from extamen.lamplighter import parse_config
 
 
@@ -29,6 +28,13 @@ def test_exit_zero_on_pass(capsys):
     out = capsys.readouterr().out
     assert out.startswith("PASS")
     assert '"worst_deviation": "0"' in out
+
+
+def test_level_zero_verifies_under_inv_2n(capsys):
+    # the orbit of length <= 0 is the set itself; only inv_n needs n >= 1
+    argv = ["approx", "verify", "--fn", "minfun:phi_u", "--set", "explicit:3", "--n", "0"]
+    assert run(argv + ["--beta", "inv_2n"]) == 0
+    assert '"checked": 1' in capsys.readouterr().out
 
 
 def test_deep_hair_lamp_is_a_vertex(capsys):
@@ -119,6 +125,18 @@ def test_green_step_limit_exits_two(capsys, monkeypatch):
      "countable:0: constructions need n >= 2"),
     (["approx", "verify", "--fn", "minfun:phi_u", "--set", "explicit:0"],
      "explicit:0: need n >= 1"),
+    (["approx", "verify", "--fn", "minfun:phi_u", "--set", "explicit:3", "--n", "0"],
+     "--n must be >= 1 for --beta inv_n"),
+    (["approx", "verify", "--fn", "minfun:phi_u", "--set", "explicit:3", "--n", "0",
+      "--beta", "inv_2n", "--weak"], "--n must be >= 1 for --weak"),
+    (["approx", "construct", "--kind", "countable", "--n", "2", "--fn", "bogus:name"],
+     "construction kind 'countable' takes no fn"),
+    (["approx", "construct", "--kind", "sum", "--n", "2", "--powers", "junk"],
+     "construction kind 'sum' takes no powers"),
+    (["approx", "construct", "--kind", "single", "--n", "2", "--powers", "1,1"],
+     "construction kind 'single' takes no powers"),
+    (["fn", "check", "--fn", "gmin:kmean:1:100000:phi_u", "--n", "2"],
+     "kmean arity m = 100000 exceeds the bound 64"),
 ])
 def test_unusable_input_is_one_line(capsys, argv, message):
     assert run(argv) == 1
@@ -221,16 +239,6 @@ def test_cx_scan_command(capsys):
     assert '"max_witness_length": 2' in capsys.readouterr().out
 
 
-def test_orientation_flag_is_recorded(tmp_path):
-    out = tmp_path / "rl"
-    try:
-        assert run(["--orientation", "rl", "graph", "explore", "--n", "2", "--out", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["orientation"] == "rl"
-    finally:
-        set_orientation("lr")
-
-
 def test_parse_set_spec(tmp_path):
     assert parse_set_spec("explicit:2") == (Dyadic(5, 5), Dyadic(11, 6))
     assert parse_set_spec("p,3/4") == parse_config("5/2^3,3/2^2")
@@ -274,9 +282,6 @@ README_DIGESTS = [
      "94bb4f6c0b8b4ed6de8da38b7ddf76d9ed28b5c5d42319149e637d87472cce99", None),
     (["cx", "scan", "--trials", "500", "--seed", "7"],
      "4a176143507f850e87c7398b88cf1d61ba514790dbf3863cf4dfa2b23463f315", None),
-    (["--orientation", "rl", "graph", "explore", "--n", "4"],
-     "e7fa7658e361e92edcb91709fc5debaa2dd0e3a42d59e98f47af4ad4b9d3f92e",
-     "7a17b9d7ac0e7497c81928a6cc84565ce9431df900355b59375e36339a74440e"),
     # larger than the README commands; frozen from the Dyadic orbit, before
     # verification ran on structural addresses
     (["approx", "verify", "--fn", "sum:phi_family:eps=1e-6", "--set", "explicit:8", "--n", "8"],
@@ -289,10 +294,7 @@ README_DIGESTS = [
 @pytest.mark.parametrize("argv, report_sha, series_sha", README_DIGESTS,
                          ids=[" ".join(c[0]) for c in README_DIGESTS])
 def test_readme_commands_reproduce_frozen_digests(tmp_path, argv, report_sha, series_sha):
-    try:
-        assert run(argv + ["--out", str(tmp_path)]) == 0
-    finally:
-        set_orientation("lr")  # later test modules assume the default
+    assert run(argv + ["--out", str(tmp_path)]) == 0
     digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert digest("report.json") == report_sha
     if series_sha is None:

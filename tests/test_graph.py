@@ -18,18 +18,17 @@ from extamen.graph import (
     classify,
     code,
     folner_hair_segment,
-    get_orientation,
     golden_path,
     hair_point,
     neighbors,
     node_info,
-    set_orientation,
     struct_act,
     struct_info,
     subtree_T,
     vertex,
     vertex_at,
 )
+from extamen.harmonic import VertexFn, canonical_phi_u, phi_family
 
 
 def dy(num, exp):
@@ -155,7 +154,7 @@ def assert_local_rules(v):
     """
     addr = classify(v)
     image = {ch: classify(act_letter(ch, v)) for ch in EDGE_LABELS}
-    turn = {"a": "L", "b": "R"} if get_orientation() == "lr" else {"a": "R", "b": "L"}
+    turn = {"a": "L", "b": "R"}
     if isinstance(addr, Skeleton):
         p = addr.path
         assert image["a"] == Skeleton(p + (turn["a"],)), v
@@ -174,15 +173,10 @@ def assert_local_rules(v):
     assert steps == {inward, Hair(addr.base, addr.offset + 1)}, v
 
 
-@pytest.mark.parametrize("orientation", ["lr", "rl"])
-def test_classify_follows_local_rules_on_ball(orientation):
-    try:
-        set_orientation(orientation)
-        assert classify(ROOT) == Skeleton(())
-        for v in ball(ROOT, 12).vertices:
-            assert_local_rules(v)
-    finally:
-        set_orientation("lr")
+def test_classify_follows_local_rules_on_ball():
+    assert classify(ROOT) == Skeleton(())
+    for v in ball(ROOT, 12).vertices:
+        assert_local_rules(v)
 
 
 @st.composite
@@ -199,14 +193,10 @@ def deep_dyadics(draw, max_exp=400):
     return Dyadic(n, e)
 
 
-@given(deep_dyadics(), st.sampled_from(["lr", "rl"]))
+@given(deep_dyadics())
 @settings(max_examples=400, deadline=None)
-def test_classify_follows_local_rules_on_random_dyadics(v, orientation):
-    try:
-        set_orientation(orientation)
-        assert_local_rules(v)
-    finally:
-        set_orientation("lr")
+def test_classify_follows_local_rules_on_random_dyadics(v):
+    assert_local_rules(v)
 
 
 # Letter-walking oracles for the closed forms: each vertex is reached by one
@@ -214,7 +204,7 @@ def test_classify_follows_local_rules_on_random_dyadics(v, orientation):
 
 
 def walk_vertex_at(path):
-    letter = {"L": "a", "R": "b"} if get_orientation() == "lr" else {"L": "b", "R": "a"}
+    letter = {"L": "a", "R": "b"}
     cur = ROOT
     for turn in path:
         cur = act_letter(letter[turn], cur)
@@ -236,69 +226,83 @@ def walk_golden_path(i):
     return pts + [act_letter("b", pts[-1])]
 
 
-@pytest.mark.parametrize("orientation", ["lr", "rl"])
-def test_closed_forms_match_letter_walks(orientation):
+def test_closed_forms_match_letter_walks():
     """Skeleton depths up to 10; hair offsets up to 64 to depth 6, up to 4 below."""
-    turn = {"a": "L", "b": "R"} if orientation == "lr" else {"a": "R", "b": "L"}
-    set_orientation(orientation)
-    try:
-        for d in range(11):
-            for letters in product("ab", repeat=d):
-                base = act_word("".join(reversed(letters)), ROOT)
-                node = 1 << d | sum(1 << i for i, ch in enumerate(letters) if ch == "a")
-                path = tuple(turn[ch] for ch in letters)
-                assert vertex_at(path) == walk_vertex_at(path) == base == vertex(node), path
-                assert code(base) == (node, 0)
-                # the inverse of the last letter steps back up; the other walks the hair
-                aways = ("A", "B") if not d else ("B",) if letters[-1] == "a" else ("A",)
-                for away in aways:
-                    sign = 1 if away == "A" else -1
-                    for m, v in enumerate(walk_hair(base, away, 64 if d <= 6 else 4)):
-                        assert hair_point(base, m, root_hair=away) == v, (path, m)
-                        assert vertex(node, sign * m) == v and code(v) == (node, sign * m)
-        for i in range(11):
-            assert golden_path(i) == walk_golden_path(i)
-        for away in ("A", "B"):
-            assert folner_hair_segment(64, root_hair=away) == tuple(walk_hair(ROOT, away, 64)[1:])
-    finally:
-        set_orientation("lr")
+    turn = {"a": "L", "b": "R"}
+    for d in range(11):
+        for letters in product("ab", repeat=d):
+            base = act_word("".join(reversed(letters)), ROOT)
+            node = 1 << d | sum(1 << i for i, ch in enumerate(letters) if ch == "a")
+            path = tuple(turn[ch] for ch in letters)
+            assert vertex_at(path) == walk_vertex_at(path) == base == vertex(node), path
+            assert code(base) == (node, 0)
+            # the inverse of the last letter steps back up; the other walks the hair
+            aways = ("A", "B") if not d else ("B",) if letters[-1] == "a" else ("A",)
+            for away in aways:
+                sign = 1 if away == "A" else -1
+                for m, v in enumerate(walk_hair(base, away, 64 if d <= 6 else 4)):
+                    assert hair_point(base, m, root_hair=away) == v, (path, m)
+                    assert vertex(node, sign * m) == v and code(v) == (node, sign * m)
+    for i in range(11):
+        assert golden_path(i) == walk_golden_path(i)
+    for away in ("A", "B"):
+        assert folner_hair_segment(64, root_hair=away) == tuple(walk_hair(ROOT, away, 64)[1:])
 
 
-@pytest.mark.parametrize("orientation", ["lr", "rl"])
-def test_code_is_injective_and_inverted_by_vertex_on_ball(orientation):
-    set_orientation(orientation)
-    try:
-        verts = ball(ROOT, 12).vertices
-        codes = [code(v) for v in verts]
-        assert len(set(codes)) == len(verts) == 16_381
-        for v, (node, m) in zip(verts, codes):
-            assert vertex(node, m) == v
-            # classify forgets only the sign of m
-            addr = classify(v)
-            assert addr == (Hair(addr.base, abs(m)) if m else Skeleton(addr.path))
-            assert (m > 0) == (v <= dy(1, 1)) and (m < 0) == (v >= dy(3, 2))
-    finally:
-        set_orientation("lr")
+def test_code_is_injective_and_inverted_by_vertex_on_ball():
+    verts = ball(ROOT, 12).vertices
+    codes = [code(v) for v in verts]
+    assert len(set(codes)) == len(verts) == 16_381
+    for v, (node, m) in zip(verts, codes):
+        assert vertex(node, m) == v
+        # classify forgets only the sign of m
+        addr = classify(v)
+        assert addr == (Hair(addr.base, abs(m)) if m else Skeleton(addr.path))
+        assert (m > 0) == (v <= dy(1, 1)) and (m < 0) == (v >= dy(3, 2))
 
 
-@pytest.mark.parametrize("orientation", ["lr", "rl"])
-def test_struct_act_and_node_info_match_the_dyadic_action_on_ball(orientation):
-    set_orientation(orientation)
-    try:
-        assert code(ROOT) == ROOT_CODE
-        for v in ball(ROOT, 12).vertices:
-            c = code(v)
-            assert node_info(c[0]) == struct_info(v), v
-            for ch in EDGE_LABELS:
-                assert struct_act(ch, c) == code(act_letter(ch, v)), (v, ch)
-    finally:
-        set_orientation("lr")
+def test_struct_act_and_node_info_match_the_dyadic_action_on_ball():
+    assert code(ROOT) == ROOT_CODE
+    for v in ball(ROOT, 12).vertices:
+        c = code(v)
+        assert node_info(c[0]) == struct_info(v), v
+        for ch in EDGE_LABELS:
+            assert struct_act(ch, c) == code(act_letter(ch, v)), (v, ch)
 
 
 @given(deep_dyadics(), st.sampled_from(EDGE_LABELS))
 @settings(max_examples=400, deadline=None)
 def test_struct_act_matches_act_letter_on_random_dyadics(v, ch):
     assert struct_act(ch, code(v)) == code(act_letter(ch, v))
+
+
+# the bundled vertex functions read a vertex two ways, fn on the Dyadic and
+# at_code on its address; both must give one value
+PHIS = [canonical_phi_u()] + [phi_family(i) for i in range(9)]
+
+
+def test_at_code_matches_fn_on_ball():
+    verts = ball(ROOT, 12).vertices
+    codes = [code(v) for v in verts]
+    for phi in PHIS:
+        assert list(map(phi.at_code, codes)) == list(map(phi.fn, verts)), phi.name
+
+
+@given(deep_dyadics())
+@settings(max_examples=400, deadline=None)
+def test_at_code_matches_fn_on_random_dyadics(v):
+    c = code(v)
+    for phi in PHIS:
+        assert phi.at_code(c) == phi.fn(v), phi.name
+
+
+def test_vertex_fn_without_at_code_reads_fn_at_the_vertex():
+    value = lambda v: Fraction(v.num, 1 << v.exp)
+    phi = VertexFn("value", value)
+    for v in ball(ROOT, 6).vertices:
+        assert phi.at_code(code(v)) == value(v), v
+    zero = lambda c: Fraction(0)
+    assert VertexFn("value", value, at_code=zero).at_code is zero
 
 
 def test_struct_act_rejects_unknown_letters():
@@ -394,35 +398,6 @@ def test_struct_info_digests():
     assert struct_info(dy(13, 4)) == struct_info(dy(11, 4))
 
 
-def test_struct_info_digests_rl():
-    # frozen from the probing classifier that the closed form replaced
-    frozen = {
-        # skeleton vertices
-        dy(5, 3): (0, False, 0),
-        dy(9, 4): (1, False, 1),
-        dy(11, 4): (0, True, 1),
-        dy(17, 5): (2, False, 2),
-        dy(39, 6): (0, True, 3),
-        dy(41, 6): (2, True, 3),
-        dy(33, 6): (3, False, 3),
-        dy(73, 7): (2, True, 4),
-        # hair points on both sides of the skeleton, the root's two included
-        dy(1, 3): (0, False, 0),
-        dy(15, 4): (0, False, 0),
-        dy(49, 6): (2, True, 3),
-        dy(497, 9): (2, True, 3),
-        dy(9, 5): (3, False, 3),
-        dy(9, 8): (3, False, 3),
-        dy(53, 6): (1, True, 3),
-        dy(11, 8): (0, True, 3),
-    }
-    try:
-        set_orientation("rl")
-        assert {v: struct_info(v) for v in frozen} == frozen
-    finally:
-        set_orientation("lr")
-
-
 def test_subtree_membership():
     assert subtree_T(0, dy(9, 4))
     assert subtree_T(1, act_word("ba", ROOT))
@@ -443,19 +418,6 @@ def test_folner_segment_ratio_exact():
 def test_skeleton_sets_have_fat_boundary():
     verts = [v for v in ball(ROOT, 4).vertices if isinstance(classify(v), Skeleton)]
     assert boundary_ratio(verts) >= Fraction(1, 4)
-
-
-def test_orientation_swap():
-    assert get_orientation() == "lr"
-    try:
-        set_orientation("rl")
-        assert vertex_at(("L",)) == dy(9, 4)
-        assert classify(dy(11, 4)) == Skeleton(("R",))
-    finally:
-        set_orientation("lr")
-    assert classify(dy(11, 4)) == Skeleton(("L",))
-    with pytest.raises(ValueError):
-        set_orientation("diagonal")
 
 
 def test_ball_json_shape():
@@ -479,21 +441,16 @@ def test_ball_json_edges_match_brute_force(r):
     assert B.to_json()["edges"] == brute
 
 
-@pytest.mark.parametrize("orientation", ["lr", "rl"])
-def test_ball_neighbor_index(orientation):
-    set_orientation(orientation)
-    try:
-        for center in (ROOT, hair_point(vertex_at("R"), 3)):
-            for r in range(8):
-                B = ball(center, r)
-                assert "neighbor_index" not in vars(B)  # built on first use only
-                index = B.neighbor_index
-                assert B.neighbor_index is index
-                interior = B.interior()
-                assert len(index) == 4 * len(interior)
-                assert list(B.vertices[: len(interior)]) == interior
-                for i, v in enumerate(interior):
-                    got = [B.vertices[j] for j in index[4 * i : 4 * i + 4]]
-                    assert got == [act_letter(ch, v) for ch in EDGE_LABELS], v
-    finally:
-        set_orientation("lr")
+def test_ball_neighbor_index():
+    for center in (ROOT, hair_point(vertex_at("R"), 3)):
+        for r in range(8):
+            B = ball(center, r)
+            assert "neighbor_index" not in vars(B)  # built on first use only
+            index = B.neighbor_index
+            assert B.neighbor_index is index
+            interior = B.interior()
+            assert len(index) == 4 * len(interior)
+            assert list(B.vertices[: len(interior)]) == interior
+            for i, v in enumerate(interior):
+                got = [B.vertices[j] for j in index[4 * i : 4 * i + 4]]
+                assert got == [act_letter(ch, v) for ch in EDGE_LABELS], v

@@ -12,7 +12,6 @@ from extamen.graph import (
     classify,
     golden_path,
     hair_point,
-    set_orientation,
     struct_info,
     vertex_at,
 )
@@ -243,19 +242,14 @@ def _sweep_cases():
     return cases
 
 
-@pytest.mark.parametrize("orientation", ["lr", "rl"])
-def test_sweep_matches_reference(orientation):
-    set_orientation(orientation)
-    try:
-        for center in (ROOT, hair_point(vertex_at("L"), 2)):
-            for r in range(9):
-                shared = ball(center, r)
-                for phi, tol in _sweep_cases():
-                    want = _sweep_reference(phi, shared, tol)
-                    _identical(is_superharmonic_on(phi, shared, tol), want)
-                    _identical(is_superharmonic_on(phi, ball(center, r), tol), want)
-    finally:
-        set_orientation("lr")
+def test_sweep_matches_reference():
+    for center in (ROOT, hair_point(vertex_at("L"), 2)):
+        for r in range(9):
+            shared = ball(center, r)
+            for phi, tol in _sweep_cases():
+                want = _sweep_reference(phi, shared, tol)
+                _identical(is_superharmonic_on(phi, shared, tol), want)
+                _identical(is_superharmonic_on(phi, ball(center, r), tol), want)
 
 
 def test_sweep_cases_cover_violations_and_value_types():

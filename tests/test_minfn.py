@@ -205,6 +205,9 @@ def test_kmean_family_self_tests():
         r.ensure_tested(probes=300)
     with pytest.raises(ValueError):
         r_family_kmean(3, 2)
+    assert r_family_kmean(1, 64).arity == 64
+    with pytest.raises(ValueError, match="exceeds the bound 64"):
+        r_family_kmean(1, 65)
 
 
 def test_kmean_values():

@@ -16,7 +16,6 @@ from extamen.graph import (
     ball,
     evolve,
     hair_point,
-    set_orientation,
     transition_series,
     vertex,
     vertex_at,
@@ -365,18 +364,6 @@ def test_structural_walk_root_lamp_under_B_parks_on_B_hair():
     assert st.to_config() == (ROOT,)
 
 
-def test_structural_walk_matches_explicit_in_rl_orientation():
-    word = "sasbsAbBsbbAsaB"
-    set_orientation("rl")
-    try:
-        st = StructuralLampWalk()
-        for ch in word:
-            st.step(ch)
-        assert st.to_config() == apply_word(EMPTY, word[::-1])
-    finally:
-        set_orientation("lr")
-
-
 def test_structural_walk_matches_explicit():
     F = minfun(canonical_phi_u())
     for trial in range(8):
@@ -554,45 +541,35 @@ class SentinelLampWalk:
         return config(pts)
 
 
-@pytest.mark.parametrize("orientation", ["lr", "rl"])
-def test_structural_walk_matches_sentinel_oracle(orientation):
-    set_orientation(orientation)
-    try:
-        for trial in range(4):
-            rng = random.Random(4200 + trial)
-            st, ref = StructuralLampWalk(), SentinelLampWalk()
-            for t in range(1, 10_001):
-                ch = LAMP_LETTERS[rng.randrange(5)]
-                st.step(ch)
-                ref.step(ch)
-                assert st._k_parts() == ref._k_parts(), f"trial {trial} step {t}"
-                assert st.supermartingale_margin_ok() == ref.supermartingale_margin_ok()
-                assert st.lamp_count() == ref.lamp_count()
-                # rebuilding configurations costs in the offsets of hair
-                # lamps, so deep states are compared only at the end
-                if t % 25 == 0 and t <= 1000 or t == 10_000:
-                    assert sorted(_lamp_codes(st.root)) == sorted(map(graph_node, ref.sk))
-                    assert st.to_config() == ref.to_config(), f"trial {trial} step {t}"
-                    assert st.cnt == ref.cnt
-                    for side in (0, 1):
-                        got = [(key, trie[4]) for key, trie, _, _ in st.parked[side][1:]]
-                        assert got == sorted((key, len(b)) for key, b in ref.bkt[side].items())
-    finally:
-        set_orientation("lr")
+def test_structural_walk_matches_sentinel_oracle():
+    for trial in range(4):
+        rng = random.Random(4200 + trial)
+        st, ref = StructuralLampWalk(), SentinelLampWalk()
+        for t in range(1, 10_001):
+            ch = LAMP_LETTERS[rng.randrange(5)]
+            st.step(ch)
+            ref.step(ch)
+            assert st._k_parts() == ref._k_parts(), f"trial {trial} step {t}"
+            assert st.supermartingale_margin_ok() == ref.supermartingale_margin_ok()
+            assert st.lamp_count() == ref.lamp_count()
+            # rebuilding configurations costs in the offsets of hair
+            # lamps, so deep states are compared only at the end
+            if t % 25 == 0 and t <= 1000 or t == 10_000:
+                assert sorted(_lamp_codes(st.root)) == sorted(map(graph_node, ref.sk))
+                assert st.to_config() == ref.to_config(), f"trial {trial} step {t}"
+                assert st.cnt == ref.cnt
+                for side in (0, 1):
+                    got = [(key, trie[4]) for key, trie, _, _ in st.parked[side][1:]]
+                    assert got == sorted((key, len(b)) for key, b in ref.bkt[side].items())
 
 
-@pytest.mark.parametrize("orientation", ["lr", "rl"])
 @given(word=strategies.text(alphabet="aAbBs", max_size=40))
 @settings(max_examples=60, deadline=None)
-def test_structural_walk_config_equals_apply_word(orientation, word):
-    set_orientation(orientation)
-    try:
-        st = StructuralLampWalk()
-        for ch in word:
-            st.step(ch)
-        assert st.to_config() == apply_word(EMPTY, word[::-1])
-    finally:
-        set_orientation("lr")
+def test_structural_walk_config_equals_apply_word(word):
+    st = StructuralLampWalk()
+    for ch in word:
+        st.step(ch)
+    assert st.to_config() == apply_word(EMPTY, word[::-1])
 
 
 def test_decay_experiment_fast_path():
