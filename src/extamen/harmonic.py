@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 from .dyadic import Dyadic, ROOT
@@ -57,6 +57,11 @@ def pow2(k: int) -> Fraction:
     return Fraction(1 << k) if k >= 0 else Fraction(1, 1 << -k)
 
 
+def _fn_at_code(fn, c: tuple[int, int]):
+    """fn at the vertex with address c: the at_code a VertexFn derives."""
+    return fn(vertex(*c))
+
+
 @dataclass(frozen=True)
 class VertexFn:
     """Evaluatable function on vertices plus its claimed properties.
@@ -66,7 +71,8 @@ class VertexFn:
     tree levels (which is hopeless once the needed depth passes ~20) and
     always re-check the returned value.  at_code gives the value at a vertex
     from its graph.code address; when none is given it is fn at the vertex
-    the address names.
+    the address names, derived again whenever the VertexFn is rebuilt (so
+    dataclasses.replace with a new fn never keeps the old one's values).
     """
 
     name: str
@@ -79,9 +85,9 @@ class VertexFn:
     at_code: Optional[Callable[[tuple[int, int]], Fraction]] = None
 
     def __post_init__(self):
-        if self.at_code is None:
-            fn = self.fn
-            object.__setattr__(self, "at_code", lambda c: fn(vertex(*c)))
+        at_code = self.at_code
+        if at_code is None or isinstance(at_code, partial) and at_code.func is _fn_at_code:
+            object.__setattr__(self, "at_code", partial(_fn_at_code, self.fn))
 
     def __call__(self, v: Dyadic):
         return self.fn(v)

@@ -1,17 +1,18 @@
 """Random-walk statistics on the labeled graph and on lamp configurations.
 
-Exact return probabilities at the root go through a depth/offset lumping of
-the four-letter walk: all skeleton vertices of one depth act alike, as do all
-hair vertices of one (depth, offset), so the chain on those pairs reproduces
-the root return probabilities with a state space that grows quadratically in
-the horizon instead of exponentially.  Other exact n-step probabilities
-evolve the full distribution on graph.code addresses by graph.struct_act,
-converting the Dyadic endpoints on entry.  Monte Carlo runs vectorize the
-lumped chain.  Long lamp trajectories use a structural state that keeps the
-skeleton lamps in a persistent trie over their turns, read from the last turn
-back, and parks hair-bound lamps in per-side stacks, so every step costs O(1)
-time and memory grows with the lamps and their depths, not with the nodes the
-walk has visited.
+Exact return probabilities and first-return masses at the root are the
+coefficients of the first-passage generating functions of the tree with
+hairs, read off by integer recurrences in O(N^2) operations on N terms.
+Other exact n-step probabilities meet in the middle: the walk is symmetric,
+so P^t(x, y) is a dot product of path counts evolved by graph.struct_act for
+about t/2 steps from each end on graph.code addresses, converting the Dyadic
+endpoints on entry.  Monte Carlo runs vectorize a depth/offset lumping of the
+four-letter walk: all skeleton vertices of one depth act alike, as do all
+hair vertices of one (depth, offset).  Long lamp trajectories use a
+structural state that keeps the skeleton lamps in a persistent trie over
+their turns, read from the last turn back, and parks hair-bound lamps in
+per-side stacks, so every step costs O(1) time and memory grows with the
+lamps and their depths, not with the nodes the walk has visited.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Iterable, Optional, Sequence
 
 from .dyadic import Dyadic, ROOT
 from .errors import CapExceeded, PreconditionFailed
-from .graph import EDGE_LABELS, ball, code, struct_act, transition_series, vertex
+from .graph import EDGE_LABELS, ball, code, evolve, struct_act, transition_series, vertex
 from .harmonic import canonical_phi_u, is_superharmonic_on, markov_apply_X, pow2
 from .lamplighter import (
     LAMP_LETTERS,
@@ -65,6 +67,7 @@ _ZERO = Fraction(0)
 # A state is (u, m): depth u on the skeleton when m == 0, else offset m out
 # on a hair based at depth u.  Each of the four letters moves every state of
 # a lumped class alike, so the lumped walk is a uniform walk in its own right.
+# green_mc simulates it; the exact root series below count its paths.
 
 LUMPED_LETTERS = (0, 1, 2, 3)
 
@@ -86,15 +89,84 @@ def _lumped_act(r: int, state: tuple[int, int]) -> tuple[int, int]:
     return state
 
 
+# ---------------------------------------------------------------------------
+# exact series
+#
+# At the root, first passage on the tree with hairs (Woess, Random Walks on
+# Infinite Graphs and Groups, 2000).  With z marking a step:
+#   H, hair offset m + 1 to m:        H = z/4 + zH/2 + zH^2/4;
+#   S, skeleton depth u + 1 to u:     S = z/4 + zS^2/2 + zHS/4;
+#   U, first return to the root:      U = z(S + H)/2;
+#   G, visits to the root:            G = 1/(1 - U).
+# Scaled by 4^n their coefficients are integers, counts of four-letter words,
+# read off by coefficient recurrences (Flajolet and Sedgewick, Analytic
+# Combinatorics, 2009).  At z = 1, H = 1, S = 1/2, U = 3/4 and G = 4.
+
+
+def _root_counts(N: int) -> tuple[list[int], list[int]]:
+    """g_n = 4^n P^n(root, root) and u_n = 4^n f_n, f_n the first-return
+    mass, for n = 0..N."""
+    if N < 0:
+        raise ValueError("n must be >= 0")
+    h, s, w = [0] * N, [0] * N, [0] * N  # h_0 = s_0 = 0, w_n = 2 s_n + h_n
+    u, g = [0] * (N + 1), [1] + [0] * N
+    for n in range(1, N + 1):
+        u[n] = 2 * (s[n - 1] + h[n - 1])
+        g[n] = sum(map(mul, u[1 : n + 1], g[n - 1 :: -1]))
+        if n < N:
+            # convolutions over i + j = n - 1 with i, j >= 1
+            rev = slice(n - 2, 0, -1)
+            h[n] = (n == 1) + 2 * h[n - 1] + sum(map(mul, h[1 : n - 1], h[rev]))
+            s[n] = (n == 1) + sum(map(mul, w[1 : n - 1], s[rev]))
+            w[n] = 2 * s[n] + h[n]
+    return g, u
+
+
+def _count_layers(start, steps: int, cap: Optional[int]) -> list[dict]:
+    """Path counts of the four-letter walk on code addresses from start,
+    after 0..steps steps."""
+    layers = [{start: 1}]
+    for _ in range(steps):
+        layers.append(evolve(layers[-1], EDGE_LABELS, struct_act, cap))
+    assert sum(layers[-1].values()) == 4**steps, "path counts must sum to 4**steps"
+    return layers
+
+
+def _halves(x: Dyadic, y: Dyadic, N: int, cap: Optional[int]) -> tuple[list[dict], list[dict]]:
+    """Path counts from code(x) after 0..ceil(N/2) steps and from code(y)
+    after 0..floor(N/2), cap bounding each half's support.
+
+    The letters aAbB are closed under inversion, so P is symmetric and
+    4^t P^t(x, y) = _meet(c_a(x), c_b(y)) for any a + b = t, c_k being the
+    k-step path counts.
+    """
+    cx, cy = code(x), code(y)
+    if N < 0:
+        raise ValueError("n must be >= 0")
+    return _count_layers(cx, (N + 1) // 2, cap), _count_layers(cy, N // 2, cap)
+
+
+def _meet(p: dict, q: dict) -> int:
+    """The number of paths through the middle: sum of p[z] q[z]."""
+    return sum(p[z] * q[z] for z in p.keys() & q.keys())
+
+
+def _scaled(counts: Sequence[int]) -> list[Fraction]:
+    """The probabilities counts[t] / 4^t."""
+    return [Fraction(c, 1 << 2 * t) for t, c in enumerate(counts)]
+
+
 def lumped_return_series(N: int) -> list[Fraction]:
-    """P^n(root, root) for n = 0..N via the depth/offset lumping."""
-    return transition_series((0, 0), (0, 0), N, LUMPED_LETTERS, _lumped_act)
+    """P^n(root, root) for n = 0..N from the first-passage recurrences."""
+    return _scaled(_root_counts(N)[0])
 
 
 def pn_exact(x: Dyadic, y: Dyadic, n: int, cap: int = 200_000) -> Fraction:
-    """Exact n-step probability from x to y, evolving the full distribution;
-    ValueError when x or y is not a vertex."""
-    return transition_series(code(x), code(y), n, EDGE_LABELS, struct_act, cap)[-1]
+    """Exact n-step probability from x to y, meeting in the middle: path
+    counts from each end for half the steps, cap bounding each half's
+    support (CapExceeded beyond it); ValueError when x or y is not a vertex."""
+    fwd, bwd = _halves(x, y, n, cap)
+    return Fraction(_meet(fwd[-1], bwd[-1]), 1 << 2 * n)
 
 
 def power_partial_sums(series: Sequence[Fraction], r: Fraction) -> list[Fraction]:
@@ -105,15 +177,16 @@ def power_partial_sums(series: Sequence[Fraction], r: Fraction) -> list[Fraction
 def green_partial(x: Dyadic, y: Dyadic, r: Fraction, N: int, cap: int = 200_000):
     """Partial Green sum: p_n(x,y) r^n over n = 0..N.
 
-    The root-to-root case runs on the lumped chain; other pairs evolve the
-    full distribution once and read off the y-mass each step (ValueError
-    when x or y is not a vertex).
+    The root-to-root case reads the first-passage recurrences; other pairs
+    meet in the middle as pn_exact does, with cap bounding each half's
+    support (ValueError when x or y is not a vertex).
     """
     if x == ROOT and y == ROOT:
-        series = lumped_return_series(N)
+        counts = _root_counts(N)[0]
     else:
-        series = transition_series(code(x), code(y), N, EDGE_LABELS, struct_act, cap)
-    return power_partial_sums(series, r)[-1]
+        fwd, bwd = _halves(x, y, N, cap)
+        counts = [_meet(fwd[(t + 1) // 2], bwd[t // 2]) for t in range(N + 1)]
+    return power_partial_sums(_scaled(counts), r)[-1]
 
 
 @dataclass
@@ -216,11 +289,9 @@ class ReturnReport:
 
 
 def return_prob(N: int) -> ReturnReport:
-    """First-return mass at the root through time N, by the renewal identity."""
-    u = lumped_return_series(N)
-    f = [_ZERO] * (N + 1)
-    for n in range(1, N + 1):
-        f[n] = u[n] - sum(f[k] * u[n - k] for k in range(1, n))
+    """First-return mass at the root through time N, the coefficients of U
+    from the first-passage recurrences."""
+    f = _scaled(_root_counts(N)[1])
     return ReturnReport(N=N, first_return=f, partials=list(accumulate(f)))
 
 

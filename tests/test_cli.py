@@ -137,6 +137,9 @@ def test_green_step_limit_exits_two(capsys, monkeypatch):
      "construction kind 'single' takes no powers"),
     (["fn", "check", "--fn", "gmin:kmean:1:100000:phi_u", "--n", "2"],
      "kmean arity m = 100000 exceeds the bound 64"),
+    (["walk", "return", "--n", "-1"], "--n must be >= 0, got -1"),
+    (["walk", "green", "--n", "-1"], "--n must be >= 0, got -1"),
+    (["walk", "green", "--n", "-1", "--r", "1/2"], "--n must be >= 0, got -1"),
 ])
 def test_unusable_input_is_one_line(capsys, argv, message):
     assert run(argv) == 1

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -303,6 +304,17 @@ def test_vertex_fn_without_at_code_reads_fn_at_the_vertex():
         assert phi.at_code(code(v)) == value(v), v
     zero = lambda c: Fraction(0)
     assert VertexFn("value", value, at_code=zero).at_code is zero
+
+
+def test_replacing_fn_derives_at_code_again():
+    one = VertexFn("one", lambda v: Fraction(1))
+    two = replace(one, fn=lambda v: Fraction(2))
+    assert two(ROOT) == two.at_code(ROOT_CODE) == 2
+    assert one.at_code(ROOT_CODE) == 1
+    # a given at_code is the caller's and survives replace
+    zero = lambda c: Fraction(0)
+    assert replace(VertexFn("one", one.fn, at_code=zero), name="z").at_code is zero
+    assert replace(VertexFn("one", one.fn, at_code=zero), fn=two.fn).at_code is zero
 
 
 def test_struct_act_rejects_unknown_letters():

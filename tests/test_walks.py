@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -14,8 +14,10 @@ from extamen.graph import (
     act_letter,
     act_word,
     ball,
+    code,
     evolve,
     hair_point,
+    struct_act,
     transition_series,
     vertex,
     vertex_at,
@@ -144,17 +146,26 @@ def test_green_partials_monotone_below_four():
         prev = g
 
 
-def _taboo_first_return(N):
-    # push path counts through the lumped chain, removing any that reach the root
-    counts = {(0, 0): 1}
+def _first_passage(start, target, N):
+    # [P(first visit to target at step t)] for t = 0..N: push path counts
+    # through the lumped chain, removing any that reach the target
+    counts = {start: 1}
     f = [Fraction(0)]
     for t in range(1, N + 1):
         counts = evolve(counts, LUMPED_LETTERS, _lumped_act)
-        f.append(Fraction(counts.pop((0, 0), 0), 4**t))
+        f.append(Fraction(counts.pop(target, 0), 4**t))
     return f
 
 
+def _taboo_first_return(N):
+    return _first_passage((0, 0), (0, 0), N)
+
+
 def test_return_prob_matches_taboo_walk():
+    for N in (0, 1, 2, 30):
+        rep = return_prob(N)
+        assert rep.first_return == _taboo_first_return(N), N
+        assert rep.partials == list(accumulate(rep.first_return)), N
     rep = return_prob(12)
     assert rep.first_return == _taboo_first_return(12)
     assert rep.first_return[1] == 0
@@ -167,6 +178,104 @@ def test_return_partials_monotone_below_three_quarters():
     assert all(x <= y for x, y in zip(rep.partials, rep.partials[1:]))
     assert rep.partials[-1] < Fraction(3, 4)
     assert rep.total == Fraction(9798632157, 17179869184)
+
+
+def _lumped_dp(N):
+    # the depth/offset lumping pushed through N steps: O(N^2) states
+    return transition_series((0, 0), (0, 0), N, LUMPED_LETTERS, _lumped_act)
+
+
+@pytest.mark.parametrize("N", [*range(41), 120])
+def test_root_recurrences_equal_the_lumped_dp(N):
+    assert lumped_return_series(N) == _lumped_dp(N)
+
+
+def _times(a, b):
+    # the product of two power series, truncated to the length of a
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a))]
+
+
+def test_first_passage_series_satisfy_the_quadratic_equations():
+    # coefficient by coefficient, on series drawn from the lumped chain
+    N = 24
+    z = [Fraction(0), Fraction(1)] + [Fraction(0)] * (N - 1)
+    H = _first_passage((1, 1), (1, 0), N)  # hair offset 1 to its base
+    S = _first_passage((1, 0), (0, 0), N)  # skeleton depth 1 to the root
+    U = return_prob(N).first_return
+    G = lumped_return_series(N)
+    q = Fraction(1, 4)
+    assert H == [q * a + 2 * q * b + q * c for a, b, c in
+                 zip(z, _times(z, H), _times(z, _times(H, H)))]
+    assert S == [q * a + 2 * q * b + q * c for a, b, c in
+                 zip(z, _times(z, _times(S, S)), _times(z, _times(H, S)))]
+    assert U == [Fraction(1, 2) * c for c in _times(z, [a + b for a, b in zip(S, H)])]
+    assert _times(G, [1 - U[0]] + [-c for c in U[1:]]) == [1] + [0] * N
+
+
+def _one_sided(x, y, N):
+    # the full distribution from x pushed through N steps on addresses
+    return transition_series(code(x), code(y), N, EDGE_LABELS, struct_act)
+
+
+def _meet_pairs():
+    rng = random.Random(14)
+    near = ball(ROOT, 4).vertices
+    root_hairs = [vertex(1, 1), vertex(1, -1)]
+    ends = [hair_point(vertex_at("LR"), 3), hair_point(vertex_at("RRL"), 4), vertex(1, 5)]
+    pairs = [(ROOT, ROOT), (ROOT, root_hairs[0]), (root_hairs[0], root_hairs[1]),
+             (root_hairs[1], root_hairs[1]), (ends[0], ends[0]), (ends[1], ROOT),
+             (root_hairs[0], ends[2]), (ends[2], ends[0])]
+    for _ in range(10):
+        x = rng.choice(near)
+        pairs.append((x, x if rng.random() < 0.2 else rng.choice(near)))
+    return pairs
+
+
+@pytest.mark.parametrize("x, y", _meet_pairs())
+def test_meet_in_the_middle_equals_the_one_sided_walk(x, y):
+    series = _one_sided(x, y, 9)
+    for n in range(10):
+        assert pn_exact(x, y, n) == series[n], n
+        r = Fraction(2, 3)
+        assert green_partial(x, y, r, n) == power_partial_sums(series[: n + 1], r)[-1], n
+
+
+def test_pn_exact_caps_each_half():
+    # from x 2 steps, from y 1 step: the cap bounds the larger half's support,
+    # far below the support the one-sided walk reaches in 3 steps
+    x, y = vertex_at("LR"), hair_point(vertex_at("R"), 2)
+    half = max(len(evolve(evolve({code(x): 1}, EDGE_LABELS, struct_act), EDGE_LABELS, struct_act)),
+               len(evolve({code(y): 1}, EDGE_LABELS, struct_act)))
+    want = _one_sided(x, y, 3)[-1]
+    assert pn_exact(x, y, 3, cap=half) == want
+    assert green_partial(x, y, Fraction(1), 3, cap=half) == sum(_one_sided(x, y, 3))
+    with pytest.raises(CapExceeded):
+        pn_exact(x, y, 3, cap=half - 1)
+    with pytest.raises(CapExceeded):
+        green_partial(x, y, Fraction(1), 3, cap=half - 1)
+    with pytest.raises(CapExceeded):
+        transition_series(code(x), code(y), 3, EDGE_LABELS, struct_act, cap=half)
+    # n = 0 takes no step, so no cap is reached
+    assert pn_exact(x, x, 0, cap=0) == 1
+
+
+def test_exact_series_refuse_negative_n():
+    for call in (
+        lambda: lumped_return_series(-1),
+        lambda: return_prob(-1),
+        lambda: pn_exact(ROOT, ROOT, -1),
+        lambda: pn_exact(ROOT, vertex(1, 1), -1),
+        lambda: green_partial(ROOT, ROOT, Fraction(1, 2), -1),
+        lambda: green_partial(vertex(1, 1), ROOT, Fraction(1, 2), -1),
+    ):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            call()
+    # a non-vertex endpoint is named before the horizon
+    for bad in (ZERO, ONE):
+        with pytest.raises(ValueError, match="not a vertex"):
+            pn_exact(bad, ROOT, -1)
+        with pytest.raises(ValueError, match="not a vertex"):
+            green_partial(ROOT, bad, Fraction(1, 2), -1)
 
 
 def test_green_mc_replays():
@@ -271,6 +380,8 @@ def test_green_mc_matches_exact_visit_count(seed):
 def test_spectral_proxies():
     x = spectral_radius_proxy(10, mode="X")
     assert 0.5 <= x < 1
+    dp = _lumped_dp(60)
+    assert spectral_radius_proxy(60) == max(float(dp[k]) ** (1.0 / k) for k in range(2, 61, 2))
     lamp = spectral_radius_proxy(4, mode="lamp")
     assert 0 < lamp < 1
     with pytest.raises(ValueError):
