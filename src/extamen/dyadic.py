@@ -5,12 +5,16 @@ The maps form the group generated by two bundled homeomorphisms g0, g1 of
 The working generating pair is a = g1 (g0 inverse) and b = g1, with words
 acting right to left (the rightmost letter is applied first).
 
-All arithmetic is exact; nothing here touches floats.
+All arithmetic is exact; nothing here touches floats.  A PLMap keeps its
+pieces in integer coordinates over one power-of-two denominator, so
+composing, inverting and applying it to a Dyadic are integer shifts and
+sums; composition is one linear merge of the two maps' pieces.  Fraction
+appears only at apply_fraction, which takes any rational in [0,1].
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -107,6 +111,14 @@ def parse_dyadic(s: str) -> Dyadic:
     return Dyadic.from_fraction(Fraction(int(s)))
 
 
+def _dyadic(num: int, exp: int) -> Dyadic:
+    """Dyadic(num, exp) with the trailing zeros of num stripped in one shift."""
+    if num:
+        tz = min((num & -num).bit_length() - 1, exp)
+        return Dyadic(num >> tz, exp - tz)
+    return ZERO
+
+
 @dataclass(frozen=True, eq=True)
 class PLMap:
     """Increasing piecewise-linear bijection of [0,1].
@@ -115,13 +127,18 @@ class PLMap:
     2**slopes[i]; offsets are implied by continuity from f(0) = 0.
     Canonical form has no two adjacent pieces with the same slope, which
     makes dataclass equality the right group-element equality.
+
+    The pieces are also kept in integer coordinates over one power-of-two
+    denominator 2**_exp: breakpoint i is _x[i] / 2**_exp and its image
+    _y[i] / 2**_exp.  They are derived from the compared fields, so they
+    stay out of equality, hash and repr.
     """
 
     breakpoints: tuple[Dyadic, ...]
     slopes: tuple[int, ...]
-    # the values of the breakpoints and of their images, computed once per map
-    _values: tuple[Fraction, ...] = field(init=False, repr=False, compare=False, default=())
-    _images: tuple[Fraction, ...] = field(init=False, repr=False, compare=False, default=())
+    _exp: int = field(init=False, repr=False, compare=False, default=0)
+    _x: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
+    _y: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         bps, slopes = self.breakpoints, self.slopes
@@ -129,19 +146,23 @@ class PLMap:
             raise ValueError("breakpoints must run from 0 to 1")
         if len(slopes) != len(bps) - 1:
             raise ValueError("need one slope per piece")
-        if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)):
+        # room below the finest breakpoint for the steepest shrinking slope,
+        # so that every image is an integer too
+        E = max(b.exp for b in bps) - min(0, *slopes)
+        xs = tuple(b.num << (E - b.exp) for b in bps)
+        if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
             raise ValueError("breakpoints must be strictly ascending")
         if any(slopes[i] == slopes[i + 1] for i in range(len(slopes) - 1)):
             raise ValueError("not canonical: adjacent pieces share a slope")
-        values = tuple(b.value for b in bps)
-        images = [Fraction(0)]
+        ys = [0]
         for i, e in enumerate(slopes):
-            step = (values[i + 1] - values[i]) * Fraction(2) ** e
-            images.append(images[-1] + step)
-        if images[-1] != 1:
+            step = xs[i + 1] - xs[i]
+            ys.append(ys[-1] + (step << e if e >= 0 else step >> -e))
+        if ys[-1] != 1 << E:
             raise ValueError("map does not fix 1")
-        object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_images", tuple(images))
+        object.__setattr__(self, "_exp", E)
+        object.__setattr__(self, "_x", xs)
+        object.__setattr__(self, "_y", tuple(ys))
 
     @classmethod
     def make(cls, breakpoints, slopes) -> "PLMap":
@@ -165,39 +186,68 @@ class PLMap:
     def is_identity(self) -> bool:
         return self.slopes == (0,)
 
-    def _piece_at(self, x: Fraction) -> int:
-        """Index of the piece whose interior or left endpoint region contains x."""
-        i = bisect_right(self._values, x) - 1
+    def _piece_at(self, t: int) -> int:
+        """Index of the piece containing any point of [t, t + 1) / 2**_exp."""
+        i = bisect_right(self._x, t) - 1
         return min(i, len(self.slopes) - 1)
 
     def apply_fraction(self, x: Fraction) -> Fraction:
         if not 0 <= x <= 1:
             raise ValueError(f"{x} outside [0,1]")
-        i = self._piece_at(x)
-        return self._images[i] + (x - self._values[i]) * Fraction(2) ** self.slopes[i]
+        E, p, r = self._exp, x.numerator, x.denominator
+        i = self._piece_at((p << E) // r)
+        e = self.slopes[i]
+        # x * 2**E - _x[i], times r: the distance into the piece
+        d = (p << E) - self._x[i] * r
+        if e >= 0:
+            return Fraction(self._y[i] * r + (d << e), r << E)
+        return Fraction((self._y[i] * r << -e) + d, r << (E - e))
 
     def apply(self, x: Dyadic) -> Dyadic:
-        return Dyadic.from_fraction(self.apply_fraction(x.value))
+        E, n, k = self._exp, x.num, x.exp
+        i = self._piece_at(n << (E - k) if k <= E else n >> (k - E))
+        e = self.slopes[i]
+        # a denominator fine enough for x and for halving by the slope
+        G = max(E, k) - min(e, 0)
+        d = (n << (G - k)) - (self._x[i] << (G - E))
+        return _dyadic((self._y[i] << (G - E)) + (d << e if e >= 0 else d >> -e), G)
 
     def slope_exp_at(self, x: Fraction) -> int:
         """Slope exponent on the piece containing x (right-continuous at breakpoints)."""
-        return self.slopes[self._piece_at(x)]
+        return self.slopes[self._piece_at((x.numerator << self._exp) // x.denominator)]
 
     def compose(self, other: "PLMap") -> "PLMap":
-        """self after other (apply ``other`` first)."""
-        other_inv = other.invert()
-        cut_vals = set(other._values)
-        cut_vals.update(other_inv.apply_fraction(x) for x in self._values)
-        cuts = sorted(cut_vals)
-        slopes = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            mid = (lo + hi) / 2
-            slopes.append(other.slope_exp_at(mid) + self.slope_exp_at(other.apply_fraction(mid)))
-        return PLMap.make(tuple(Dyadic.from_fraction(c) for c in cuts), tuple(slopes))
+        """self after other (apply ``other`` first).
+
+        One merge over the pieces of both maps.  The cuts are other's
+        breakpoints and the other-preimages of self's breakpoints, met in
+        increasing order of their images under other; each cut piece's
+        slope is the sum of the two pieces' slopes.
+        """
+        E = max(self._exp, other._exp)
+        # other's domain needs P more bits to divide by its steepest slope
+        P = max(0, *other.slopes)
+        gx = [x << (E - self._exp) for x in self._x]
+        hy = [y << (E - other._exp) for y in other._y]
+        hx = [x << (E + P - other._exp) for x in other._x]
+        hs, gs = other.slopes, self.slopes
+        cuts, slopes = [0], []
+        i = j = 0  # the current piece of other and of self
+        while i < len(hs):
+            a, b = hy[i + 1], gx[j + 1]
+            if a <= b:
+                cuts.append(hx[i + 1])
+            else:
+                cuts.append(hx[i] + ((b - hy[i]) << (P - hs[i])))
+            slopes.append(hs[i] + gs[j])
+            i += a <= b
+            j += b <= a
+        return PLMap.make([_dyadic(c, E + P) for c in cuts], slopes)
 
     def invert(self) -> "PLMap":
-        bps = tuple(Dyadic.from_fraction(y) for y in self._images)
-        return PLMap(bps, tuple(-e for e in self.slopes))
+        """The inverse map: its breakpoints are the images, its X and Y this map's Y and X."""
+        E = self._exp
+        return PLMap(tuple(_dyadic(y, E) for y in self._y), tuple(-e for e in self.slopes))
 
 
 @lru_cache(maxsize=None)
@@ -277,10 +327,12 @@ def cocycle_eval(g: PLMap, x: Dyadic) -> int:
     """
     if not ZERO < x < ONE:
         raise ValueError("cocycle is defined on interior points only")
-    for i in range(1, len(g.breakpoints) - 1):
-        if g.breakpoints[i] == x:
-            return g.slopes[i] - g.slopes[i - 1]
-    return 0
+    E = g._exp
+    if x.exp > E:  # finer than every breakpoint
+        return 0
+    t = x.num << (E - x.exp)
+    i = bisect_left(g._x, t)
+    return g.slopes[i] - g.slopes[i - 1] if g._x[i] == t else 0
 
 
 def cocycle_identity_check(g: PLMap, h: PLMap, x: Dyadic) -> bool:

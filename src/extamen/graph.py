@@ -366,6 +366,24 @@ class Ball:
                 index.append(pos[act_letter(ch, v)])
         return index
 
+    @cached_property
+    def addresses(self) -> tuple:
+        """(node, m): the code address of each vertex, in two flat columns.
+
+        array('q') columns, filled by code once and kept on the ball, so
+        repeated sweeps read no vertex digits.  A ball so far out that an
+        address passes 64 bits keeps its columns as lists.
+        """
+        node, m = array("q"), array("q")
+        try:
+            for v in self.vertices:
+                a, b = code(v)
+                node.append(a)
+                m.append(b)
+        except OverflowError:
+            node, m = (list(col) for col in zip(*map(code, self.vertices)))
+        return node, m
+
     def to_json(self) -> dict:
         return {
             "center": str(self.center),

@@ -6,15 +6,17 @@ labeled neighbor images (loops count with multiplicity).  The two bundled
 families evaluate to exact Fractions; user-supplied functions may return
 floats, in which case margin comparisons take a tolerance.
 
-A sweep over a ball (is_superharmonic_on) reads phi once per ball vertex and
-takes the neighbours from the ball's neighbor_index, which is built on the
-first sweep and cached on the Ball.  When every value is a Fraction, each
-margin is an exact integer sum over the lcm of the five denominators; other
-values go through the same quarter-sum as markov_apply_X.
+A sweep over a ball (is_superharmonic_on) reads a VertexFn by at_code on the
+ball's address table and any other phi on the Dyadic vertex, once per ball
+vertex, and takes the neighbours from the ball's neighbor_index; the ball
+builds both on first use and keeps them.  When every value is a Fraction,
+each margin is an exact integer sum over the lcm of the five denominators,
+worked out once per distinct combination of the five values; other values
+go through the same quarter-sum as markov_apply_X.
 
-A VertexFn reads a vertex two ways: fn on the Dyadic vertex, which the
-sweeps over Dyadic balls call, and at_code on its graph.code address, which
-the set functions of ``minfn`` call on address configurations.
+A VertexFn reads a vertex two ways: fn on the Dyadic vertex, and at_code on
+its graph.code address, which the sweeps and the set functions of ``minfn``
+call.
 """
 
 from __future__ import annotations
@@ -129,41 +131,56 @@ class SuperharmonicReport:
 def is_superharmonic_on(phi, region: Ball, tol=0) -> SuperharmonicReport:
     """Margins phi - P phi on the interior of the region; negatives are violations.
 
-    phi is read once per ball vertex, and the neighbours come from the
-    ball's cached neighbor_index.  When every value is a Fraction, P phi and
-    the margin are exact integer sums over the lcm of the five denominators,
-    and each (sum, 4 * lcm) pair is made into a Fraction once per sweep;
-    otherwise they are the quarter-sum and the difference markov_apply_X
-    gives, so floats and ints come out as before.
+    A VertexFn is read by at_code on the ball's cached address table, any
+    other callable by phi(v); either way once per ball vertex, and the
+    neighbours come from the ball's cached neighbor_index.  When every
+    value is a Fraction, each distinct value gets an id, and P phi, the
+    margin and the violation flag are worked out once per distinct 5-tuple
+    of ids (the vertex and its a, b, A, B images), as exact integer sums
+    over the lcm of the five denominators; vertices with the same 5-tuple
+    share those Fractions.  Otherwise they are the quarter-sum and the
+    difference markov_apply_X gives, so floats and ints come out as before.
     """
     rep = SuperharmonicReport(region.center, region.radius)
     index = region.neighbor_index
     if not index:
         return rep
-    vals = [phi(v) for v in region.vertices]
+    if isinstance(phi, VertexFn):
+        vals = list(map(phi.at_code, zip(*region.addresses)))
+    else:
+        vals = [phi(v) for v in region.vertices]
     entries, violations = rep.entries, rep.violations
     it = iter(index)
     if all(type(x) is Fraction for x in vals):
-        nums = [x.numerator for x in vals]
-        dens = [x.denominator for x in vals]
+        ids: dict = {}  # (numerator, denominator) -> id
+        by_obj: dict = {}  # id(value) -> its id in ids; the families reuse value objects
+        vid = []
+        for x in vals:
+            k = by_obj.get(id(x))
+            if k is None:
+                k = by_obj[id(x)] = ids.setdefault((x.numerator, x.denominator), len(ids))
+            vid.append(k)
+        pairs = list(ids)
         lcm = math.lcm
-        made = {}  # (numerator, denominator) -> Fraction; few distinct pairs recur
         zero_tol = tol == 0  # then the sign of the integer numerator decides
-        for v, val, n, d, ia, ib, iA, iB in zip(region.vertices, vals, nums, dens, it, it, it, it):
-            da, db, dA, dB = dens[ia], dens[ib], dens[iA], dens[iB]
-            L = lcm(d, da, db, dA, dB)
-            S = (nums[ia] * (L // da) + nums[ib] * (L // db)
-                 + nums[iA] * (L // dA) + nums[iB] * (L // dB))
-            diff = 4 * n * (L // d) - S
-            L4 = 4 * L
-            pval = made.get((S, L4))
-            if pval is None:
-                pval = made[S, L4] = Fraction(S, L4)
-            margin = made.get((diff, L4))
-            if margin is None:
-                margin = made[diff, L4] = Fraction(diff, L4)
+        made = {}  # 5-tuple of ids -> (P phi, margin, violated)
+        for v, val, i, ia, ib, iA, iB in zip(region.vertices, vals, vid, it, it, it, it):
+            key = (i, vid[ia], vid[ib], vid[iA], vid[iB])
+            got = made.get(key)
+            if got is None:
+                (n, d), *nbrs = (pairs[k] for k in key)
+                L = lcm(d, *(den for _, den in nbrs))
+                S = sum(num * (L // den) for num, den in nbrs)
+                diff = 4 * n * (L // d) - S
+                margin = Fraction(diff, 4 * L)
+                got = made[key] = (
+                    Fraction(S, 4 * L),
+                    margin,
+                    diff < 0 if zero_tol else margin < -tol,
+                )
+            pval, margin, violated = got
             entries.append((v, val, pval, margin))
-            if diff < 0 if zero_tol else margin < -tol:
+            if violated:
                 violations.append((v, margin))
         return rep
     for v, val, ia, ib, iA, iB in zip(region.vertices, vals, it, it, it, it):

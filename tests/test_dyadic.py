@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -161,7 +162,9 @@ def test_pl_apply_stays_interior(w, x):
 @settings(max_examples=100, deadline=None)
 def test_pl_breakpoint_values_are_kept_outside_equality(w):
     g = word_to_pl(w)
-    assert g._values == tuple(b.value for b in g.breakpoints)
+    # the integer coordinates name the same breakpoints and images
+    assert [Fraction(x, 1 << g._exp) for x in g._x] == [b.value for b in g.breakpoints]
+    assert [Fraction(y, 1 << g._exp) for y in g._y] == _ref_points(g)[1]
     # a fresh map with the same pieces is equal and hashes alike
     twin = PLMap(g.breakpoints, g.slopes)
     assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
@@ -205,3 +208,131 @@ def test_nonidentity_words_leave_cocycle_tracks(w):
     jumps = [cocycle_eval(g, bp) for bp in g.breakpoints[1:-1]]
     assert jumps, f"nonidentity {w!r} has no interior breakpoint"
     assert all(j != 0 for j in jumps), f"flat breakpoint survived on {w!r}: {jumps}"
+
+
+# ---------------------------------------------------------------------------
+# the Fraction form of the PL maps: the oracle of the integer merge
+
+
+def _ref_points(g):
+    """Breakpoint values and their images, as Fractions."""
+    values = [b.value for b in g.breakpoints]
+    images = [Fraction(0)]
+    for i, e in enumerate(g.slopes):
+        images.append(images[-1] + (values[i + 1] - values[i]) * Fraction(2) ** e)
+    return values, images
+
+
+def _ref_slope_at(g, x):
+    i = bisect_right(_ref_points(g)[0], x) - 1
+    return g.slopes[min(i, len(g.slopes) - 1)]
+
+
+def _ref_apply_fraction(g, x):
+    values, images = _ref_points(g)
+    i = min(bisect_right(values, x) - 1, len(g.slopes) - 1)
+    return images[i] + (x - values[i]) * Fraction(2) ** g.slopes[i]
+
+
+def _ref_invert(g):
+    images = _ref_points(g)[1]
+    return PLMap(tuple(Dyadic.from_fraction(y) for y in images), tuple(-e for e in g.slopes))
+
+
+def _ref_compose(g, h):
+    """g after h: cut at h's breakpoints and the h-preimages of g's, slopes read at midpoints."""
+    h_inv = _ref_invert(h)
+    cuts = set(_ref_points(h)[0])
+    cuts.update(_ref_apply_fraction(h_inv, x) for x in _ref_points(g)[0])
+    cuts = sorted(cuts)
+    slopes = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        mid = (lo + hi) / 2
+        slopes.append(_ref_slope_at(h, mid) + _ref_slope_at(g, _ref_apply_fraction(h, mid)))
+    return PLMap.make(tuple(Dyadic.from_fraction(c) for c in cuts), tuple(slopes))
+
+
+def _ref_letters():
+    a = _ref_compose(g1_map(), _ref_invert(g0_map()))
+    b = g1_map()
+    return {"a": a, "A": _ref_invert(a), "b": b, "B": _ref_invert(b)}
+
+
+REF_LETTERS = _ref_letters()
+
+
+def _ref_word(w):
+    acc = PLMap.identity()
+    for ch in w:
+        acc = _ref_compose(acc, REF_LETTERS[ch])
+    return acc
+
+
+def _ref_cocycle(g, x):
+    for i in range(1, len(g.breakpoints) - 1):
+        if g.breakpoints[i] == x:
+            return g.slopes[i] - g.slopes[i - 1]
+    return 0
+
+
+words10 = st.text(alphabet="aAbB", max_size=10)
+
+
+def test_letter_maps_match_reference():
+    for ch, ref in REF_LETTERS.items():
+        assert letter_map(ch) == ref, ch
+
+
+@given(words10, words10)
+@settings(max_examples=150, deadline=None)
+def test_compose_and_invert_match_reference(w1, w2):
+    g, h = _ref_word(w1), _ref_word(w2)
+    assert word_to_pl(w1) == g
+    assert g.compose(h) == _ref_compose(g, h)
+    assert h.compose(g) == _ref_compose(h, g)
+    assert g.invert() == _ref_invert(g)
+
+
+@given(words10, st.lists(dyadics(), max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_apply_matches_reference(w, xs):
+    g = _ref_word(w)
+    for x in xs + [ZERO, ONE, *g.breakpoints]:
+        want = _ref_apply_fraction(g, x.value)
+        assert g.apply(x) == Dyadic.from_fraction(want), (w, x)
+        assert g.apply_fraction(x.value) == want, (w, x)
+    for q in (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(5, 7)):
+        got = g.apply_fraction(q)
+        assert type(got) is Fraction and got == _ref_apply_fraction(g, q), (w, q)
+
+
+@given(words10, words10, st.lists(interior_dyadics(), max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_cocycle_eval_matches_reference(w1, w2, xs):
+    g, h = word_to_pl(w1), word_to_pl(w2)
+    # every breakpoint of g, h and gh, and the h-images of g's
+    points = set(xs) | set(g.breakpoints) | set(h.breakpoints) | set(g.compose(h).breakpoints)
+    points |= {h.apply(x) for x in g.breakpoints}
+    for x in points - {ZERO, ONE}:
+        assert cocycle_eval(g, x) == _ref_cocycle(g, x), (w1, x)
+        assert cocycle_eval(h, x) == _ref_cocycle(h, x), (w2, x)
+
+
+def test_plmap_rejects_malformed_pieces():
+    half = dy(1, 1)
+    cases = [
+        ((half, ONE), (0,), "breakpoints must run from 0 to 1"),
+        ((ZERO, half), (0,), "breakpoints must run from 0 to 1"),
+        ((ZERO,), (), "breakpoints must run from 0 to 1"),
+        ((ZERO, half, ONE), (0,), "need one slope per piece"),
+        ((ZERO, half, half, ONE), (1, 0, -1), "breakpoints must be strictly ascending"),
+        ((ZERO, dy(3, 2), half, ONE), (1, 0, -1), "breakpoints must be strictly ascending"),
+        ((ZERO, half, ONE), (0, 0), "not canonical: adjacent pieces share a slope"),
+        ((ZERO, half, ONE), (1, -2), "map does not fix 1"),
+        ((ZERO, dy(1, 2), ONE), (-1, 1), "map does not fix 1"),
+    ]
+    for bps, slopes, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PLMap(bps, slopes)
+    with pytest.raises(ValueError, match="outside"):
+        g0_map().apply_fraction(Fraction(3, 2))

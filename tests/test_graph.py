@@ -466,3 +466,14 @@ def test_ball_neighbor_index():
             for i, v in enumerate(interior):
                 got = [B.vertices[j] for j in index[4 * i : 4 * i + 4]]
                 assert got == [act_letter(ch, v) for ch in EDGE_LABELS], v
+
+
+def test_ball_address_table():
+    deep = vertex_at("LR" * 40)  # its node needs 81 bits
+    for center, radii in ((ROOT, range(9)), (hair_point(vertex_at("R"), 3), range(9)), (deep, (0, 2))):
+        for r in radii:
+            B = ball(center, r)
+            assert "addresses" not in vars(B)  # built on first use only
+            node, m = B.addresses
+            assert B.addresses[0] is node
+            assert list(zip(node, m)) == [code(v) for v in B.vertices], (center, r)

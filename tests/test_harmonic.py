@@ -10,8 +10,10 @@ from extamen.graph import (
     Hair,
     ball,
     classify,
+    code,
     golden_path,
     hair_point,
+    node_info,
     struct_info,
     vertex_at,
 )
@@ -239,6 +241,12 @@ def _sweep_cases():
     cases += [(value, 0), (value, 0.0), (value, Fraction(1, 64))]
     cases += [(lambda v: math.sqrt(v.num) / v.exp, tol) for tol in (1e-9, 0.05)]
     cases += [(depth, 0), (lambda v: 3 * depth(v) - 10, 0.5)]
+    # a given at_code that reads m, so a value kept per node would be wrong;
+    # a derived at_code; a plain lambda on the Dyadic
+    by_m = lambda c: Fraction(c[1] + 3, 2 + node_info(c[0])[2])
+    cases += [(VertexFn("by_m", lambda v: by_m(code(v)), at_code=by_m), 0)]
+    cases += [(VertexFn("depth", depth), 0)]
+    cases += [(lambda v: Fraction(1, 1 + abs(code(v)[1])), 0)]
     return cases
 
 
