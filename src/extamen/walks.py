@@ -12,7 +12,10 @@ hair vertices of one (depth, offset).  Long lamp trajectories use a
 structural state that keeps the skeleton lamps in a persistent trie over
 their turns, read from the last turn back, and parks hair-bound lamps in
 per-side stacks, so every step costs O(1) time and memory grows with the
-lamps and their depths, not with the nodes the walk has visited.
+lamps and their depths, not with the nodes the walk has visited.  One fused
+loop, StructuralLampWalk.run, checks the supermartingale margin of each
+state and applies the next letter; the letters come in bulk, the top bytes
+of getrandbits words read exactly as Random.choice would draw them.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .dyadic import Dyadic, ROOT
 from .errors import CapExceeded, PreconditionFailed
@@ -390,9 +393,10 @@ def supermartingale_check(fn, states: Iterable, mode: str = "lamp") -> Supermart
 # structural lamp trajectories
 
 
-# a letter's side: 0 for a/A, 1 for b/B
-_DOWN = {"a": 0, "b": 1}
-_UP = {"A": 0, "B": 1}
+# letters as indices into LAMP_LETTERS: a letter i < 4 acts on side i >> 1
+# (0 for a/A, 1 for b/B), down toward the leaves when i is even
+assert LAMP_LETTERS == ("a", "A", "b", "B", "s")
+_LETTER_INDEX = {ch: i for i, ch in enumerate(LAMP_LETTERS)}
 
 
 # A lamp trie node is a tuple (c0, c1, mark, H, n), and None is the empty
@@ -461,6 +465,10 @@ class StructuralLampWalk:
     turn is 1 - s, while after the push every resident ends in s, so waking
     merges two disjoint tries in one node.  Counters and stacks are indexed
     by side.
+
+    run applies a word of letters in one call and counts the states on it
+    that fail the one-step margin of the depth potential; step is run on
+    one letter.
     """
 
     __slots__ = ("root", "cnt", "parked")
@@ -476,49 +484,104 @@ class StructuralLampWalk:
         n = root[4] if root is not None else 0
         return n + self.parked[0][-1][3] + self.parked[1][-1][3]
 
-    def step(self, ch: str) -> None:
-        root = self.root
-        if ch == "s":
+    def run(self, letters: Iterable[int]) -> int:
+        """Apply letters given as indices into LAMP_LETTERS, checking before
+        each one the margin of supermartingale_margin_ok on the state it
+        acts on; returns the number of states that fail it.
+
+        This is the only copy of the trie transition, and its margin check
+        repeats _k_parts and supermartingale_margin_ok, which stay as the
+        per-state oracle.
+        """
+        root, cnt, parked = self.root, self.cnt, self.parked
+        p0, p1 = parked
+        bad = 0
+        # the largest parked base depth, 0 when none: only a push or a wake
+        # changes it
+        base = max(p0[-1][2], p1[-1][2], 0)
+        for i in letters:
+            # the margin, as _k_parts and supermartingale_margin_ok give it
             if root is None:
-                self.root = _trie(None, None, 1)
+                msk = mka = mkb = -1
             else:
-                self.root = _trie(root[0], root[1], root[2] ^ 1)
-            return
-        s = _DOWN.get(ch)
-        if s is not None:
-            key = self.cnt[s] - 1
-            self.cnt[s] = key
-            stack = self.parked[s]
-            if stack[-1][0] == key:
-                woke = stack.pop()[1]
-                if s:
-                    self.root = _trie(woke[0], root, woke[2])
+                c0, c1, mark, msk, n = root
+                mka = mkb = mark - 1
+                if c0 is not None:
+                    h = c0[3]
+                    if h > mka:
+                        mka = h
+                    if h >= mkb:
+                        mkb = h + 1
+                if c1 is not None:
+                    h = c1[3]
+                    if h >= mka:
+                        mka = h + 1
+                    if h > mkb:
+                        mkb = h
+            k0 = msk if msk > base else base
+            kab = msk + 1 if msk >= base else base
+            kA = mka if mka > base else base
+            kB = mkb if mkb > base else base
+            rhs = 2 + (1 << (kab - kA)) + (1 << (kab - kB)) + (1 << (kab - k0))
+            if not 5 << (kab - k0) >= rhs:
+                bad += 1
+
+            if i == 4:
+                # s: a lit root adds no height, and when it goes out the
+                # other lamps, if any, keep the height
+                if root is None:
+                    root = (None, None, 1, 0, 1)
+                elif not mark:
+                    root = (c0, c1, 1, msk, n + 1)
                 else:
-                    self.root = _trie(root, woke[1], woke[2])
-            elif root is not None:
-                if s:
-                    self.root = (None, root, 0, root[3] + 1, root[4])
-                else:
-                    self.root = (root, None, 0, root[3] + 1, root[4])
-            return
-        s = _UP.get(ch)
-        if s is None:
+                    root = (c0, c1, 0, msk, n - 1) if n > 1 else None
+                continue
+            s = i >> 1
+            if not i & 1:
+                # a or b
+                key = cnt[s] - 1
+                cnt[s] = key
+                stack = parked[s]
+                if stack[-1][0] == key:
+                    woke = stack.pop()[1]
+                    base = max(p0[-1][2], p1[-1][2], 0)
+                    if s:
+                        root = _trie(woke[0], root, woke[2])
+                    else:
+                        root = _trie(root, woke[1], woke[2])
+                elif root is not None:
+                    if s:
+                        root = (None, root, 0, msk + 1, n)
+                    else:
+                        root = (root, None, 0, msk + 1, n)
+                continue
+            # A or B
+            key = cnt[s]
+            cnt[s] = key + 1
+            if root is None:
+                continue
+            if s:
+                root = c1
+                trie = _trie(c0, None, mark)
+            else:
+                root = c0
+                trie = _trie(None, c1, mark)
+            if trie is not None:
+                stack = parked[s]
+                _, _, h, lamps = stack[-1]
+                if trie[3] > h:
+                    h = trie[3]
+                    if h > base:
+                        base = h
+                stack.append((key, trie, h, lamps + trie[4]))
+        self.root = root
+        return bad
+
+    def step(self, ch: str) -> None:
+        i = _LETTER_INDEX.get(ch)
+        if i is None:
             raise ValueError(f"unknown letter {ch!r}")
-        key = self.cnt[s]
-        self.cnt[s] = key + 1
-        if root is None:
-            return
-        c0, c1, mark, _, _ = root
-        if s:
-            self.root = c1
-            trie = _trie(c0, None, mark)
-        else:
-            self.root = c0
-            trie = _trie(None, c1, mark)
-        if trie is not None:
-            stack = self.parked[s]
-            _, _, h, n = stack[-1]
-            stack.append((key, trie, trie[3] if trie[3] > h else h, n + trie[4]))
+        self.run((i,))
 
     def _k_parts(self):
         """Max skeleton depth, max depth after A and after B of the skeleton
@@ -603,6 +666,13 @@ class _ExplicitLampWalk:
     def supermartingale_margin_ok(self) -> bool:
         return markov_apply_set(self.F, self.E) <= self.F(self.E)
 
+    def run(self, letters: Iterable[int]) -> int:
+        bad = 0
+        for i in letters:
+            bad += not self.supermartingale_margin_ok()
+            self.step(LAMP_LETTERS[i])
+        return bad
+
 
 @dataclass(frozen=True)
 class WalkConfig:
@@ -649,32 +719,68 @@ class DecayReport:
         }
 
 
+# 32-bit words drawn at a time, so a chunk of letters stays under 4 KB
+# whatever the horizon
+_DRAW_WORDS = 1 << 12
+# the top byte b of a word reads the letter b >> 5; _randbelow(5) rejects 5-7
+_TOP3 = bytes(b >> 5 for b in range(256))
+_REJECTED = bytes(range(5 << 5, 256))
+
+
+def _letters(rng: random.Random, n: int) -> Iterator[bytes]:
+    """The next n letters rng.choice(LAMP_LETTERS) would draw, as indices
+    into LAMP_LETTERS, in bytes chunks of at most _DRAW_WORDS letters.
+
+    choice takes _randbelow(5): the top 3 bits of one 32-bit Mersenne Twister
+    word, drawn again while they read 5-7.  getrandbits(32 k) holds the next
+    k words, first word lowest, so the top bytes of its little-endian form are
+    the words' top bytes in order.  This rests on CPython's _randbelow and
+    getrandbits word order, so the test against choice is the guard.  Words
+    past the n-th letter are drawn and dropped: rng is spent after the call.
+    """
+    while n > 0:
+        k = min(_DRAW_WORDS, 2 * n)
+        tops = rng.getrandbits(32 * k).to_bytes(4 * k, "little")[3::4]
+        chunk = tops.translate(_TOP3, _REJECTED)
+        yield chunk[:n]
+        n -= len(chunk)
+
+
 def potential_decay_experiment(walk: WalkConfig = WalkConfig()) -> DecayReport:
     """Seeded lamp trajectories with exact per-state supermartingale checks.
 
     The bundled depth potential from the empty configuration runs on the
     structural state; any other registered set function or start falls back
     to explicit configurations.  Every state of every trajectory, the last
-    included, is checked.
+    included, is checked.  Each trial draws the letters of
+    random.Random(seed * 1_000_003 + trial).choice(LAMP_LETTERS) in bulk and
+    runs them in pieces cut at the checkpoints.
     """
-    values: dict[int, list] = {t: [] for t in sorted(set(walk.checkpoints))}
+    marks = sorted(set(walk.checkpoints))
+    values: dict[int, list] = {t: [] for t in marks}
     violations = 0
     nonempty = 0
     fast = walk.fn_name == WalkConfig.fn_name and walk.start == ()
     F = None if fast else resolve_setfn(walk.fn_name)
     for trial in range(walk.trials):
-        # choice(LAMP_LETTERS) draws the letters LAMP_LETTERS[randrange(5)]
-        # draws (both take _randbelow(5)), with less overhead
-        draw = random.Random(walk.seed * 1_000_003 + trial).choice
+        rng = random.Random(walk.seed * 1_000_003 + trial)
         state = StructuralLampWalk() if fast else _ExplicitLampWalk(F, walk.start)
-        step, margin_ok = state.step, state.supermartingale_margin_ok
-        for t in range(1, walk.steps + 1):
-            if not margin_ok():
-                violations += 1
-            step(draw(LAMP_LETTERS))
-            if t in values:
-                values[t].append(state.f_now())
-        if not margin_ok():
+        run = state.run
+        ahead = iter(marks)
+        mark = next(ahead)
+        t = 0  # letters applied
+        for chunk in _letters(rng, walk.steps):
+            lo = 0
+            # the next checkpoint falls in what is left of the chunk
+            while mark - t <= len(chunk) - lo:
+                hi = lo + mark - t
+                violations += run(chunk[lo:hi])
+                values[mark].append(state.f_now())
+                t, lo = mark, hi
+                mark = next(ahead, walk.steps + 1)  # past the horizon: no more
+            violations += run(chunk[lo:])
+            t += len(chunk) - lo
+        if not state.supermartingale_margin_ok():
             violations += 1
         if state.lamp_count():
             nonempty += 1

@@ -35,14 +35,15 @@ from extamen.lamplighter import (
 from extamen.minfn import minfun
 from extamen.walks import (
     LUMPED_LETTERS,
-    _DOWN,
+    _DRAW_WORDS,
     _MC_BLOCK,
     _MC_MAX_STEPS,
     _MC_ROOT,
-    _UP,
     StructuralLampWalk,
     WalkConfig,
+    _NO_PARK,
     _lamp_codes,
+    _letters,
     _lumped_act,
     delta_check_phi_u,
     green_mc,
@@ -524,6 +525,11 @@ def test_sentinel_oracle_matches_graph_codes():
                 assert vertex(node, sign * m) == cur, (nid, letter, m)
 
 
+# a letter's side: 0 for a/A, 1 for b/B
+_DOWN = {"a": 0, "b": 1}
+_UP = {"A": 0, "B": 1}
+
+
 class SentinelLampWalk:
     """Reference structural walk: the set of coded skeleton lamps, each moved
     one by one on every letter, and hair-bound lamps parked one by one in
@@ -674,6 +680,81 @@ def test_structural_walk_matches_sentinel_oracle():
                     assert got == sorted((key, len(b)) for key, b in ref.bkt[side].items())
 
 
+def test_letters_equal_choice():
+    # _letters reads CPython's _randbelow/getrandbits word order directly,
+    # so this comparison with choice is what guards it
+    n_long = 2 * _DRAW_WORDS + 1001
+    for seed in range(24):
+        for n in (1, 997, n_long):
+            ref = random.Random(seed * 1_000_003 + n)
+            want = bytes(LAMP_LETTERS.index(ref.choice(LAMP_LETTERS)) for _ in range(n))
+            chunks = list(_letters(random.Random(seed * 1_000_003 + n), n))
+            assert b"".join(chunks) == want, (seed, n)
+            assert max(map(len, chunks)) <= _DRAW_WORDS
+            if n == n_long:
+                assert len(chunks) >= 3, "the long draw must cross two chunk ends"
+
+
+def _fused_matches_stepped(word: bytes, cuts, small: bool) -> None:
+    """run on the pieces of word between cuts against one letter at a time,
+    counting the states that fail supermartingale_margin_ok."""
+    fused, stepped = StructuralLampWalk(), StructuralLampWalk()
+    ends = [0, *sorted(cuts), len(word)]
+    for lo, hi in zip(ends, ends[1:]):
+        want = 0
+        for i in word[lo:hi]:
+            want += not stepped.supermartingale_margin_ok()
+            stepped.step(LAMP_LETTERS[i])
+        assert fused.run(word[lo:hi]) == want, (lo, hi)
+        assert fused._k_parts() == stepped._k_parts()
+        assert fused.lamp_count() == stepped.lamp_count()
+        assert fused.cnt == stepped.cnt
+        if small:
+            assert fused.to_config() == stepped.to_config()
+
+
+@given(
+    word=strategies.binary(max_size=60).map(lambda b: bytes(x % 5 for x in b)),
+    cuts=strategies.lists(strategies.integers(0, 60), max_size=6),
+)
+@settings(max_examples=80, deadline=None)
+def test_run_matches_single_steps(word, cuts):
+    _fused_matches_stepped(word, [c for c in cuts if c <= len(word)], small=True)
+
+
+def test_run_matches_single_steps_on_long_words():
+    for seed in range(4):
+        rng = random.Random(7100 + seed)
+        word = b"".join(_letters(rng, 10_000))
+        _fused_matches_stepped(word, rng.sample(range(10_001), 40), small=False)
+
+
+def test_run_margin_matches_the_oracle_on_any_heights():
+    # tries built by letters never fail the margin, so the fused check is
+    # held to supermartingale_margin_ok on hand-made states whose stored
+    # heights need not match their children
+    def leaf(h):
+        return None if h is None else (None, None, 1, h, 1)
+
+    verdicts = set()
+    for mark, h0, h1, top, b0, b1 in product(
+        (0, 1), (None, 0, 1, 3), (None, 0, 2), (None, 0, 1, 2, 4), (-1, 0, 2, 5), (-1, 1, 3)
+    ):
+        st = StructuralLampWalk()
+        if top is not None:
+            st.root = (leaf(h0), leaf(h1), mark, top, 3)
+        st.parked = tuple(
+            [_NO_PARK] if b < 0 else [_NO_PARK, (-1, leaf(0), b, 1)] for b in (b0, b1)
+        )
+        try:
+            ok = st.supermartingale_margin_ok()
+        except ValueError:  # a child above the scale: a negative shift
+            continue
+        verdicts.add(ok)
+        assert st.run(bytes([LAMP_LETTERS.index("s")])) == (not ok), st._k_parts()
+    assert verdicts == {True, False}
+
+
 @given(word=strategies.text(alphabet="aAbBs", max_size=40))
 @settings(max_examples=60, deadline=None)
 def test_structural_walk_config_equals_apply_word(word):
@@ -711,12 +792,34 @@ def test_decay_experiment_frozen_deep_trajectories():
 
 
 def test_decay_experiment_slow_path():
+    # frozen values; explicit configurations read the same bulk draws
     rep = potential_decay_experiment(
         WalkConfig(trials=4, steps=60, seed=1, checkpoints=(60,), fn_name="minfun:phi:0")
     )
-    assert rep.ok
-    assert rep.states_checked == 4 * 61
-    assert rep.medians[60] <= Fraction(1)
+    assert rep.to_json() == {
+        "trials": 4,
+        "steps": 60,
+        "seed": 1,
+        "fn": "minfun:phi:0",
+        "medians": {"60": "1"},
+        "supermartingale_violations": 0,
+        "states_checked": 244,
+        "never_removed_fraction": 1.0,
+    }
+    start = config([ROOT, dy(9, 4), hair_point(ROOT, 2, root_hair="A")])
+    rep = potential_decay_experiment(
+        WalkConfig(trials=5, steps=120, seed=8, checkpoints=(1, 7, 30, 120), start=start)
+    )
+    assert rep.to_json() == {
+        "trials": 5,
+        "steps": 120,
+        "seed": 8,
+        "fn": "minfun:phi_u",
+        "medians": {"1": "1", "7": "1/8", "30": "1/16", "120": "1/1024"},
+        "supermartingale_violations": 0,
+        "states_checked": 605,
+        "never_removed_fraction": 1.0,
+    }
 
 
 def test_decay_experiment_validation():
