@@ -24,6 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
@@ -210,33 +211,88 @@ class MCReport:
         }
 
 
-# green_mc packs a lumped state (u, m) into one int64, m << 32 | u, stored
-# plus _MC_ROOT so that min(s >> 31, 2) is its category: 0 at the root, 1 on
-# the skeleton, 2 on a hair.  u and m never exceed the step count, so the
-# packing is exact up to _MC_MAX_STEPS (m << 32 stays below 2^63, u + _MC_ROOT
-# below 2^32).
-_MC_ROOT = 2**31 - 1
+# green_mc packs a lumped state (u, m) into one int64, m << 32 | u, and a
+# move into (dm << 32) + du.  u and m never exceed the step count, so the
+# packing is exact up to _MC_MAX_STEPS (m << 32 stays below 2^63, u below
+# 2^32).
+#
+# Each numpy pass advances every trial _MC_K steps at once.  A letter moves a
+# state by an amount that depends only on whether u == 0 and whether m == 0,
+# and k <= _MC_K steps from u > _MC_K (or m > _MC_K) cannot reach u == 0 (or
+# m == 0).  So the move over k letters and the root visits after each of them
+# depend only on the class c = min(u, _MC_K + 1) (_MC_K + 2) + min(m, _MC_K + 1)
+# and on the letters, read as a base-4 word w with the first letter highest:
+# they sit at [c, w] of the k-th tables of _mc_tables.
 _MC_MAX_STEPS = 2**31 - 1
-# Within a category every letter moves the packed state by the same amount;
-# the move of letter r from category c sits at c + 3 r.
-_MC_DELTA = tuple(
-    ((m2 - m) << 32) + u2 - u
-    for r in LUMPED_LETTERS
-    for u, m in ((0, 0), (1, 0), (0, 1))
-    for u2, m2 in (_lumped_act(r, (u, m)),)
-)
-# letters drawn at a time, in whole steps (64 KB of int64): larger blocks
-# raised peak memory and gained no speed
-_MC_BLOCK = 1 << 13
+_MC_K = 5
+# letters a block, in whole passes, and raw words a read: a block holds
+# about 32 KB of letter bytes, or one pass of five rows if that is more
+# (0.5 MB at 10^5 trials); larger reads raised peak memory for little speed
+_MC_BLOCK = 1 << 15
+_MC_CHUNK = 1 << 12
+
+
+@lru_cache(maxsize=1)
+def _mc_tables():
+    """moves[k] and visits[k] for k = 0.._MC_K: arrays of shape (classes, 4^k)
+    built from _lumped_act, each k-step entry one letter from the class's
+    least state followed by the (k - 1)-step entry of the state it reaches."""
+    import numpy as np
+
+    side = _MC_K + 2
+    moves = [np.zeros((side * side, 1), dtype=np.int64)]
+    visits = [np.zeros((side * side, 1), dtype=np.uint8)]
+    for k in range(1, _MC_K + 1):
+        width = 4 ** (k - 1)
+        mv = np.empty((side * side, 4 * width), dtype=np.int64)
+        vs = np.empty((side * side, 4 * width), dtype=np.uint8)
+        for c in range(side * side):
+            u, m = divmod(c, side)
+            for r in LUMPED_LETTERS:
+                u2, m2 = _lumped_act(r, (u, m))
+                c2 = min(u2, _MC_K + 1) * side + min(m2, _MC_K + 1)
+                cols = slice(r * width, (r + 1) * width)
+                np.add(moves[-1][c2], ((m2 - m) << 32) + u2 - u, out=mv[c, cols])
+                np.add(visits[-1][c2], (u2, m2) == (0, 0), out=vs[c, cols])
+        moves.append(mv)
+        visits.append(vs)
+    for table in moves + visits:
+        table.setflags(write=False)
+    return tuple(moves), tuple(visits)
+
+
+def _mc_letters(bits, trials: int, steps: int, rows: int):
+    """The letters of `steps` steps of `trials` trials, `rows` steps a block,
+    as uint8 arrays of shape (rows, trials), valid until the next block: the
+    letters np.random.Generator(bits).integers(0, 4) draws.  Each takes one
+    32-bit half of a raw 64-bit word, the low half first, and keeps its top
+    two bits; a block that ends on a low half carries the high half over."""
+    import numpy as np
+
+    buf = np.empty(rows * trials + 1, dtype=np.uint8)
+    odd = 0  # 1 when buf[0] holds the last block's spare letter
+    for done in range(0, steps, rows):
+        need = min(rows, steps - done) * trials
+        words = (need - odd + 1) // 2
+        for a in range(0, words, _MC_CHUNK):
+            w = bits.random_raw(min(_MC_CHUNK, words - a))
+            out = buf[odd + 2 * a:odd + 2 * (a + len(w))]
+            np.right_shift(w, 62, out=out[1::2], casting="unsafe")
+            np.right_shift(w, 30, out=w)
+            np.bitwise_and(w, 3, out=out[0::2], casting="unsafe")
+        yield buf[:need].reshape(-1, trials)
+        odd = (need - odd) % 2
+        buf[0] = buf[need]
 
 
 def green_mc(trials: int, steps: int, seed: int = 0, cap: int = 10**10) -> MCReport:
     """Monte Carlo estimate of the expected number of root visits.
 
     Simulates the lumped chain, drawing letters as in _lumped_act, with a
-    counter-based generator, so results replay exactly for a given seed.
-    Letters are drawn in blocks of steps; each letter takes one 32-bit word
-    of the stream, so a block holds the letters of its steps in order.
+    counter-based generator, so results replay exactly for a given seed:
+    every letter is the one a draw of `trials` integers in [0, 4) per step
+    would give.  Trials advance _MC_K steps a numpy pass through the exact
+    tables of _mc_tables.
     """
     if trials < 2 or steps <= 0:
         raise ValueError("green_mc needs at least 2 trials and 1 step")
@@ -248,25 +304,40 @@ def green_mc(trials: int, steps: int, seed: int = 0, cap: int = 10**10) -> MCRep
         raise CapExceeded(f"steps = {steps} exceeds {_MC_MAX_STEPS}, the packed state's limit")
     import numpy as np
 
-    rng = np.random.Generator(np.random.Philox(seed))
-    delta = np.array(_MC_DELTA, dtype=np.int64)
-    s = np.full(trials, _MC_ROOT, dtype=np.int64)
+    moves, seen = _mc_tables()
+    # min(x, _MC_K + 1) by a clipped index into a range, scaled as in [c, w]
+    capped = np.arange(_MC_K + 2, dtype=np.int64)
+    sat_u = [capped * (_MC_K + 2) << 2 * k for k in range(_MC_K + 1)]
+    sat_m = [capped << 2 * k for k in range(_MC_K + 1)]
+    s = np.zeros(trials, dtype=np.int64)
     visits = np.ones(trials, dtype=np.int64)
-    idx, move = np.empty_like(s), np.empty_like(s)
-    at_root = np.empty(trials, dtype=bool)
-    k = max(1, _MC_BLOCK // trials)
-    for done in range(0, steps, k):
-        letters = rng.integers(0, 4, size=(min(k, steps - done), trials), dtype=np.int64)
-        letters *= 3
-        for row in letters:
-            np.right_shift(s, 31, out=idx)
-            np.minimum(idx, 2, out=idx)
-            idx += row
-            # idx is in [0, 12) by construction; "clip" skips the bounds check
-            delta.take(idx, out=move, mode="clip")
-            s += move
-            np.equal(s, _MC_ROOT, out=at_root)
-            visits += at_root
+    idx, field, move = np.empty_like(s), np.empty_like(s), np.empty_like(s)
+    hits = np.empty(trials, dtype=np.uint8)
+    passes = max(1, _MC_BLOCK // (_MC_K * trials))
+    words = np.empty((passes, trials), dtype=np.uint16)
+    for block in _mc_letters(np.random.Philox(seed), trials, steps, passes * _MC_K):
+        full = len(block) // _MC_K
+        runs = [block[:full * _MC_K].reshape(full, _MC_K, trials)] if full else []
+        if len(block) % _MC_K:
+            runs.append(block[full * _MC_K:].reshape(1, -1, trials))
+        for run in runs:
+            k, w = run.shape[1], words[:len(run)]
+            np.copyto(w, run[:, 0])
+            for j in range(1, k):
+                w <<= 2
+                w |= run[:, j]
+            for row in w:
+                # every index is in range by construction or by clipping
+                np.bitwise_and(s, 2**32 - 1, out=field)
+                sat_u[k].take(field, out=idx, mode="clip")
+                np.right_shift(s, 32, out=field)
+                sat_m[k].take(field, out=move, mode="clip")
+                idx += move
+                idx += row
+                moves[k].take(idx, out=move, mode="clip")
+                s += move
+                seen[k].take(idx, out=hits, mode="clip")
+                visits += hits
     est = float(visits.mean())
     err = float(visits.std(ddof=1)) / math.sqrt(trials)
     return MCReport(estimate=est, stderr=err, trials=trials, steps=steps, seed=seed)

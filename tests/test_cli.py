@@ -358,13 +358,18 @@ def test_no_module_reaches_into_another_modules_private_names():
 
 
 def test_graph_explore_leaves_numpy_unimported(tmp_path):
-    # numpy is imported only when green_mc runs; a fresh interpreter shows it
+    # numpy is imported and green_mc's step tables are built only when
+    # green_mc runs; a fresh interpreter shows it
     script = (
         "import sys\n"
         "import extamen\n"
-        "from extamen import cli\n"
+        "from extamen import cli, walks\n"
+        "built = [walks._mc_tables.cache_info().currsize]\n"
         f"code = cli.main(['graph', 'explore', '--n', '2', '--out', {str(tmp_path)!r}])\n"
-        "print(code, 'numpy' in sys.modules)\n"
+        "built.append(walks._mc_tables.cache_info().currsize)\n"
+        "print(code, 'numpy' in sys.modules, built)\n"
+        "walks.green_mc(2, 1)\n"
+        "print(walks._mc_tables.cache_info().currsize)\n"
     )
     src = str(Path(extamen.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -372,4 +377,4 @@ def test_graph_explore_leaves_numpy_unimported(tmp_path):
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "0 False"
+    assert out.stdout.splitlines()[-2:] == ["0 False [0, 0]", "1"]

@@ -37,14 +37,16 @@ from extamen.walks import (
     LUMPED_LETTERS,
     _DRAW_WORDS,
     _MC_BLOCK,
+    _MC_K,
     _MC_MAX_STEPS,
-    _MC_ROOT,
     StructuralLampWalk,
     WalkConfig,
     _NO_PARK,
     _lamp_codes,
     _letters,
     _lumped_act,
+    _mc_letters,
+    _mc_tables,
     delta_check_phi_u,
     green_mc,
     green_partial,
@@ -289,11 +291,13 @@ def test_green_mc_replays():
 
 def _green_mc_reference(trials, steps, seed):
     """green_mc's estimator one step at a time: one draw of `trials` letters
-    per step, (u, m) kept in two arrays and moved by masks."""
+    per step, (u, m) kept in two arrays and moved by masks.  Also returns the
+    largest u and m reached."""
     rng = np.random.Generator(np.random.Philox(seed))
     u = np.zeros(trials, dtype=np.int64)
     m = np.zeros(trials, dtype=np.int64)
     visits = np.ones(trials, dtype=np.int64)
+    top_u, top_m = u.copy(), m.copy()
     for _ in range(steps):
         r = rng.integers(0, 4, size=trials)
         at_root = (m == 0) & (u == 0)
@@ -307,20 +311,67 @@ def _green_mc_reference(trials, steps, seed):
         u = u + child - to_parent
         m = np.where(to_hair, 1, m - h_down + h_up)
         visits += (u == 0) & (m == 0)
-    return float(visits.mean()), float(visits.std(ddof=1)) / math.sqrt(trials)
+        np.maximum(top_u, u, out=top_u)
+        np.maximum(top_m, m, out=top_m)
+    est, err = float(visits.mean()), float(visits.std(ddof=1)) / math.sqrt(trials)
+    return est, err, int(top_u.max()), int(top_m.max())
 
 
-@pytest.mark.parametrize("trials", [2, 3, 777, 1000, 70000])
+# 2001 and 7001 trials: an odd number of rows a block, so every block ends on
+# the low half of a raw word and its high half carries into the next block
+@pytest.mark.parametrize("trials", [2, 3, 777, 1000, 2001, 7001, 70000])
 def test_green_mc_equals_per_step_reference(trials):
-    # step counts around the block length k, where a block ends
-    k = max(1, _MC_BLOCK // trials)
-    cases = sorted({1, 7, k - 1, k, k + 1, 999, 10000} - {0})
+    # step counts around a pass of _MC_K steps and a block of `rows` steps
+    rows = _MC_K * max(1, _MC_BLOCK // (_MC_K * trials))
+    cases = {1, 2, _MC_K - 1, _MC_K, _MC_K + 1, 7, rows - 1, rows + 1, 999, 10000}
     # the reference is slow: 70000 trials stop at 999 steps
-    cases = [steps for steps in cases if trials * steps < 7 * 10**7]
+    cases = [steps for steps in sorted(cases) if trials * steps < 7 * 10**7]
     for seed, steps in enumerate(cases, start=trials):
         rep = green_mc(trials, steps, seed=seed)
-        want = _green_mc_reference(trials, steps, seed)
+        want = _green_mc_reference(trials, steps, seed)[:2]
         assert (rep.estimate, rep.stderr) == want, (trials, steps, seed)
+
+
+def test_green_mc_long_run_equals_per_step_reference():
+    # three trials over 10^5 steps wander far past every saturated class
+    rep = green_mc(3, 10**5, seed=5)
+    est, err, top_u, top_m = _green_mc_reference(3, 10**5, 5)
+    assert (rep.estimate, rep.stderr) == (est, err)
+    assert top_u > 10 * _MC_K and top_m > 4 * _MC_K
+
+
+@pytest.mark.parametrize("trials, rows", [(2, 5), (3, 5), (4, 3), (7, 1), (7001, 5)])
+def test_green_mc_letters_equal_generator_draws(trials, rows):
+    # whole blocks, some of an odd letter count, then a short block; 7001
+    # trials read a block's raw words in several reads
+    steps = 3 * rows + 2
+    for seed in range(3):
+        blocks = _mc_letters(np.random.Philox(seed), trials, steps, rows)
+        got = np.concatenate([block.copy() for block in blocks])
+        rng = np.random.Generator(np.random.Philox(seed))
+        want = [rng.integers(0, 4, size=trials).tolist() for _ in range(steps)]
+        assert got.dtype == np.uint8 and got.tolist() == want, (trials, rows, seed)
+
+
+def test_green_mc_tables_equal_k_fold_lumped_steps():
+    # entry [c, w] of the k-step tables is the move and the root visits of k
+    # letters w from every state of class c, here states near the boundary
+    # of each saturated class and one far beyond it
+    side = _MC_K + 2
+    near = [*range(_MC_K + 3), 50]
+    moves, visits = _mc_tables()
+    for k in range(_MC_K + 1):
+        assert moves[k].shape == visits[k].shape == (side * side, 4**k)
+        move_k, visits_k = moves[k].tolist(), visits[k].tolist()
+        for u, m in product(near, repeat=2):
+            c = min(u, side - 1) * side + min(m, side - 1)
+            for w, letters in enumerate(product(LUMPED_LETTERS, repeat=k)):
+                state, hits = (u, m), 0
+                for r in letters:
+                    state = _lumped_act(r, state)
+                    hits += state == (0, 0)
+                du, dm = state[0] - u, state[1] - m
+                assert (move_k[c][w], visits_k[c][w]) == ((dm << 32) + du, hits), (k, u, m, w)
 
 
 @pytest.mark.parametrize("args, estimate, stderr", [
@@ -356,16 +407,26 @@ def _refuse_to_walk(*args):
 
 def test_green_mc_packing_is_exact_up_to_its_step_limit(monkeypatch):
     top = _MC_MAX_STEPS
-    # refused before any work: the cap admits 2 * 2^31 trial-steps
+    # refused before any draw: the cap admits 2 * 2^31 trial-steps
+    monkeypatch.setattr(np.random, "Philox", _refuse_to_walk)
     monkeypatch.setattr(np.random, "Generator", _refuse_to_walk)
     with pytest.raises(CapExceeded, match="packed state"):
         green_mc(2, top + 1, cap=10**12)
-    # within top steps, u + m <= top; each such state unpacks to itself
-    # and lands in its category (root, skeleton, hair)
-    states = [(0, 0), (1, 0), (top, 0), (0, 1), (0, top), (top - 1, 1), (1, top - 1)]
-    s = np.array([(m << 32) + u + _MC_ROOT for u, m in states], dtype=np.int64)
-    assert [((x - _MC_ROOT) & (2**32 - 1), (x - _MC_ROOT) >> 32) for x in s.tolist()] == states
-    assert np.minimum(s >> 31, 2).tolist() == [0, 1, 1, 2, 2, 2, 2]
+    # within top steps, u + m <= top; each such state packs into an int64 as
+    # m << 32 | u, and the packed one-step move of its class, added to it,
+    # gives the packing of the state _lumped_act reaches
+    moves = _mc_tables()[0][1]
+    states = [(0, 0), (1, 0), (top, 0), (top - 1, 0), (0, 1), (0, top), (0, top - 1),
+              (top - 1, 1), (1, top - 1), (top - 2, 1)]
+    side = _MC_K + 2
+    for u, m in states:
+        s = np.array([(m << 32) | u], dtype=np.int64)
+        assert ((s & (2**32 - 1)).item(), (s >> 32).item()) == (u, m)
+        c = min(u, side - 1) * side + min(m, side - 1)
+        for r in LUMPED_LETTERS:
+            u2, m2 = _lumped_act(r, (u, m))
+            if u2 + m2 <= top:
+                assert (s + moves[c, r]).item() == (m2 << 32) | u2, (u, m, r)
 
 
 @pytest.mark.parametrize("seed", range(4))
