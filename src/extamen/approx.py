@@ -285,7 +285,7 @@ def construct_En_sum(
     if not phis:
         raise PreconditionFailed("need at least one summand")
     region = ball(ROOT, n)
-    eps = min(min(phi(v) for v in region.vertices) for phi in phis)
+    eps = min(min(map(phi.fn, region.addresses)) for phi in phis)
     threshold = eps / (4 * n * n)
     points = [hair_point(find_vertex_below(phi, threshold), n * n) for phi in phis]
     E = config(points)
@@ -343,7 +343,7 @@ def construct_En_countable(
     region = ball(ROOT, n)
 
     def floor_of(phi) -> Fraction:
-        return min(phi(v) for v in region.vertices)
+        return min(map(phi.fn, region.addresses))
 
     fam0 = phi_family(0)
     z0 = find_vertex_below(fam0, floor_of(fam0) / (16 * n * n))
@@ -530,7 +530,7 @@ def generalized_En_search(
     _require_level(n)
     F = generalized_minfun(r, phi)
     region = ball(ROOT, n)
-    floor = min(phi(v) for v in region.vertices)
+    floor = min(map(phi.fn, region.addresses))
     tried = 0
     last: Optional[VerifyReport] = None
     for t in range(budget):

@@ -12,8 +12,10 @@ and on random dyadics.  The skeleton orientation is fixed: the a-image of a
 skeleton vertex is its L child and the b-image its R child.
 
 struct_act is the action on addresses and node_info the struct_info of an
-address.  Orbits, verification and exact n-step probabilities run on
-addresses; act_letter stays the Dyadic action and struct_act's oracle.
+address.  Balls, orbits, verification and exact n-step probabilities run on
+addresses, the one runtime vertex; a Ball turns its addresses into Dyadic
+vertices once, for output.  act_letter stays the Dyadic action and
+struct_act's oracle.
 
 The balls, leaving-edge shares and walk steps at the end take the action as
 arguments, so the free-group graph of ``freegroup`` uses them too.
@@ -338,51 +340,36 @@ def golden_path(i: int) -> list[Dyadic]:
 
 @dataclass(frozen=True)
 class Ball:
-    """A ball as ball() builds it: vertices in breadth-first order, so the
-    interior (distance below the radius) is a prefix of vertices."""
+    """A ball as ball() builds it: the code addresses of its vertices in
+    breadth-first order (so the interior, distance below the radius, is a
+    prefix), their distances, and the Dyadic vertices in the same order."""
 
     center: Dyadic
     radius: int
-    vertices: tuple[Dyadic, ...]
-    dist: dict = field(compare=False)
+    addresses: tuple[tuple[int, int], ...]
+    vertices: tuple[Dyadic, ...] = field(compare=False)
+    dist: dict = field(compare=False)  # address -> distance
 
     def interior(self) -> list[Dyadic]:
-        return [v for v in self.vertices if self.dist[v] < self.radius]
+        return [v for v, c in zip(self.vertices, self.addresses) if self.dist[c] < self.radius]
 
     @cached_property
     def neighbor_index(self) -> array:
-        """Positions in vertices of the a, b, A, B images of each interior vertex.
+        """Positions in addresses of the a, b, A, B images of each interior vertex.
 
         Flat, four entries per vertex in that order; the interior is the
-        first len(neighbor_index) // 4 vertices.  Built on first use and kept
-        on the ball, so repeated sweeps over one ball call no act_letter.
+        first len(neighbor_index) // 4 vertices.  Built by struct_act on
+        first use and kept on the ball, so repeated sweeps over one ball
+        call no struct_act.
         """
-        pos = {v: i for i, v in enumerate(self.vertices)}
+        pos = {c: i for i, c in enumerate(self.addresses)}
         index = array("i")
-        for v in self.vertices:
-            if self.dist[v] == self.radius:
+        for c in self.addresses:
+            if self.dist[c] == self.radius:
                 break
             for ch in EDGE_LABELS:
-                index.append(pos[act_letter(ch, v)])
+                index.append(pos[struct_act(ch, c)])
         return index
-
-    @cached_property
-    def addresses(self) -> tuple:
-        """(node, m): the code address of each vertex, in two flat columns.
-
-        array('q') columns, filled by code once and kept on the ball, so
-        repeated sweeps read no vertex digits.  A ball so far out that an
-        address passes 64 bits keeps its columns as lists.
-        """
-        node, m = array("q"), array("q")
-        try:
-            for v in self.vertices:
-                a, b = code(v)
-                node.append(a)
-                m.append(b)
-        except OverflowError:
-            node, m = (list(col) for col in zip(*map(code, self.vertices)))
-        return node, m
 
     def to_json(self) -> dict:
         return {
@@ -391,18 +378,19 @@ class Ball:
             "vertices": [str(v) for v in self.vertices],
             # labeled edges among the vertices, loops included
             "edges": [
-                [str(u), ch, str(w)]
-                for u in self.vertices
+                [str(u), ch, str(vertex(*w))]
+                for c, u in zip(self.addresses, self.vertices)
                 for ch in EDGE_LABELS
-                if (w := act_letter(ch, u)) in self.dist
+                if (w := struct_act(ch, c)) in self.dist
             ],
         }
 
 
 def ball(center: Dyadic, radius: int, cap: int = 10**6) -> Ball:
-    """All vertices within graph distance radius, in breadth-first order."""
-    dist = bfs(center, radius, EDGE_LABELS, act_letter, cap)
-    return Ball(center, radius, tuple(dist), dist)
+    """All vertices within graph distance radius, in breadth-first order,
+    searched on addresses; ValueError when center is not a vertex."""
+    dist = bfs(code(center), radius, EDGE_LABELS, struct_act, cap)
+    return Ball(center, radius, tuple(dist), tuple(vertex(*c) for c in dist), dist)
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +417,9 @@ def boundary_ratio(segment: Iterable[Dyadic]) -> Fraction:
 # labeled actions
 #
 # These take the action as arguments: its letters and act(letter, vertex).
-# The dyadic graph passes EDGE_LABELS and act_letter, the free-group graph
-# its own pair; any hashable vertex type works.
+# The dyadic graph passes EDGE_LABELS with struct_act on addresses or
+# act_letter on Dyadics, the free-group graph its own pair; any hashable
+# vertex type works.
 
 
 def bfs(center, radius: int, letters, act, cap: int = 10**6) -> dict:
@@ -450,7 +439,7 @@ def bfs(center, radius: int, letters, act, cap: int = 10**6) -> dict:
                 w = act(ch, u)
                 if w not in dist:
                     if len(dist) >= cap:
-                        raise CapExceeded(f"ball({center}, {radius}) exceeds cap {cap}")
+                        raise CapExceeded(f"ball of radius {radius} exceeds cap {cap}")
                     dist[w] = step
                     nxt.append(w)
         frontier = nxt

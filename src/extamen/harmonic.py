@@ -6,17 +6,17 @@ labeled neighbor images (loops count with multiplicity).  The two bundled
 families evaluate to exact Fractions; user-supplied functions may return
 floats, in which case margin comparisons take a tolerance.
 
-A sweep over a ball (is_superharmonic_on) reads a VertexFn by at_code on the
-ball's address table and any other phi on the Dyadic vertex, once per ball
-vertex, and takes the neighbours from the ball's neighbor_index; the ball
-builds both on first use and keeps them.  When every value is a Fraction,
+A sweep over a ball (is_superharmonic_on) reads a VertexFn by fn on the
+ball's addresses and any other phi on the Dyadic vertex, once per ball
+vertex, and takes the neighbours from the ball's neighbor_index, which the
+ball builds on first use and keeps.  When every value is a Fraction,
 each margin is an exact integer sum over the lcm of the five denominators,
 worked out once per distinct combination of the five values; other values
 go through the same quarter-sum as markov_apply_X.
 
-A VertexFn reads a vertex two ways: fn on the Dyadic vertex, and at_code on
-its graph.code address, which the sweeps and the set functions of ``minfn``
-call.
+A VertexFn reads a vertex one way: fn on its graph.code address, which the
+sweeps and the set functions of ``minfn`` call.  Calling the VertexFn on a
+Dyadic vertex reads fn at the vertex's code.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .dyadic import Dyadic, ROOT
@@ -32,11 +32,10 @@ from .errors import PreconditionFailed
 from .graph import (
     Ball,
     act_letter,
+    code,
     hair_point,
     neighbors,
     node_info,
-    struct_info,
-    vertex,
     vertex_at,
 )
 
@@ -59,11 +58,6 @@ def pow2(k: int) -> Fraction:
     return Fraction(1 << k) if k >= 0 else Fraction(1, 1 << -k)
 
 
-def _fn_at_code(fn, c: tuple[int, int]):
-    """fn at the vertex with address c: the at_code a VertexFn derives."""
-    return fn(vertex(*c))
-
-
 @dataclass(frozen=True)
 class VertexFn:
     """Evaluatable function on vertices plus its claimed properties.
@@ -71,28 +65,20 @@ class VertexFn:
     find_below, when present, returns some skeleton vertex with value below a
     given positive threshold; the constructors use it instead of scanning
     tree levels (which is hopeless once the needed depth passes ~20) and
-    always re-check the returned value.  at_code gives the value at a vertex
-    from its graph.code address; when none is given it is fn at the vertex
-    the address names, derived again whenever the VertexFn is rebuilt (so
-    dataclasses.replace with a new fn never keeps the old one's values).
+    always re-check the returned value.  fn takes the graph.code address
+    (node, m) of a vertex; calling the VertexFn on a Dyadic reads fn there.
     """
 
     name: str
-    fn: Callable[[Dyadic], Fraction]
+    fn: Callable[[tuple[int, int]], Fraction]
     superharmonic: Optional[bool] = None
     max_at_p: Optional[bool] = None
     infimum: Optional[Fraction] = None
     constant_on_hairs: Optional[bool] = None
     find_below: Optional[Callable[[Fraction], Dyadic]] = None
-    at_code: Optional[Callable[[tuple[int, int]], Fraction]] = None
-
-    def __post_init__(self):
-        at_code = self.at_code
-        if at_code is None or isinstance(at_code, partial) and at_code.func is _fn_at_code:
-            object.__setattr__(self, "at_code", partial(_fn_at_code, self.fn))
 
     def __call__(self, v: Dyadic):
-        return self.fn(v)
+        return self.fn(code(v))
 
 
 def markov_apply_X(phi, v: Dyadic):
@@ -131,14 +117,14 @@ class SuperharmonicReport:
 def is_superharmonic_on(phi, region: Ball, tol=0) -> SuperharmonicReport:
     """Margins phi - P phi on the interior of the region; negatives are violations.
 
-    A VertexFn is read by at_code on the ball's cached address table, any
-    other callable by phi(v); either way once per ball vertex, and the
-    neighbours come from the ball's cached neighbor_index.  When every
-    value is a Fraction, each distinct value gets an id, and P phi, the
-    margin and the violation flag are worked out once per distinct 5-tuple
-    of ids (the vertex and its a, b, A, B images), as exact integer sums
-    over the lcm of the five denominators; vertices with the same 5-tuple
-    share those Fractions.  Otherwise they are the quarter-sum and the
+    A VertexFn is read by fn on the ball's addresses, any other callable
+    by phi(v); either way once per ball vertex, and the neighbours come
+    from the ball's cached neighbor_index.  When every value is a
+    Fraction, each distinct value gets an id, and P phi, the margin and
+    the violation flag are worked out once per distinct 5-tuple of ids
+    (the vertex and its a, b, A, B images), as exact integer sums over the
+    lcm of the five denominators; vertices with the same 5-tuple share
+    those Fractions.  Otherwise they are the quarter-sum and the
     difference markov_apply_X gives, so floats and ints come out as before.
     """
     rep = SuperharmonicReport(region.center, region.radius)
@@ -146,7 +132,7 @@ def is_superharmonic_on(phi, region: Ball, tol=0) -> SuperharmonicReport:
     if not index:
         return rep
     if isinstance(phi, VertexFn):
-        vals = list(map(phi.at_code, zip(*region.addresses)))
+        vals = list(map(phi.fn, region.addresses))
     else:
         vals = [phi(v) for v in region.vertices]
     entries, violations = rep.entries, rep.violations
@@ -199,11 +185,7 @@ def canonical_phi_u() -> VertexFn:
     everywhere except the root where it equals 1.
     """
 
-    def fn(v: Dyadic) -> Fraction:
-        _, _, depth = struct_info(v)
-        return pow2(2 - depth)
-
-    def at_code(c: tuple[int, int]) -> Fraction:
+    def fn(c: tuple[int, int]) -> Fraction:
         _, _, depth = node_info(c[0])
         return pow2(2 - depth)
 
@@ -221,7 +203,6 @@ def canonical_phi_u() -> VertexFn:
         infimum=Fraction(0),
         constant_on_hairs=True,
         find_below=find_below,
-        at_code=at_code,
     )
 
 
@@ -235,13 +216,7 @@ def phi_family(n: int) -> VertexFn:
     if n < 0:
         raise ValueError("family index must be >= 0")
 
-    def fn(v: Dyadic) -> Fraction:
-        lead, deeper, depth = struct_info(v)
-        if lead == n and deeper:
-            return pow2(-depth)
-        return pow2(-n)
-
-    def at_code(c: tuple[int, int]) -> Fraction:
+    def fn(c: tuple[int, int]) -> Fraction:
         lead, deeper, depth = node_info(c[0])
         if lead == n and deeper:
             return pow2(-depth)
@@ -261,7 +236,6 @@ def phi_family(n: int) -> VertexFn:
         infimum=Fraction(0),
         constant_on_hairs=True,
         find_below=find_below,
-        at_code=at_code,
     )
 
 

@@ -5,7 +5,8 @@ configuration (empty set valued at the root).  On top of that: positive
 weighted sums, certified truncations of countable sums, walk images, and the
 generalized form that feeds the sorted value vector into a symmetric concave
 non-decreasing function after padding with 1.  Every SetFn built here reads
-address configurations, the vertex functions through VertexFn.at_code.
+address configurations, and the vertex functions through VertexFn.fn, which
+reads addresses too.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     PreconditionFailed,
     PropertySelfTestFailed,
 )
-from .graph import ball, node_info
+from .graph import ROOT_CODE, ball, node_info
 from .harmonic import VertexFn, canonical_phi_u, markov_apply_X, phi_family, pow2
 from .lamplighter import Config, SetFn, apply_letter, markov_apply_set, markov_iterate
 
@@ -45,18 +46,18 @@ __all__ = [
 
 
 def _check_max_at_root(phi, radius: int = 3) -> bool:
-    top = phi(ROOT)
-    return all(phi(v) <= top for v in ball(ROOT, radius).vertices)
+    top = phi.fn(ROOT_CODE)
+    return all(phi.fn(c) <= top for c in ball(ROOT, radius).addresses)
 
 
 def minfun(phi) -> SetFn:
     """Minimum of phi over the configuration; the empty set takes phi(root)."""
     if phi.max_at_p is not True and not _check_max_at_root(phi):
         warnings.warn(f"{phi.name}: maximum at the root not confirmed on a probe ball")
-    root_val = phi(ROOT)
+    root_val = phi.fn(ROOT_CODE)
     return SetFn(
         name=f"minfun:{phi.name}",
-        fn=lambda C: min(map(phi.at_code, C)) if C else root_val,
+        fn=lambda C: min(map(phi.fn, C)) if C else root_val,
         switch_invariant=True,
         superharmonic=phi.superharmonic,
         meta=(("phi", phi),),
@@ -300,14 +301,14 @@ def generalized_minfun(r: SymmetricConcaveFn, phi) -> SetFn:
     maps to r(1, ..., 1).  The normalization factor is recorded.
     """
     r.ensure_tested()
-    factor = phi(ROOT)
+    factor = phi.fn(ROOT_CODE)
     if factor <= 0:
         raise PreconditionFailed("phi must be positive at the root")
     m = r.arity
     one = Fraction(1)
 
     def fn(C: tuple):
-        vals = sorted(phi.at_code(c) / factor for c in C)[:m]
+        vals = sorted(phi.fn(c) / factor for c in C)[:m]
         vals.extend([one] * (m - len(vals)))
         return r(tuple(vals))
 

@@ -26,7 +26,7 @@ from extamen.errors import (
     StructuralAssertFailed,
     ZeroBase,
 )
-from extamen.graph import ball, classify, hair_point
+from extamen.graph import ball, classify, hair_point, vertex
 from extamen.harmonic import VertexFn, canonical_phi_u, phi_family, pow2
 from extamen.lamplighter import (
     EMPTY,
@@ -147,8 +147,9 @@ def _set_functions():
     """Every kind of registry set function, with the largest level it is
     verified at here."""
     phi_u = canonical_phi_u()
-    # no at_code given, so minfun reads the one VertexFn derives from fn
-    plain_phi = VertexFn("plain_phi_u", phi_u.fn, superharmonic=True, max_at_p=True)
+    # phi_u read through its Dyadic vertex
+    plain_phi = VertexFn("plain_phi_u", lambda c: phi_u(vertex(*c)),
+                         superharmonic=True, max_at_p=True)
     lamps = SetFn("lamps", fn=lambda C: Fraction(
         len(C) + 1, 1 + sum(node.bit_length() + abs(m) for node, m in C)))
     return [
@@ -331,7 +332,7 @@ def test_find_vertex_below_scans_without_hint():
 
 
 def test_find_vertex_below_scan_gives_up():
-    flat = VertexFn(name="flat", fn=lambda v: Fraction(1))
+    flat = VertexFn(name="flat", fn=lambda c: Fraction(1))
     with pytest.raises(SearchExhausted) as exc:
         find_vertex_below(flat, Fraction(1, 2))
     assert exc.value.frontier["width"] > 0

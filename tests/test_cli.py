@@ -78,7 +78,8 @@ def test_green_step_limit_exits_two(capsys, monkeypatch):
     def refuse_to_walk(*args):
         raise AssertionError("the walk started")
 
-    monkeypatch.setattr(np.random, "Generator", refuse_to_walk)
+    # green_mc draws its letters from the bit generator it builds first
+    monkeypatch.setattr(np.random, "Philox", refuse_to_walk)
     assert run(["walk", "green", "--n", "2", "--trials", "2", "--steps", str(2**31)]) == 2
     assert "packed state" in capsys.readouterr().err
 

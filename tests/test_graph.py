@@ -15,6 +15,7 @@ from extamen.graph import (
     act_letter,
     act_word,
     ball,
+    bfs,
     boundary_ratio,
     classify,
     code,
@@ -93,8 +94,8 @@ def test_golden_path_oracle():
 def test_ball_radius_one():
     B = ball(ROOT, 1)
     assert set(B.vertices) == {ROOT, dy(11, 4), dy(9, 4), dy(1, 1), dy(3, 2)}
-    assert B.dist[ROOT] == 0
-    assert all(B.dist[v] == 1 for v in B.vertices if v != ROOT)
+    assert B.dist[ROOT_CODE] == 0
+    assert all(B.dist[c] == 1 for c in B.addresses if c != ROOT_CODE)
     assert B.interior() == [ROOT]
 
 
@@ -277,44 +278,45 @@ def test_struct_act_matches_act_letter_on_random_dyadics(v, ch):
     assert struct_act(ch, code(v)) == code(act_letter(ch, v))
 
 
-# the bundled vertex functions read a vertex two ways, fn on the Dyadic and
-# at_code on its address; both must give one value
-PHIS = [canonical_phi_u()] + [phi_family(i) for i in range(9)]
+# the bundled vertex functions read addresses; their Dyadic definitions on
+# struct_info are the oracles
+def _phi_u_oracle(v):
+    return Fraction(2) ** (2 - struct_info(v)[2])
 
 
-def test_at_code_matches_fn_on_ball():
-    verts = ball(ROOT, 12).vertices
-    codes = [code(v) for v in verts]
-    for phi in PHIS:
-        assert list(map(phi.at_code, codes)) == list(map(phi.fn, verts)), phi.name
+def _phi_family_oracle(n):
+    def value(v):
+        lead, deeper, depth = struct_info(v)
+        return Fraction(2) ** -(depth if lead == n and deeper else n)
+
+    return value
+
+
+FAMILIES = [(canonical_phi_u(), _phi_u_oracle)] + [
+    (phi_family(n), _phi_family_oracle(n)) for n in range(9)
+]
+
+
+def test_families_on_addresses_match_struct_info_on_ball():
+    B = ball(ROOT, 12)
+    for phi, oracle in FAMILIES:
+        assert list(map(phi.fn, B.addresses)) == list(map(oracle, B.vertices)), phi.name
 
 
 @given(deep_dyadics())
 @settings(max_examples=400, deadline=None)
-def test_at_code_matches_fn_on_random_dyadics(v):
+def test_families_on_addresses_match_struct_info_on_random_dyadics(v):
     c = code(v)
-    for phi in PHIS:
-        assert phi.at_code(c) == phi.fn(v), phi.name
+    for phi, oracle in FAMILIES:
+        assert phi.fn(c) == phi(v) == oracle(v), phi.name
 
 
-def test_vertex_fn_without_at_code_reads_fn_at_the_vertex():
-    value = lambda v: Fraction(v.num, 1 << v.exp)
-    phi = VertexFn("value", value)
-    for v in ball(ROOT, 6).vertices:
-        assert phi.at_code(code(v)) == value(v), v
-    zero = lambda c: Fraction(0)
-    assert VertexFn("value", value, at_code=zero).at_code is zero
-
-
-def test_replacing_fn_derives_at_code_again():
-    one = VertexFn("one", lambda v: Fraction(1))
-    two = replace(one, fn=lambda v: Fraction(2))
-    assert two(ROOT) == two.at_code(ROOT_CODE) == 2
-    assert one.at_code(ROOT_CODE) == 1
-    # a given at_code is the caller's and survives replace
-    zero = lambda c: Fraction(0)
-    assert replace(VertexFn("one", one.fn, at_code=zero), name="z").at_code is zero
-    assert replace(VertexFn("one", one.fn, at_code=zero), fn=two.fn).at_code is zero
+def test_replacing_fn_reads_the_new_fn():
+    one = VertexFn("one", lambda c: Fraction(1))
+    two = replace(one, fn=lambda c: Fraction(c[1] + 2))
+    assert two(ROOT) == two.fn(ROOT_CODE) == 2
+    assert two(hair_point(ROOT, 1)) == 1
+    assert one(ROOT) == 1
 
 
 def test_struct_act_rejects_unknown_letters():
@@ -463,17 +465,25 @@ def test_ball_neighbor_index():
             interior = B.interior()
             assert len(index) == 4 * len(interior)
             assert list(B.vertices[: len(interior)]) == interior
-            for i, v in enumerate(interior):
-                got = [B.vertices[j] for j in index[4 * i : 4 * i + 4]]
-                assert got == [act_letter(ch, v) for ch in EDGE_LABELS], v
 
 
 def test_ball_address_table():
+    # the search on addresses against the Dyadic search by act_letter
     deep = vertex_at("LR" * 40)  # its node needs 81 bits
     for center, radii in ((ROOT, range(9)), (hair_point(vertex_at("R"), 3), range(9)), (deep, (0, 2))):
         for r in radii:
             B = ball(center, r)
-            assert "addresses" not in vars(B)  # built on first use only
-            node, m = B.addresses
-            assert B.addresses[0] is node
-            assert list(zip(node, m)) == [code(v) for v in B.vertices], (center, r)
+            dist = bfs(center, r, EDGE_LABELS, act_letter)
+            assert B.vertices == tuple(dist), (center, r)
+            assert B.addresses == tuple(map(code, dist)), (center, r)
+            assert [B.dist[c] for c in B.addresses] == list(dist.values())
+            pos = {v: i for i, v in enumerate(dist)}
+            want = [pos[act_letter(ch, v)] for v, d in dist.items() if d < r for ch in EDGE_LABELS]
+            assert list(B.neighbor_index) == want, (center, r)
+
+
+@pytest.mark.parametrize("point", [Dyadic(0, 0), Dyadic(1, 0)])
+def test_ball_refuses_a_non_vertex(point):
+    for r in (0, 2):
+        with pytest.raises(ValueError, match="is not a vertex"):
+            ball(point, r)

@@ -15,6 +15,7 @@ from extamen.graph import (
     hair_point,
     node_info,
     struct_info,
+    vertex,
     vertex_at,
 )
 from extamen.harmonic import (
@@ -190,7 +191,7 @@ def test_vertexfn_metadata():
     assert phi.name == "phi_u"
     assert phi.superharmonic and phi.max_at_p and phi.constant_on_hairs
     assert phi.infimum == 0
-    assert phi(ROOT) == phi.fn(ROOT)
+    assert phi(ROOT) == phi.fn(code(ROOT)) == 4
 
 
 @given(st.integers(0, 3), st.integers(0, 6))
@@ -236,16 +237,16 @@ def _identical(got, want):
 def _sweep_cases():
     """(function, tol) pairs: exact families, exact with violations, floats, ints."""
     depth = lambda v: struct_info(v)[2]
-    value = VertexFn("value", lambda v: Fraction(v.num, 1 << v.exp))
+    exact = lambda v: Fraction(v.num, 1 << v.exp)
+    value = VertexFn("value", lambda c: exact(vertex(*c)))
     cases = [(canonical_phi_u(), 0)] + [(phi_family(i), 0) for i in range(6)]
     cases += [(value, 0), (value, 0.0), (value, Fraction(1, 64))]
     cases += [(lambda v: math.sqrt(v.num) / v.exp, tol) for tol in (1e-9, 0.05)]
     cases += [(depth, 0), (lambda v: 3 * depth(v) - 10, 0.5)]
-    # a given at_code that reads m, so a value kept per node would be wrong;
-    # a derived at_code; a plain lambda on the Dyadic
-    by_m = lambda c: Fraction(c[1] + 3, 2 + node_info(c[0])[2])
-    cases += [(VertexFn("by_m", lambda v: by_m(code(v)), at_code=by_m), 0)]
-    cases += [(VertexFn("depth", depth), 0)]
+    # one that reads m, so a value kept per node would be wrong; one on the
+    # Dyadic vertex; a plain lambda on the Dyadic
+    cases += [(VertexFn("by_m", lambda c: Fraction(c[1] + 3, 2 + node_info(c[0])[2])), 0)]
+    cases += [(VertexFn("depth", lambda c: depth(vertex(*c))), 0)]
     cases += [(lambda v: Fraction(1, 1 + abs(code(v)[1])), 0)]
     return cases
 

@@ -11,7 +11,7 @@ from extamen.errors import (
     PropertySelfTestFailed,
 )
 from extamen.approx import construct_En_countable, explicit_En_hairs
-from extamen.graph import act_word, ball, hair_point, struct_info, vertex_at
+from extamen.graph import act_word, ball, hair_point, struct_info, vertex, vertex_at
 from extamen.harmonic import VertexFn, canonical_phi_u, phi_family, pow2
 from extamen.lamplighter import EMPTY, config, markov_apply_set, orbit_enumerate
 from extamen.minfn import (
@@ -53,7 +53,7 @@ def test_minfun_values():
 
 
 def test_minfun_warns_without_root_max():
-    grows = VertexFn(name="grows", fn=lambda v: Fraction(1 + struct_info(v)[2]))
+    grows = VertexFn(name="grows", fn=lambda c: Fraction(1 + struct_info(vertex(*c))[2]))
     with pytest.warns(UserWarning):
         minfun(grows)
 
@@ -85,7 +85,7 @@ def test_transfer_of_violation():
     def dipped_fn(v):
         return Fraction(1, 64) if v == q else phi_u(v)
 
-    dipped = VertexFn(name="dipped", fn=dipped_fn, max_at_p=True)
+    dipped = VertexFn(name="dipped", fn=lambda c: dipped_fn(vertex(*c)), max_at_p=True)
     rep = non_superharmonic_transfer(dipped, q)
     assert rep.vertex_gap == 1 - Fraction(1, 64)
     assert rep.set_margin == Fraction(4, 5) * rep.vertex_gap

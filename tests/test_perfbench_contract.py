@@ -2,12 +2,15 @@
 workload passes at the tiny scale, and the names the benchmark's worker,
 tracer and freezer read from outside still exist."""
 
+import importlib
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
 
-from extamen import graph
+from extamen import graph, walks
+from extamen.dyadic import ROOT, Dyadic
 from extamen.lamplighter import LAMP_LETTERS
 from extamen.walks import DecayReport, StructuralLampWalk
 
@@ -43,3 +46,44 @@ def test_names_the_benchmark_reads():
         walk.step(ch)
     # tracer.py counts decay work as walk.trials * walk.steps
     assert "walk" in DecayReport.__dataclass_fields__
+
+
+# every (module, attribute) tracer.py's instrument wraps; calling instrument
+# here would rebind them for the whole test process
+TRACED = [
+    ("dyadic", "PLMap.compose"),
+    ("graph", "act_letter"),
+    ("graph", "classify"),
+    ("graph", "ball"),
+    ("harmonic", "is_superharmonic_on"),
+    ("lamplighter", "apply_letter"),
+    ("lamplighter", "orbit_enumerate"),
+    ("approx", "strong_verify"),
+    ("approx", "construct_En_countable"),
+    ("approx", "construct_En_single"),
+    ("approx", "golden_witness"),
+    ("walks", "potential_decay_experiment"),
+    ("walks", "lumped_return_series"),
+    ("walks", "return_prob"),
+    ("walks", "pn_exact"),
+    ("walks", "green_partial"),
+    ("walks", "green_mc"),
+    ("freegroup", "witness_word"),
+]
+
+
+@pytest.mark.parametrize("module, attr", TRACED)
+def test_names_the_tracer_wraps(module, attr):
+    obj = importlib.import_module(f"extamen.{module}")
+    for part in attr.split("."):
+        obj = getattr(obj, part)
+    assert callable(obj)
+
+
+def test_what_the_tracer_reads_of_results_and_arguments():
+    # the ball's work count is len(result.vertices), of Dyadic vertices
+    B = graph.ball(ROOT, 2)
+    assert len(B.vertices) == 13 and all(type(v) is Dyadic for v in B.vertices)
+    # pn_exact's work is its argument 2, n; green_partial's its argument 3, N
+    assert list(inspect.signature(walks.pn_exact).parameters)[2] == "n"
+    assert list(inspect.signature(walks.green_partial).parameters)[3] == "N"
