@@ -1,21 +1,20 @@
 """Random-walk statistics on the labeled graph and on lamp configurations.
 
-Exact return probabilities and first-return masses at the root are the
-coefficients of the first-passage generating functions of the tree with
-hairs, read off by integer recurrences in O(N^2) operations on N terms.
-Other exact n-step probabilities meet in the middle: the walk is symmetric,
-so P^t(x, y) is a dot product of path counts evolved by graph.struct_act for
-about t/2 steps from each end on graph.code addresses, converting the Dyadic
-endpoints on entry.  Monte Carlo runs vectorize a depth/offset lumping of the
-four-letter walk: all skeleton vertices of one depth act alike, as do all
-hair vertices of one (depth, offset).  Long lamp trajectories use a
-structural state that keeps the skeleton lamps in a persistent trie over
-their turns, read from the last turn back, and parks hair-bound lamps in
-per-side stacks, so every step costs O(1) time and memory grows with the
-lamps and their depths, not with the nodes the walk has visited.  One fused
-loop, StructuralLampWalk.run, checks the supermartingale margin of each
-state and applies the next letter; the letters come in bulk, the top bytes
-of getrandbits words read exactly as Random.choice would draw them.
+Exact n-step probabilities P^t(x, y) and first-return masses, at the root
+and at any other pair of vertices, are the coefficients of first-passage
+generating functions of the tree with hairs, one factor for each step of the
+geodesic from x to y on graph.code addresses, read off by integer
+recurrences in O(N^2) operations per factor on N terms.  Monte Carlo runs
+vectorize a depth/offset lumping of the four-letter walk: all skeleton
+vertices of one depth act alike, as do all hair vertices of one (depth,
+offset).  Long lamp trajectories use a structural state that keeps the
+skeleton lamps in a persistent trie over their turns, read from the last
+turn back, and parks hair-bound lamps in per-side stacks, so every step
+costs O(1) time and memory grows with the lamps and their depths, not with
+the nodes the walk has visited.  One fused loop, StructuralLampWalk.run,
+checks the supermartingale margin of each state and applies the next letter;
+the letters come in bulk, the top bytes of getrandbits words read exactly as
+Random.choice would draw them.
 """
 
 from __future__ import annotations
@@ -25,13 +24,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain, islice, repeat
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .dyadic import Dyadic, ROOT
 from .errors import CapExceeded, PreconditionFailed
-from .graph import EDGE_LABELS, ball, code, evolve, struct_act, transition_series, vertex
+from .graph import ball, code, transition_series, vertex
 from .harmonic import canonical_phi_u, is_superharmonic_on, markov_apply_X, pow2
 from .lamplighter import (
     LAMP_LETTERS,
@@ -96,63 +95,70 @@ def _lumped_act(r: int, state: tuple[int, int]) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # exact series
 #
-# At the root, first passage on the tree with hairs (Woess, Random Walks on
-# Infinite Graphs and Groups, 2000).  With z marking a step:
-#   H, hair offset m + 1 to m:        H = z/4 + zH/2 + zH^2/4;
-#   S, skeleton depth u + 1 to u:     S = z/4 + zS^2/2 + zHS/4;
-#   U, first return to the root:      U = z(S + H)/2;
-#   G, visits to the root:            G = 1/(1 - U).
-# Scaled by 4^n their coefficients are integers, counts of four-letter words,
-# read off by coefficient recurrences (Flajolet and Sedgewick, Analytic
-# Combinatorics, 2009).  At z = 1, H = 1, S = 1/2, U = 3/4 and G = 4.
+# First passage on the tree with hairs (Woess, Random Walks on Infinite
+# Graphs and Groups, 2000, Ch. 1), in words: z marks a letter, so 4^t times
+# a t-step probability is the integer coefficient of z^t.  A first passage
+# to a neighbour is z/(1 - zX), X counting the excursions that avoid it:
+#   H, hair offset m + 1 in to m:        X = 2 + H (1 + H is Catalan's series);
+#   S, skeleton depth u + 1 up to u:     X = 2S + H;
+#   D_u, depth u - 1 down to one child:  X = S + H + D_(u-1), D_0 = H;
+#   K_j, hair offset j - 1 out to j:     X = 2 + K_(j-1), 2S + D_d off depth d.
+# Every vertex of a geodesic is a cut point, so F(x, y) is the product of
+# these along it: H in along x's hair, S up to the lowest common ancestor,
+# D_u down, K_j out along y's hair.  The first return to y is U_y = z(H + X),
+# X that of the next step out along y's hair, and 4^t P^t(x, y) is the
+# coefficient of z^t in F(x, y) / (1 - U_y) (Flajolet and Sedgewick,
+# Analytic Combinatorics, 2009).  The root is the case F = 1.
 
 
-def _root_counts(N: int) -> tuple[list[int], list[int]]:
-    """g_n = 4^n P^n(root, root) and u_n = 4^n f_n, f_n the first-return
-    mass, for n = 0..N."""
+def _plus(*series: list[int]) -> list[int]:
+    """The termwise sum of power series of one length."""
+    return [sum(terms) for terms in zip(*series)]
+
+
+def _over(f: list[int], x: list[int], loops: int = 0) -> list[int]:
+    """The coefficients r of f / (1 - zX) to the length of f, where
+    X = x + loops * r: r_n = f_n + the sum of X_i r_(n-1-i) over i < n."""
+    x, r = x[:], f[:]
+    for n in range(len(r)):
+        r[n] += sum(map(mul, x[:n], r[n - 1 :: -1]))
+        x[n] += loops * r[n]
+    return r
+
+
+def _counts(x: Dyadic, y: Dyadic, N: int) -> tuple[list[int], list[int]]:
+    """4^t P^t(x, y) and 4^t f_t(y), f_t the first-return mass at y, for
+    t = 0..N; ValueError when x or y is not a vertex."""
+    (nx, mx), (ny, my) = code(x), code(y)
     if N < 0:
         raise ValueError("n must be >= 0")
-    h, s, w = [0] * N, [0] * N, [0] * N  # h_0 = s_0 = 0, w_n = 2 s_n + h_n
-    u, g = [0] * (N + 1), [1] + [0] * N
-    for n in range(1, N + 1):
-        u[n] = 2 * (s[n - 1] + h[n - 1])
-        g[n] = sum(map(mul, u[1 : n + 1], g[n - 1 :: -1]))
-        if n < N:
-            # convolutions over i + j = n - 1 with i, j >= 1
-            rev = slice(n - 2, 0, -1)
-            h[n] = (n == 1) + 2 * h[n - 1] + sum(map(mul, h[1 : n - 1], h[rev]))
-            s[n] = (n == 1) + sum(map(mul, w[1 : n - 1], s[rev]))
-            w[n] = 2 * s[n] + h[n]
-    return g, u
-
-
-def _count_layers(start, steps: int, cap: Optional[int]) -> list[dict]:
-    """Path counts of the four-letter walk on code addresses from start,
-    after 0..steps steps."""
-    layers = [{start: 1}]
-    for _ in range(steps):
-        layers.append(evolve(layers[-1], EDGE_LABELS, struct_act, cap))
-    assert sum(layers[-1].values()) == 4**steps, "path counts must sum to 4**steps"
-    return layers
-
-
-def _halves(x: Dyadic, y: Dyadic, N: int, cap: Optional[int]) -> tuple[list[dict], list[dict]]:
-    """Path counts from code(x) after 0..ceil(N/2) steps and from code(y)
-    after 0..floor(N/2), cap bounding each half's support.
-
-    The letters aAbB are closed under inversion, so P is symmetric and
-    4^t P^t(x, y) = _meet(c_a(x), c_b(y)) for any a + b = t, c_k being the
-    k-step path counts.
-    """
-    cx, cy = code(x), code(y)
-    if N < 0:
-        raise ValueError("n must be >= 0")
-    return _count_layers(cx, (N + 1) // 2, cap), _count_layers(cy, N // 2, cap)
-
-
-def _meet(p: dict, q: dict) -> int:
-    """The number of paths through the middle: sum of p[z] q[z]."""
-    return sum(p[z] * q[z] for z in p.keys() & q.keys())
+    dx, dy, a, b = nx.bit_length() - 1, ny.bit_length() - 1, abs(mx), abs(my)
+    diff = nx ^ ny  # the paths from the root share their low bits
+    top = min(dx, dy, (diff & -diff).bit_length() - 1) if diff else dx
+    shared = min(a, b) if nx == ny and mx * my >= 0 else 0  # offsets on a common hair
+    z, two = [0, 1, *[0] * N][: N + 1], [2] + [0] * N
+    H = [0] + [math.comb(2 * n, n) // (n + 1) for n in range(1, N + 1)]
+    S = _over(z, H, 2)
+    # To z^N, D_u is D_half for every u >= half and K_j is H for every
+    # j > half: a walk that tells them apart goes to the root, or to the
+    # base, and back.  So the work does not grow with depth or offset.
+    half = max(1, N // 2)
+    D = [H]  # D[u]
+    while len(D) <= min(dy, half):
+        D.append(_over(z, _plus(S, H, D[-1])))
+    out = [_plus(S, S, D[-1])]  # out[j]: the X of K_(j+1) on y's hair
+    while len(out) <= min(b, half + 1):
+        out.append(_plus(two, _over(z, out[-1])))
+    ret = _plus(H, out[-1])  # U_y / z
+    path = chain(repeat(_plus(two, H), a - shared), repeat(_plus(S, S, H), dx - top),
+                 (_plus(S, H, D[min(u, half) - 1]) for u in range(top + 1, dy + 1)),
+                 (out[min(j - 1, half + 1)] for j in range(shared + 1, b + 1)))
+    p = [1] + [0] * N
+    # each factor z/(1 - zX) shifts F by one, so after k of them p holds the
+    # terms of F / z^k up to z^(N - k), and N + 1 of them leave none
+    for X in islice(path, N + 1):
+        p = _over(p[:-1], X)
+    return [0] * (N + 1 - len(p)) + _over(p, ret), [0] + ret[:-1]
 
 
 def _scaled(counts: Sequence[int]) -> list[Fraction]:
@@ -161,16 +167,14 @@ def _scaled(counts: Sequence[int]) -> list[Fraction]:
 
 
 def lumped_return_series(N: int) -> list[Fraction]:
-    """P^n(root, root) for n = 0..N from the first-passage recurrences."""
-    return _scaled(_root_counts(N)[0])
+    """P^n(root, root) for n = 0..N, the root series of _counts."""
+    return _scaled(_counts(ROOT, ROOT, N)[0])
 
 
-def pn_exact(x: Dyadic, y: Dyadic, n: int, cap: int = 200_000) -> Fraction:
-    """Exact n-step probability from x to y, meeting in the middle: path
-    counts from each end for half the steps, cap bounding each half's
-    support (CapExceeded beyond it); ValueError when x or y is not a vertex."""
-    fwd, bwd = _halves(x, y, n, cap)
-    return Fraction(_meet(fwd[-1], bwd[-1]), 1 << 2 * n)
+def pn_exact(x: Dyadic, y: Dyadic, n: int) -> Fraction:
+    """Exact n-step probability from x to y, 4^-n times the coefficient of
+    z^n in F(x, y) / (1 - U_y); ValueError when x or y is not a vertex."""
+    return Fraction(_counts(x, y, n)[0][n], 1 << 2 * n)
 
 
 def power_partial_sums(series: Sequence[Fraction], r: Fraction) -> list[Fraction]:
@@ -178,19 +182,10 @@ def power_partial_sums(series: Sequence[Fraction], r: Fraction) -> list[Fraction
     return list(accumulate(term * r**n for n, term in enumerate(series)))
 
 
-def green_partial(x: Dyadic, y: Dyadic, r: Fraction, N: int, cap: int = 200_000):
-    """Partial Green sum: p_n(x,y) r^n over n = 0..N.
-
-    The root-to-root case reads the first-passage recurrences; other pairs
-    meet in the middle as pn_exact does, with cap bounding each half's
-    support (ValueError when x or y is not a vertex).
-    """
-    if x == ROOT and y == ROOT:
-        counts = _root_counts(N)[0]
-    else:
-        fwd, bwd = _halves(x, y, N, cap)
-        counts = [_meet(fwd[(t + 1) // 2], bwd[t // 2]) for t in range(N + 1)]
-    return power_partial_sums(_scaled(counts), r)[-1]
+def green_partial(x: Dyadic, y: Dyadic, r: Fraction, N: int):
+    """Partial Green sum: p_n(x,y) r^n over n = 0..N, the series of pn_exact;
+    ValueError when x or y is not a vertex."""
+    return power_partial_sums(_scaled(_counts(x, y, N)[0]), r)[-1]
 
 
 @dataclass
@@ -363,9 +358,9 @@ class ReturnReport:
 
 
 def return_prob(N: int) -> ReturnReport:
-    """First-return mass at the root through time N, the coefficients of U
-    from the first-passage recurrences."""
-    f = _scaled(_root_counts(N)[1])
+    """First-return mass at the root through time N, the coefficients of
+    U_root from _counts."""
+    f = _scaled(_counts(ROOT, ROOT, N)[1])
     return ReturnReport(N=N, first_return=f, partials=list(accumulate(f)))
 
 

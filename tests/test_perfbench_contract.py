@@ -5,6 +5,7 @@ tracer and freezer read from outside still exist."""
 import importlib
 import inspect
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -87,3 +88,38 @@ def test_what_the_tracer_reads_of_results_and_arguments():
     # pn_exact's work is its argument 2, n; green_partial's its argument 3, N
     assert list(inspect.signature(walks.pn_exact).parameters)[2] == "n"
     assert list(inspect.signature(walks.green_partial).parameters)[3] == "N"
+
+
+def test_exact_series_bind_the_arguments_the_benchmark_passes():
+    # workloads.py and freeze.py call pn_exact(x, y, N) and
+    # green_partial(x, y, r, N), every parameter bound by position
+    for fn, args in ((walks.pn_exact, (ROOT, ROOT, 8)),
+                     (walks.green_partial, (ROOT, ROOT, Fraction(1, 2), 10))):
+        signature = inspect.signature(fn)
+        assert list(signature.bind(*args).arguments) == list(signature.parameters)
+        with pytest.raises(TypeError):
+            signature.bind(*args[:-1])
+
+
+EXACT_SERIES = {
+    "lumped_return_series": (6,),
+    "return_prob": (6,),
+    "pn_exact": (ROOT, Dyadic(11, 4), 5),
+    "green_partial": (Dyadic(11, 4), ROOT, Fraction(1, 2), 5),
+}
+
+
+def test_each_exact_series_reads_the_kernel_not_another(monkeypatch):
+    # the tracer wraps these four as module attributes: one calling another
+    # would count its walks.pn span twice
+    calls = []
+
+    def logged(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    for name in ("_counts", *EXACT_SERIES):
+        monkeypatch.setattr(walks, name, logged(name, getattr(walks, name)))
+    for name, args in EXACT_SERIES.items():
+        calls.clear()
+        getattr(walks, name)(*args)
+        assert calls == [name, "_counts"], name

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import accumulate, product
 
@@ -11,6 +12,7 @@ from extamen.dyadic import ONE, ROOT, ZERO, Dyadic
 from extamen.errors import CapExceeded, PreconditionFailed
 from extamen.graph import (
     EDGE_LABELS,
+    ROOT_CODE,
     act_letter,
     act_word,
     ball,
@@ -42,11 +44,13 @@ from extamen.walks import (
     StructuralLampWalk,
     WalkConfig,
     _NO_PARK,
+    _counts,
     _lamp_codes,
     _letters,
     _lumped_act,
     _mc_letters,
     _mc_tables,
+    _scaled,
     delta_check_phi_u,
     green_mc,
     green_partial,
@@ -82,10 +86,8 @@ def test_lumped_matches_full_walk():
         assert u[n] == pn_exact(ROOT, ROOT, n), f"n={n}"
 
 
-def test_pn_exact_conserves_and_caps():
+def test_pn_exact_one_step_and_negative_n():
     assert pn_exact(dy(11, 4), ROOT, 1) == Fraction(1, 4)
-    with pytest.raises(CapExceeded):
-        pn_exact(ROOT, ROOT, 3, cap=5)
     with pytest.raises(ValueError):
         pn_exact(ROOT, ROOT, -1)
 
@@ -149,19 +151,19 @@ def test_green_partials_monotone_below_four():
         prev = g
 
 
-def _first_passage(start, target, N):
+def _first_passage(start, target, N, letters, act):
     # [P(first visit to target at step t)] for t = 0..N: push path counts
-    # through the lumped chain, removing any that reach the target
+    # through the walk, removing any that reach the target
     counts = {start: 1}
     f = [Fraction(0)]
     for t in range(1, N + 1):
-        counts = evolve(counts, LUMPED_LETTERS, _lumped_act)
-        f.append(Fraction(counts.pop(target, 0), 4**t))
+        counts = evolve(counts, letters, act)
+        f.append(Fraction(counts.pop(target, 0), len(letters) ** t))
     return f
 
 
 def _taboo_first_return(N):
-    return _first_passage((0, 0), (0, 0), N)
+    return _first_passage((0, 0), (0, 0), N, LUMPED_LETTERS, _lumped_act)
 
 
 def test_return_prob_matches_taboo_walk():
@@ -202,8 +204,9 @@ def test_first_passage_series_satisfy_the_quadratic_equations():
     # coefficient by coefficient, on series drawn from the lumped chain
     N = 24
     z = [Fraction(0), Fraction(1)] + [Fraction(0)] * (N - 1)
-    H = _first_passage((1, 1), (1, 0), N)  # hair offset 1 to its base
-    S = _first_passage((1, 0), (0, 0), N)  # skeleton depth 1 to the root
+    # hair offset 1 to its base, skeleton depth 1 to the root
+    H = _first_passage((1, 1), (1, 0), N, LUMPED_LETTERS, _lumped_act)
+    S = _first_passage((1, 0), (0, 0), N, LUMPED_LETTERS, _lumped_act)
     U = return_prob(N).first_return
     G = lumped_return_series(N)
     q = Fraction(1, 4)
@@ -213,6 +216,50 @@ def test_first_passage_series_satisfy_the_quadratic_equations():
                  zip(z, _times(z, _times(S, S)), _times(z, _times(H, S)))]
     assert U == [Fraction(1, 2) * c for c in _times(z, [a + b for a, b in zip(S, H)])]
     assert _times(G, [1 - U[0]] + [-c for c in U[1:]]) == [1] + [0] * N
+
+
+def _taboo(x, y, N):
+    # first passage from x to y on code addresses, one step at a time
+    return _first_passage(code(x), code(y), N, EDGE_LABELS, struct_act)
+
+
+def _factor(x, y, N):
+    # F(x, y) = G(x, y) (1 - U_y), read back from the kernel's two series
+    p, u = _counts(x, y, N)
+    return [Fraction(c, 4**t) for t, c in enumerate(_times(p, [1] + [-c for c in u[1:]]))]
+
+
+def _hair(base, j):
+    # the vertex j steps out on the hair of base (the base itself for j = 0)
+    return hair_point(base, j) if j else base
+
+
+@pytest.mark.parametrize("x, y", [
+    (vertex(1, 2), vertex(1, 1)),  # H
+    (hair_point(vertex_at("LR"), 4), hair_point(vertex_at("LR"), 3)),  # H
+    (hair_point(vertex_at("RRL"), 1), vertex_at("RRL")),  # H
+    (vertex_at("L"), ROOT),  # S
+    (vertex_at("RLR"), vertex_at("RL")),  # S
+    (ROOT, vertex_at("R")),  # D_1
+    (vertex_at("L"), vertex_at("LR")),  # D_2
+    (vertex_at("LR"), vertex_at("LRR")),  # D_3
+    (vertex_at("RRL"), vertex_at("RRLL")),  # D_4
+    *[(_hair(base, j - 1), _hair(base, j))  # K_j at base depths 0, 1 and 3
+      for base in (ROOT, vertex_at("L"), vertex_at("LRL")) for j in (1, 2, 3)],
+    (vertex(1, -1), vertex(1, -2)),  # K_2 on the other root hair
+    # N = 14 builds D_u and K_j up to u, j = 7 only: these read the last
+    (vertex_at("LRLLRRL"), vertex_at("LRLLRRLL")),  # D_8
+    (hair_point(vertex_at("R"), 8), hair_point(vertex_at("R"), 9)),  # K_9
+])
+def test_each_geodesic_factor_is_a_taboo_first_passage(x, y):
+    assert _factor(x, y, 14) == _taboo(x, y, 14)
+
+
+@pytest.mark.parametrize("y", [ROOT, vertex_at("LR"), vertex_at("LRLLRRLL"),
+                               hair_point(vertex_at("R"), 2), vertex(1, -9)])
+def test_first_return_is_a_taboo_first_passage(y):
+    # depth 8 and offset 9 read the last D_u and K_j built at N = 14
+    assert _scaled(_counts(y, y, 14)[1]) == _taboo(y, y, 14)
 
 
 def _one_sided(x, y, N):
@@ -236,6 +283,7 @@ def _meet_pairs():
 
 @pytest.mark.parametrize("x, y", _meet_pairs())
 def test_meet_in_the_middle_equals_the_one_sided_walk(x, y):
+    # the geodesic factors against the full distribution pushed from x
     series = _one_sided(x, y, 9)
     for n in range(10):
         assert pn_exact(x, y, n) == series[n], n
@@ -243,23 +291,78 @@ def test_meet_in_the_middle_equals_the_one_sided_walk(x, y):
         assert green_partial(x, y, r, n) == power_partial_sums(series[: n + 1], r)[-1], n
 
 
-def test_pn_exact_caps_each_half():
-    # from x 2 steps, from y 1 step: the cap bounds the larger half's support,
-    # far below the support the one-sided walk reaches in 3 steps
-    x, y = vertex_at("LR"), hair_point(vertex_at("R"), 2)
-    half = max(len(evolve(evolve({code(x): 1}, EDGE_LABELS, struct_act), EDGE_LABELS, struct_act)),
-               len(evolve({code(y): 1}, EDGE_LABELS, struct_act)))
-    want = _one_sided(x, y, 3)[-1]
-    assert pn_exact(x, y, 3, cap=half) == want
-    assert green_partial(x, y, Fraction(1), 3, cap=half) == sum(_one_sided(x, y, 3))
-    with pytest.raises(CapExceeded):
-        pn_exact(x, y, 3, cap=half - 1)
-    with pytest.raises(CapExceeded):
-        green_partial(x, y, Fraction(1), 3, cap=half - 1)
-    with pytest.raises(CapExceeded):
-        transition_series(code(x), code(y), 3, EDGE_LABELS, struct_act, cap=half)
-    # n = 0 takes no step, so no cap is reached
-    assert pn_exact(x, x, 0, cap=0) == 1
+@strategies.composite
+def _near_vertices(draw):
+    # depth <= 6, offset <= 6 on any hair the base has: both at the root,
+    # off it the one its last letter leaves
+    depth = draw(strategies.integers(0, 6))
+    node = 1 << depth | draw(strategies.integers(0, (1 << depth) - 1))
+    m = draw(strategies.integers(0, 6))
+    if depth == 0:
+        m *= draw(strategies.sampled_from((1, -1)))
+    elif node >> (depth - 1) & 1:
+        m = -m  # last letter a: the hair walked by B
+    return vertex(node, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_near_vertices(), _near_vertices(), strategies.integers(0, 9))
+def test_exact_series_equal_the_one_sided_walk_on_drawn_pairs(x, y, n):
+    series = _one_sided(x, y, n)
+    assert pn_exact(x, y, n) == series[n]
+    r = Fraction(3, 5)
+    assert green_partial(x, y, r, n) == power_partial_sums(series, r)[-1]
+
+
+def _to_root(c):
+    # the addresses from c to the root: each step the image under a letter
+    # nearest the root, inward on a hair and to the parent on the skeleton
+    path = [c]
+    while path[-1] != ROOT_CODE:
+        path.append(min((struct_act(ch, path[-1]) for ch in EDGE_LABELS),
+                        key=lambda a: (abs(a[1]), a[0].bit_length())))
+    return path
+
+
+def _distance(x, y):
+    # the tree with hairs has one geodesic: it turns where the root paths meet
+    up = {a: i for i, a in enumerate(_to_root(code(y)))}
+    return next(i + up[a] for i, a in enumerate(_to_root(code(x))) if a in up)
+
+
+def _far_vertex(rng):
+    depth = rng.randint(16, 24)
+    node = 1 << depth | rng.getrandbits(depth)
+    m = rng.choice((0, rng.randint(1, 40)))
+    return vertex(node, -m if node >> (depth - 1) & 1 else m)
+
+
+def test_exact_series_reach_deep_pairs():
+    # the factorization is not symmetric in x and y, but P is
+    rng = random.Random(19)
+    N = 60
+    pairs = []
+    for _ in range(6):
+        x = _far_vertex(rng)
+        c = code(x)
+        for ch in rng.choices(EDGE_LABELS, k=rng.randint(10, 50)):
+            c = struct_act(ch, c)
+        pairs += [(x, vertex(*c)), (x, _far_vertex(rng))]
+    for x, y in pairs:
+        p = _counts(x, y, N)[0]
+        assert p == _counts(y, x, N)[0], (x, y)
+        d = _distance(x, y)
+        assert not any(p[:d]) and (d > N or p[d] > 0), (x, y, d)
+    assert any(_distance(x, y) <= N for x, y in pairs)
+
+
+def test_exact_series_cost_does_not_grow_with_depth_or_offset():
+    far = [(vertex(1, 20000), vertex(1, 19999)), (vertex(1 << 5000), vertex(1 << 4999))]
+    for x, y in far:
+        start = time.perf_counter()
+        p = pn_exact(x, y, 10)
+        assert time.perf_counter() - start < 0.05
+        assert p > 0
 
 
 def test_exact_series_refuse_negative_n():
