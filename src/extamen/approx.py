@@ -135,22 +135,36 @@ def _deviation_scan(F, E: Config, n: int, beta: Fraction, mode: str, pairs) -> V
     """Largest relative deviation |F(C) - F(E)| / F(E) over the (C, word)
     pairs that pairs(to_codes(E)) yields, C in addresses, called once F(E)
     is known to be nonzero; the first word to reach the largest deviation
-    is reported."""
+    is reported.
+
+    The largest |v - base| is at the largest or the smallest value, so the
+    scan keeps the first pair to set each extreme and divides by F(E) only
+    at the end; nothing moved gives Fraction(0) and the empty word."""
     value = F.fn
     start = to_codes(E)
     base = value(start)
     if base == 0:
         raise ZeroBase(f"{F.name} vanishes on the tested configuration")
-    worst = Fraction(0)
-    worst_word = ""
+    hi = lo = base
+    hi_at = lo_at = 0
+    hi_word = lo_word = ""
     checked = 0
     for checked, (C, word) in enumerate(pairs(start), 1):
         v = value(C)
-        # equal values deviate by 0, which never beats worst
+        # equal values deviate by 0 and set no extreme; != is the cheap test
         if v != base:
-            dev = abs(v - base) / base
-            if dev > worst:
-                worst, worst_word = dev, word
+            if v > hi:
+                hi, hi_at, hi_word = v, checked, word
+            elif v < lo:
+                lo, lo_at, lo_word = v, checked, word
+    worst = Fraction(0)
+    worst_word = ""
+    # the running maximum of the deviation over the two extremes in scan
+    # order, so a tie goes to the earlier word
+    for _, dev, word in sorted([(hi_at, hi - base, hi_word), (lo_at, base - lo, lo_word)]):
+        dev /= base
+        if dev > worst:
+            worst, worst_word = dev, word
     return VerifyReport(
         fn_name=F.name,
         E=E,

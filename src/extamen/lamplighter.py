@@ -148,19 +148,34 @@ def orbit_enumerate(E: tuple, n: int, cap: int = 10**6, act=None, root=None) -> 
     Breadth-first with deduplication; the witness is the first word found,
     so witnesses are shortest and deterministic given the letter order.
     act and root are as in act_on_config, by default the Dyadic action.
+    Every configuration is built from the same few lamps, so each moving
+    letter keeps a table, for this call only, from a lamp to its image:
+    act runs once per (letter, lamp), and images are sorted table lookups.
+    's' goes through act_on_config.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if act is None:
         act, root = act_letter, ROOT
+    moves = [(ch, None if ch == "s" else {}) for ch in LAMP_LETTERS]
     seen = {E: ""}
     frontier = [E]
     for _ in range(n):
         nxt = []
         for C in frontier:
             w = seen[C]
-            for ch in LAMP_LETTERS:
-                img = act_on_config(C, ch, act, root)
+            for ch, table in moves:
+                if table is None:
+                    img = act_on_config(C, ch, act, root)
+                else:
+                    # the action is injective, so the image needs sorting but no dedup
+                    moved = []
+                    for x in C:
+                        y = table.get(x)
+                        if y is None:
+                            y = table[x] = act(ch, x)
+                        moved.append(y)
+                    img = tuple(sorted(moved))
                 if img not in seen:
                     if len(seen) >= cap:
                         raise CapExceeded(f"orbit of {len(E)} lamps exceeds cap {cap}")

@@ -24,7 +24,7 @@ from .errors import (
     PreconditionFailed,
     PropertySelfTestFailed,
 )
-from .graph import ROOT_CODE, ball, node_info
+from .graph import ROOT_CODE, ball
 from .harmonic import VertexFn, canonical_phi_u, markov_apply_X, phi_family, pow2
 from .lamplighter import Config, SetFn, apply_letter, markov_apply_set, markov_iterate
 
@@ -158,8 +158,9 @@ def countable_sum(
     When family is phi_family itself the sum is evaluated in closed form, in
     integers and O(|E| + N) time.  Member i is 2^-depth inside subtree i
     (where depth >= i + 1) and 2^-i everywhere else, root included, so a lamp
-    with node_info (lead, deeper, depth) can lower only term lead, and only
-    when deeper (equivalently depth > lead) and lead <= N.  With e_i the
+    with struct_info (lead, deeper, depth) can lower only term lead, and only
+    when deeper (equivalently depth > lead) and lead <= N; lead and depth
+    are read off each lamp's node by integer operations.  With e_i the
     larger of i and the deepest such depth, F(E) = sum over i = 0..N of
     2^-e_i, summed as one integer over 2^max(e_i); the empty set gives
     2 - 2^-N.  Every other family takes the generic sum of minfun terms,
@@ -184,11 +185,18 @@ def countable_sum(
 
 def _phi_family_sum(N: int) -> Callable[[tuple], Fraction]:
     """Closed form of the sum of minfun(phi_family(i)) for i = 0..N on an
-    address configuration, from each lamp's node_info."""
+    address configuration, reading each lamp's node with integer operations.
+
+    depth is the node's bit length less one and lead its number of trailing
+    ones: node_info's lead, except on the root and the all-ones nodes, where
+    it is one more.  Those lamps lie in no subtree, and depth > lead fails
+    for them under either reading."""
 
     def fn(C: tuple) -> Fraction:
         deepest: dict[int, int] = {}
-        for lead, _, depth in (node_info(node) for node, _ in C):
+        for node, _ in C:
+            depth = node.bit_length() - 1
+            lead = (node ^ (node + 1)).bit_length() - 1
             # depth > lead exactly when the path continues past its leading
             # L-turns, i.e. when the lamp lies in subtree lead
             if lead <= N and depth > deepest.get(lead, lead):

@@ -143,6 +143,29 @@ def test_verifiers_match_their_reference_scans():
                 F, E, n, beta, "weak", pairs)
 
 
+def _tie(sign):
+    """A user SetFn: 2 plus the clamp to [-1, 1] of a sum over the lamps of
+    sign on a hair walked by B, -sign on one walked by A and sign/2 at node 3.
+    Its up and down deviations from the empty set tie at 1/2; its values are
+    integers but at node 3, so deviations come out as floats and Fractions."""
+    def fn(C):
+        total = sum(sign * (-1 if m > 0 else 1) if m else
+                    (sign * Fraction(1, 2) if node == 3 else 0) for node, m in C)
+        return 2 + max(-1, min(1, total))
+    return SetFn(f"tie:{sign}", fn=fn)
+
+
+def test_deviation_ties_go_to_the_earlier_word():
+    # the orbit of the empty set meets A's hair at 'As' before B's at 'Bs',
+    # so tie:1 reaches its lower value first and tie:-1 its upper value
+    for sign in (1, -1):
+        rep = strong_verify(_tie(sign), EMPTY, 2, Fraction(1, 2))
+        assert (rep.worst_word, rep.worst_deviation) == ("As", Fraction(1, 2))
+    rep = strong_verify(SetFn("constant", fn=lambda C: 3), EMPTY, 2, Fraction(1, 2))
+    assert (rep.worst_word, rep.worst_deviation) == ("", 0)
+    assert type(rep.worst_deviation) is Fraction
+
+
 def _set_functions():
     """Every kind of registry set function, with the largest level it is
     verified at here."""
@@ -167,6 +190,10 @@ def _set_functions():
             [Fraction(1), Fraction(1, 2)]), 4),
         ("minfun:plain_phi_u", minfun(plain_phi), 7),
         ("user", lamps, 7),
+        # user functions whose up and down deviations tie, and one that never moves
+        ("tie:1", _tie(1), 7),
+        ("tie:-1", _tie(-1), 7),
+        ("constant", SetFn("constant", fn=lambda C: 3), 7),
     ]
 
 
@@ -184,14 +211,18 @@ def test_verifiers_match_the_dyadic_path(F, top):
         n = min(n, top)
         beta = Fraction(1, n)
         orbit = orbit_enumerate(E, n)
-        assert _fields(strong_verify(F, E, n, beta)) == _verify_reference(
-            F, E, n, beta, "strong", orbit.items())
         rng = random.Random(n)
         words = ["".join(rng.choice(LAMP_LETTERS) for _ in range(rng.randint(1, n)))
                  for _ in range(40)]
         pairs = [(apply_word(E, word), word) for word in words]
-        assert _fields(weak_verify(F, E, n, beta, samples=40, seed=n)) == _verify_reference(
-            F, E, n, beta, "weak", pairs)
+        for rep, want in [
+            (strong_verify(F, E, n, beta), _verify_reference(
+                F, E, n, beta, "strong", orbit.items())),
+            (weak_verify(F, E, n, beta, samples=40, seed=n), _verify_reference(
+                F, E, n, beta, "weak", pairs)),
+        ]:
+            assert _fields(rep) == want
+            assert type(rep.worst_deviation) is type(want[-1])
 
 
 def test_golden_witness_vacant_path():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -7,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from extamen.dyadic import Dyadic, ROOT
 from extamen.errors import CapExceeded
-from extamen.graph import ball, code, evolve, vertex
+from extamen.graph import ROOT_CODE, act_letter, ball, code, evolve, struct_act, vertex
 from extamen.lamplighter import (
     EMPTY,
     LAMP_LETTERS,
+    act_on_config,
     apply_letter,
     apply_word,
     config,
@@ -101,6 +103,73 @@ def test_orbit_witness_words_replay():
 def test_orbit_cap():
     with pytest.raises(CapExceeded):
         orbit_enumerate(EMPTY, 6, cap=20)
+
+
+def _orbit_reference(E, n, act, root, cap=10**6):
+    """The breadth-first orbit with every image from act_on_config."""
+    seen = {E: ""}
+    frontier = [E]
+    for _ in range(n):
+        nxt = []
+        for C in frontier:
+            for ch in LAMP_LETTERS:
+                img = act_on_config(C, ch, act, root)
+                if img not in seen:
+                    if len(seen) >= cap:
+                        raise CapExceeded(f"orbit exceeds cap {cap}")
+                    seen[img] = ch + seen[C]
+                    nxt.append(img)
+        frontier = nxt
+    return seen
+
+
+_ORBIT_STARTS = [(EMPTY, 5), ((ROOT,), 4), (config([dy(9, 4), dy(1, 1), dy(23, 5)]), 4)]
+
+# (name, act, root, how a configuration of vertices becomes a start)
+_ACTIONS = [("dyadic", act_letter, ROOT, lambda E: E),
+            ("struct", struct_act, ROOT_CODE, to_codes)]
+
+
+@pytest.mark.parametrize("act, root, start", [a[1:] for a in _ACTIONS],
+                         ids=[a[0] for a in _ACTIONS])
+def test_orbit_tables_match_the_act_on_config_orbit(act, root, start):
+    for E, n in _ORBIT_STARTS:
+        E = start(E)
+        got = orbit_enumerate(E, n, act=act, root=root)
+        # same configurations, witness words and insertion order
+        assert list(got.items()) == list(_orbit_reference(E, n, act, root).items())
+
+
+@pytest.mark.parametrize("act, root, start", [a[1:] for a in _ACTIONS],
+                         ids=[a[0] for a in _ACTIONS])
+def test_orbit_cap_raises_at_the_reference_size(act, root, start):
+    E, n = start(EMPTY), 4
+    full = len(_orbit_reference(E, n, act, root))
+    # every cap below the orbit's size raises, the size itself does not
+    for cap in range(1, full + 1):
+        try:
+            want = _orbit_reference(E, n, act, root, cap=cap)
+        except CapExceeded:
+            with pytest.raises(CapExceeded):
+                orbit_enumerate(E, n, cap=cap, act=act, root=root)
+        else:
+            assert orbit_enumerate(E, n, cap=cap, act=act, root=root) == want
+
+
+@pytest.mark.parametrize("act, root, start", [a[1:] for a in _ACTIONS],
+                         ids=[a[0] for a in _ACTIONS])
+def test_orbit_acts_once_per_letter_and_lamp(act, root, start):
+    calls = Counter()
+
+    def counting(ch, x):
+        calls[ch, x] += 1
+        return act(ch, x)
+
+    E = start(config([dy(9, 4), dy(11, 4)]))
+    orbit = orbit_enumerate(E, 5, act=counting, root=root)
+    assert orbit == _orbit_reference(E, 5, act, root)
+    assert calls and max(calls.values()) == 1
+    assert {ch for ch, _ in calls} == set("aAbB")
 
 
 def _naive_iterate(F, E, n):

@@ -11,7 +11,7 @@ from extamen.errors import (
     PropertySelfTestFailed,
 )
 from extamen.approx import construct_En_countable, explicit_En_hairs
-from extamen.graph import act_word, ball, hair_point, struct_info, vertex, vertex_at
+from extamen.graph import act_word, ball, hair_point, node_info, struct_info, vertex, vertex_at
 from extamen.harmonic import VertexFn, canonical_phi_u, phi_family, pow2
 from extamen.lamplighter import EMPTY, config, markov_apply_set, orbit_enumerate
 from extamen.minfn import (
@@ -152,6 +152,24 @@ def test_phi_family_sum_matches_oracle_on_explicit_orbits():
 def test_phi_family_sum_matches_oracle_on_countable_orbit():
     result = construct_En_countable(4)
     assert_matches_oracle(result.setfn, orbit_enumerate(result.E, 4))
+
+
+def test_phi_family_sum_reads_nodes_as_node_info_does():
+    # a single skeleton lamp lowers term lead from 2^-lead to 2^-depth exactly
+    # when node_info's lead <= N and depth > lead; the root (node 1) and the
+    # all-ones nodes have depth == lead and lower nothing
+    for k in (0, 3, 13):
+        G = countable_sum(phi_family, pow2(-k), tail_bound=phi_family_tail_bound)
+        F, N = G.fn, dict(G.meta)["truncation_N"]
+        empty = F(())
+        for node in range(1, 1 << 14):
+            lead, _, depth = node_info(node)
+            picked = lead <= N and depth > lead
+            want = empty - pow2(-lead) + pow2(-depth) if picked else empty
+            assert F(((node, 0),)) == want, (N, node)
+    # the root and the all-ones nodes, which the inline read gives lead + 1
+    for depth in range(14):
+        assert node_info((2 << depth) - 1) == (depth, False, depth)
 
 
 @st.composite
