@@ -3,8 +3,8 @@
 Verification is exact: the whole length-<=n word orbit is enumerated and the
 relative change of the target function is compared with the tolerance beta.
 Both verifiers convert the configuration to graph.code addresses once, move
-it by graph.struct_act and read the target through SetFn.fn, which takes
-addresses; reports keep the caller's Dyadic set.
+it by one lamp_action over graph.struct_act and read the target through
+SetFn.fn, which takes addresses; reports keep the caller's Dyadic set.
 The constructors park lamps far out on hairs below skeleton vertices whose
 function values sit strictly under everything reachable from the root, which
 pins the minimum and makes the target exactly invariant on the orbit.  In the
@@ -27,7 +27,6 @@ from .errors import (
     ZeroBase,
 )
 from .graph import (
-    ROOT_CODE,
     Hair,
     act_letter,
     act_word,
@@ -35,7 +34,6 @@ from .graph import (
     classify,
     golden_path,
     hair_point,
-    struct_act,
     struct_info,
     subtree_T,
 )
@@ -44,9 +42,9 @@ from .lamplighter import (
     LAMP_LETTERS,
     Config,
     SetFn,
-    act_on_config,
     apply_word,
     config,
+    lamp_action,
     orbit_enumerate,
     serialize_config,
     to_codes,
@@ -182,7 +180,7 @@ def strong_verify(F, E: Config, n: int, beta: Fraction, cap: int = 10**6) -> Ver
     """Exact relative deviation of F over the whole length-<=n orbit of E."""
     return _deviation_scan(
         F, E, n, beta, "strong",
-        lambda C: orbit_enumerate(C, n, cap=cap, act=struct_act, root=ROOT_CODE).items(),
+        lambda C: orbit_enumerate(C, n, cap=cap, move=lamp_action()).items(),
     )
 
 
@@ -190,12 +188,15 @@ def weak_verify(
     F, E: Config, n: int, beta: Fraction, samples: int = 500, seed: int = 0
 ) -> VerifyReport:
     """Same deviation statistic over random words instead of the full orbit."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
     def pairs(C):
         rng = random.Random(seed)
+        move = lamp_action()
         for _ in range(samples):
             word = "".join(rng.choice(LAMP_LETTERS) for _ in range(rng.randint(1, n)))
-            yield act_on_config(C, word, struct_act, ROOT_CODE), word
+            yield act_word(word, C, move), word
 
     return _deviation_scan(F, E, n, beta, "weak", pairs)
 

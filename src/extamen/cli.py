@@ -9,8 +9,8 @@ accompanying manifest.json instead.
 Exit codes: 0 when the requested check passed, 1 when it ran and the
 property failed (or the inputs were unusable: an unknown or inexact name,
 a set that does not parse, cannot be read, holds 0 or 1 or names a recipe
-below its least n, a negative or oversized size, a run of zero trials,
-steps or samples), 2 when a resource cap or search budget was exhausted.
+below its least n, a negative seed, a negative or oversized size, zero
+trials, steps or samples), 2 when a resource cap or search budget was exhausted.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from .walks import WalkConfig
 
 __all__ = ["main", "build_parser"]
 
-# options holding a count or size; a negative value is unusable input
-SIZE_OPTIONS = ("n", "cap", "trials", "steps", "samples")
+# options holding a count, a size or a seed; a negative value is unusable input
+NONNEGATIVE_OPTIONS = ("n", "cap", "trials", "steps", "samples", "seed")
 
 
 class UnusableInput(Exception):
@@ -375,10 +375,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for size in SIZE_OPTIONS:
-            value = getattr(args, size, None)
+        for name in NONNEGATIVE_OPTIONS:
+            value = getattr(args, name, None)
             if value is not None and value < 0:
-                raise UnusableInput(f"--{size} must be >= 0, got {value}")
+                raise UnusableInput(f"--{name} must be >= 0, got {value}")
         ok, report, series = args.handler(args)
     except UnusableInput as exc:
         print(f"unusable input: {exc}", file=sys.stderr)

@@ -212,10 +212,6 @@ class PLMap:
         d = (n << (G - k)) - (self._x[i] << (G - E))
         return _dyadic((self._y[i] << (G - E)) + (d << e if e >= 0 else d >> -e), G)
 
-    def slope_exp_at(self, x: Fraction) -> int:
-        """Slope exponent on the piece containing x (right-continuous at breakpoints)."""
-        return self.slopes[self._piece_at((x.numerator << self._exp) // x.denominator)]
-
     def compose(self, other: "PLMap") -> "PLMap":
         """self after other (apply ``other`` first).
 

@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import PreconditionFailed
-from .graph import bfs, leaving_share
-from .lamplighter import act_on_config, config
+from .graph import act_word, bfs, leaving_share
+from .lamplighter import config, lamp_action
 
 __all__ = [
     "ZVertex",
@@ -104,7 +104,7 @@ def _act(ch: str, v: ZVertex) -> ZVertex:
 
 def z_apply_word_set(E: tuple[ZVertex, ...], word: str) -> tuple[ZVertex, ...]:
     """A word over aAbBs on a configuration, rightmost letter first; 's' toggles the lamp at e."""
-    return act_on_config(E, word, _act, Z_E, ZVertex.sort_key)
+    return act_word(word, E, lamp_action(_act, Z_E, ZVertex.sort_key))
 
 
 def phi_Z(v: ZVertex) -> Fraction:
@@ -208,6 +208,8 @@ def random_z_configs(
 
     Samples ZBall(radius), which draws exactly what sampling z_ball(radius) does.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     verts = ZBall(radius)
     if not 0 <= max_size <= len(verts):
         raise ValueError(f"max_size {max_size} is not in 0..{len(verts)}, the ball's size")

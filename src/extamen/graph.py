@@ -107,10 +107,10 @@ def act_letter(ch: str, d: Dyadic) -> Dyadic:
     raise ValueError(f"unknown letter {ch!r}")
 
 
-def act_word(w: str, d: Dyadic) -> Dyadic:
-    """Apply a word over aAbB, rightmost letter first."""
+def act_word(w: str, d, act=act_letter):
+    """Fold act(letter, state) over a word, rightmost letter first (act_letter by default)."""
     for ch in reversed(w):
-        d = act_letter(ch, d)
+        d = act(ch, d)
     return d
 
 

@@ -3,10 +3,11 @@
 A configuration is a finite set of vertices.  The four generator letters act
 pointwise; the switch letter 's' toggles membership of the root.  Words act
 right to left, matching the convention for the underlying vertex action.
-The walk operator averages uniformly over the five letters.  The action on
-configurations takes the vertex action as arguments, so the free-group graph
-of ``freegroup`` uses it too; given graph.struct_act, orbits run on
-configurations of addresses, sorted tuples of graph.code pairs (to_codes).
+The walk operator averages uniformly over the five letters.  lamp_action,
+the one move of a configuration by a letter, takes the vertex action as an
+argument, so the free-group graph of ``freegroup`` uses it too; given
+graph.struct_act, orbits run on configurations of addresses, sorted tuples
+of graph.code pairs (to_codes).
 Set functions read addresses only: SetFn.fn takes the to_codes form, and
 the exact walk average markov_iterate runs on it.
 """
@@ -15,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial
 from typing import Callable, Iterable, Optional
 
 from .dyadic import Dyadic, ROOT, parse_dyadic
 from .errors import CapExceeded
-from .graph import ROOT_CODE, act_letter, code, evolve, struct_act
+from .graph import ROOT_CODE, act_letter, act_word, code, evolve, struct_act
 
 __all__ = [
     "Config",
@@ -30,7 +31,7 @@ __all__ = [
     "to_codes",
     "SetFn",
     "LAMP_LETTERS",
-    "act_on_config",
+    "lamp_action",
     "apply_letter",
     "apply_word",
     "markov_apply_set",
@@ -91,28 +92,53 @@ class SetFn:
         return self.fn(to_codes(E))
 
 
-def act_on_config(E: tuple, word: str, act, root, key=None) -> tuple:
-    """Image of the configuration E under a word, rightmost letter first.
+class _Images(dict):
+    """One moving letter's table from a lamp to its image; act fills a missing lamp."""
 
-    's' toggles the lamp at root; any other letter moves every lamp by
-    act(letter, vertex).  Images stay sorted by key.
+    def __init__(self, act, ch: str, pairs):
+        super().__init__(pairs)
+        self.act, self.ch = act, ch
+
+    def __missing__(self, x):
+        y = self[x] = self.act(self.ch, x)
+        return y
+
+
+def lamp_action(act=struct_act, root=ROOT_CODE, key=None) -> Callable[[str, tuple], tuple]:
+    """move(letter, C): the configuration C moved by one letter, sorted by key.
+
+    's' toggles the lamp at root; aAbB move every lamp by act(letter, lamp)
+    through a table that the letter's first use fills in one pass, with no
+    lookups, and that lives as long as move; any other letter raises
+    ValueError.  move has the (letter, state) shape of a vertex action, so
+    graph.evolve and graph.act_word take it.
     """
-    for ch in reversed(word):
-        if ch == "s":
-            E = tuple(x for x in E if x != root) if root in E else config(E + (root,), key)
-        else:
+    images = {}
+    order = sorted if key is None else partial(sorted, key=key)
+
+    def move(ch: str, C: tuple) -> tuple:
+        table = images.get(ch)
+        if table is not None:
             # the action is injective, so the image needs sorting but no dedup
-            E = tuple(sorted((act(ch, x) for x in E), key=key))
-    return E
+            return tuple(order(map(table, C)))
+        if ch == "s":
+            return tuple([x for x in C if x != root]) if root in C else tuple(order(C + (root,)))
+        if ch not in ("a", "A", "b", "B"):
+            raise ValueError(f"unknown letter {ch!r}")
+        moved = [act(ch, x) for x in C]
+        images[ch] = _Images(act, ch, zip(C, moved)).__getitem__
+        return tuple(order(moved))
+
+    return move
 
 
 def apply_letter(E: Config, ch: str) -> Config:
-    return act_on_config(E, ch, act_letter, ROOT)
+    return lamp_action(act_letter, ROOT)(ch, E)
 
 
 def apply_word(E: Config, word: str) -> Config:
-    """Apply a word over aAbBs, rightmost letter first, one apply_letter per letter."""
-    return reduce(apply_letter, reversed(word), E)
+    """Apply a word over aAbBs, rightmost letter first, by one lamp_action."""
+    return act_word(word, E, lamp_action(act_letter, ROOT))
 
 
 def markov_apply_set(F, E: Config):
@@ -134,48 +160,31 @@ def markov_iterate(F: SetFn, C: tuple, n: int, cap: int = 8):
     if n > cap:
         raise CapExceeded(f"markov_iterate n={n} exceeds cap {cap}")
     counts = {C: 1}
+    move = lamp_action()
     for _ in range(n):
-        counts = evolve(
-            counts, LAMP_LETTERS, lambda ch, D: act_on_config(D, ch, struct_act, ROOT_CODE)
-        )
+        counts = evolve(counts, LAMP_LETTERS, move)
     assert sum(counts.values()) == 5**n, "path counts must sum to 5**n"
     return sum(Fraction(c, 5**n) * F.fn(D) for D, c in counts.items())
 
 
-def orbit_enumerate(E: tuple, n: int, cap: int = 10**6, act=None, root=None) -> dict:
+def orbit_enumerate(E: tuple, n: int, cap: int = 10**6, move=None) -> dict:
     """Configurations reachable by words of length <= n, each with one witness word.
 
     Breadth-first with deduplication; the witness is the first word found,
     so witnesses are shortest and deterministic given the letter order.
-    act and root are as in act_on_config, by default the Dyadic action.
-    Every configuration is built from the same few lamps, so each moving
-    letter keeps a table, for this call only, from a lamp to its image:
-    act runs once per (letter, lamp), and images are sorted table lookups.
-    's' goes through act_on_config.
+    move is a lamp_action, by default the Dyadic one.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if act is None:
-        act, root = act_letter, ROOT
-    moves = [(ch, None if ch == "s" else {}) for ch in LAMP_LETTERS]
+    move = move or lamp_action(act_letter, ROOT)
     seen = {E: ""}
     frontier = [E]
     for _ in range(n):
         nxt = []
         for C in frontier:
             w = seen[C]
-            for ch, table in moves:
-                if table is None:
-                    img = act_on_config(C, ch, act, root)
-                else:
-                    # the action is injective, so the image needs sorting but no dedup
-                    moved = []
-                    for x in C:
-                        y = table.get(x)
-                        if y is None:
-                            y = table[x] = act(ch, x)
-                        moved.append(y)
-                    img = tuple(sorted(moved))
+            for ch in LAMP_LETTERS:
+                img = move(ch, C)
                 if img not in seen:
                     if len(seen) >= cap:
                         raise CapExceeded(f"orbit of {len(E)} lamps exceeds cap {cap}")
@@ -188,8 +197,5 @@ def orbit_enumerate(E: tuple, n: int, cap: int = 10**6, act=None, root=None) -> 
 
 def switch_invariant_check(F, samples: Iterable[Config]):
     """Per-sample check of F(E) == F(E with the root toggled)."""
-    results = []
-    for E in samples:
-        results.append((E, F(E) == F(apply_letter(E, "s"))))
-    ok = all(flag for _, flag in results)
-    return ok, results
+    results = [(E, F(E) == F(apply_letter(E, "s"))) for E in samples]
+    return all(flag for _, flag in results), results

@@ -24,9 +24,9 @@ from .errors import (
     PreconditionFailed,
     PropertySelfTestFailed,
 )
-from .graph import ROOT_CODE, ball
+from .graph import ROOT_CODE, act_letter, ball
 from .harmonic import VertexFn, canonical_phi_u, markov_apply_X, phi_family, pow2
-from .lamplighter import Config, SetFn, apply_letter, markov_apply_set, markov_iterate
+from .lamplighter import Config, SetFn, lamp_action, markov_apply_set, markov_iterate
 
 __all__ = [
     "minfun",
@@ -68,14 +68,9 @@ def T_operator(F, E: Config, alpha: Fraction):
     """alpha times the 4-letter average plus (1 - alpha) times the switch image."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    t1 = (
-        F(apply_letter(E, "a"))
-        + F(apply_letter(E, "b"))
-        + F(apply_letter(E, "A"))
-        + F(apply_letter(E, "B"))
-    ) / 4
-    t2 = F(apply_letter(E, "s"))
-    return alpha * t1 + (1 - alpha) * t2
+    move = lamp_action(act_letter, ROOT)
+    t1 = (F(move("a", E)) + F(move("b", E)) + F(move("A", E)) + F(move("B", E))) / 4
+    return alpha * t1 + (1 - alpha) * F(move("s", E))
 
 
 @dataclass

@@ -37,6 +37,7 @@ from .lamplighter import (
     Config,
     apply_letter,
     config,
+    lamp_action,
     markov_apply_set,
 )
 from .minfn import resolve_setfn
@@ -371,9 +372,7 @@ def spectral_radius_proxy(n: int, mode: str = "X", cap: int = 10**6) -> float:
     if mode == "X":
         series = lumped_return_series(n)
     elif mode == "lamp":
-        series = transition_series(
-            (), (), n, LAMP_LETTERS, lambda ch, C: apply_letter(C, ch), cap
-        )
+        series = transition_series((), (), n, LAMP_LETTERS, lamp_action(), cap)
     else:
         raise ValueError("mode must be 'X' or 'lamp'")
     best = 0.0

@@ -37,7 +37,7 @@ from extamen.graph import (
     golden_path,
 )
 from extamen.harmonic import canonical_phi_u, phi_family, pow2
-from extamen.lamplighter import apply_letter, config
+from extamen.lamplighter import LAMP_LETTERS, config, lamp_action, to_codes
 from extamen.minfn import (
     countable_sum,
     generalized_minfun,
@@ -121,19 +121,16 @@ def test_criterion_04_T_operator_bound():
     fns = [minfun(canonical_phi_u())] + [minfun(phi_family(i)) for i in range(3)]
     alphas = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
     rng = random.Random(1234)
+    move = lamp_action()
     violations = 0
     checked = 0
     for _ in range(10**4):
-        E = config(rng.sample(verts, rng.randrange(7)))
+        C = to_codes(config(rng.sample(verts, rng.randrange(7))))
+        a, A, b, B, s = (move(ch, C) for ch in LAMP_LETTERS)
         for F in fns:
-            base = F(E)
-            t1 = (
-                F(apply_letter(E, "a"))
-                + F(apply_letter(E, "b"))
-                + F(apply_letter(E, "A"))
-                + F(apply_letter(E, "B"))
-            ) / 4
-            t2 = F(apply_letter(E, "s"))
+            base = F.fn(C)
+            t1 = (F.fn(a) + F.fn(b) + F.fn(A) + F.fn(B)) / 4
+            t2 = F.fn(s)
             for alpha in alphas:
                 checked += 1
                 if alpha * t1 + (1 - alpha) * t2 > base:

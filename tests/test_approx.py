@@ -110,6 +110,12 @@ def test_weak_verify_is_a_lower_bound():
     assert again.worst_word == weak.worst_word
 
 
+def test_weak_verify_refuses_a_negative_seed():
+    # random.Random(-3) draws what random.Random(3) does
+    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+        weak_verify(minfun(canonical_phi_u()), (ROOT,), 3, Fraction(1, 3), samples=5, seed=-3)
+
+
 def _verify_reference(F, E, n, beta, mode, pairs):
     """The deviation scan as strong_verify and weak_verify each wrote it."""
     base = F(E)

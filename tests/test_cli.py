@@ -141,6 +141,9 @@ def test_green_step_limit_exits_two(capsys, monkeypatch):
     (["walk", "return", "--n", "-1"], "--n must be >= 0, got -1"),
     (["walk", "green", "--n", "-1"], "--n must be >= 0, got -1"),
     (["walk", "green", "--n", "-1", "--r", "1/2"], "--n must be >= 0, got -1"),
+    (["approx", "verify", "--fn", "minfun:phi_u", "--set", "5/2^3", "--weak", "--n", "3",
+      "--samples", "50", "--seed", "-3"], "--seed must be >= 0, got -3"),
+    (["cx", "scan", "--trials", "5", "--seed", "-4"], "--seed must be >= 0, got -4"),
 ])
 def test_unusable_input_is_one_line(capsys, argv, message):
     assert run(argv) == 1

@@ -179,6 +179,8 @@ def test_zball_sequence_equals_bfs_ball():
 def test_random_configs_are_seeded():
     assert random_z_configs(5, seed=4) == random_z_configs(5, seed=4)
     assert all(len(E) <= 6 for E in random_z_configs(30, seed=4))
+    with pytest.raises(ValueError, match="seed must be >= 0, got -4"):
+        random_z_configs(5, seed=-4)
 
 
 def test_random_configs_reject_sizes_beyond_the_ball():

@@ -8,14 +8,25 @@ from hypothesis import given, settings, strategies as st
 
 from extamen.dyadic import Dyadic, ROOT
 from extamen.errors import CapExceeded
-from extamen.graph import ROOT_CODE, act_letter, ball, code, evolve, struct_act, vertex
+from extamen.freegroup import Z_E, ZBall, ZVertex, z_apply
+from extamen.graph import (
+    ROOT_CODE,
+    act_letter,
+    act_word,
+    ball,
+    code,
+    evolve,
+    struct_act,
+    transition_series,
+    vertex,
+)
 from extamen.lamplighter import (
     EMPTY,
     LAMP_LETTERS,
-    act_on_config,
     apply_letter,
     apply_word,
     config,
+    lamp_action,
     markov_apply_set,
     markov_iterate,
     orbit_enumerate,
@@ -26,6 +37,7 @@ from extamen.lamplighter import (
 )
 from extamen.minfn import minfun
 from extamen.harmonic import canonical_phi_u
+from extamen.walks import spectral_radius_proxy
 
 
 def dy(num, exp):
@@ -33,6 +45,35 @@ def dy(num, exp):
 
 
 BALL6 = ball(ROOT, 6).vertices
+ZBALL6 = ZBall(6)
+
+
+def act_on_config(E: tuple, word: str, act, root, key=None) -> tuple:
+    """The oracle of lamp_action: one plain pass over the lamps per letter,
+    rightmost letter first; 's' toggles the lamp at root."""
+    for ch in reversed(word):
+        if ch == "s":
+            E = tuple(x for x in E if x != root) if root in E else config(E + (root,), key)
+        else:
+            E = tuple(sorted((act(ch, x) for x in E), key=key))
+    return E
+
+
+def z_act(ch, v):
+    return z_apply(v, ch)
+
+
+def z_start(E):
+    """A free-group configuration with as many lamps as the Dyadic one E."""
+    return config((ZBALL6[BALL6.index(x)] for x in E), key=ZVertex.sort_key)
+
+
+# (name, act, root, key, how a configuration of vertices becomes a start)
+_ACTIONS = [("dyadic", act_letter, ROOT, None, lambda E: E),
+            ("struct", struct_act, ROOT_CODE, None, to_codes),
+            ("freegroup", z_act, Z_E, ZVertex.sort_key, z_start)]
+_ACTION_PARAMS = pytest.mark.parametrize("act, root, key, start", [a[1:] for a in _ACTIONS],
+                                         ids=[a[0] for a in _ACTIONS])
 
 
 @st.composite
@@ -105,7 +146,7 @@ def test_orbit_cap():
         orbit_enumerate(EMPTY, 6, cap=20)
 
 
-def _orbit_reference(E, n, act, root, cap=10**6):
+def _orbit_reference(E, n, act, root, key=None, cap=10**6):
     """The breadth-first orbit with every image from act_on_config."""
     seen = {E: ""}
     frontier = [E]
@@ -113,7 +154,7 @@ def _orbit_reference(E, n, act, root, cap=10**6):
         nxt = []
         for C in frontier:
             for ch in LAMP_LETTERS:
-                img = act_on_config(C, ch, act, root)
+                img = act_on_config(C, ch, act, root, key)
                 if img not in seen:
                     if len(seen) >= cap:
                         raise CapExceeded(f"orbit exceeds cap {cap}")
@@ -125,51 +166,99 @@ def _orbit_reference(E, n, act, root, cap=10**6):
 
 _ORBIT_STARTS = [(EMPTY, 5), ((ROOT,), 4), (config([dy(9, 4), dy(1, 1), dy(23, 5)]), 4)]
 
-# (name, act, root, how a configuration of vertices becomes a start)
-_ACTIONS = [("dyadic", act_letter, ROOT, lambda E: E),
-            ("struct", struct_act, ROOT_CODE, to_codes)]
 
-
-@pytest.mark.parametrize("act, root, start", [a[1:] for a in _ACTIONS],
-                         ids=[a[0] for a in _ACTIONS])
-def test_orbit_tables_match_the_act_on_config_orbit(act, root, start):
+@_ACTION_PARAMS
+def test_orbit_tables_match_the_act_on_config_orbit(act, root, key, start):
     for E, n in _ORBIT_STARTS:
         E = start(E)
-        got = orbit_enumerate(E, n, act=act, root=root)
+        got = orbit_enumerate(E, n, move=lamp_action(act, root, key))
         # same configurations, witness words and insertion order
-        assert list(got.items()) == list(_orbit_reference(E, n, act, root).items())
+        assert list(got.items()) == list(_orbit_reference(E, n, act, root, key).items())
 
 
-@pytest.mark.parametrize("act, root, start", [a[1:] for a in _ACTIONS],
-                         ids=[a[0] for a in _ACTIONS])
-def test_orbit_cap_raises_at_the_reference_size(act, root, start):
+@_ACTION_PARAMS
+def test_orbit_cap_raises_at_the_reference_size(act, root, key, start):
     E, n = start(EMPTY), 4
-    full = len(_orbit_reference(E, n, act, root))
+    full = len(_orbit_reference(E, n, act, root, key))
     # every cap below the orbit's size raises, the size itself does not
     for cap in range(1, full + 1):
         try:
-            want = _orbit_reference(E, n, act, root, cap=cap)
+            want = _orbit_reference(E, n, act, root, key, cap=cap)
         except CapExceeded:
             with pytest.raises(CapExceeded):
-                orbit_enumerate(E, n, cap=cap, act=act, root=root)
+                orbit_enumerate(E, n, cap=cap, move=lamp_action(act, root, key))
         else:
-            assert orbit_enumerate(E, n, cap=cap, act=act, root=root) == want
+            assert orbit_enumerate(E, n, cap=cap, move=lamp_action(act, root, key)) == want
 
 
-@pytest.mark.parametrize("act, root, start", [a[1:] for a in _ACTIONS],
-                         ids=[a[0] for a in _ACTIONS])
-def test_orbit_acts_once_per_letter_and_lamp(act, root, start):
+def _counting(act):
     calls = Counter()
 
-    def counting(ch, x):
+    def counted(ch, x):
         calls[ch, x] += 1
         return act(ch, x)
 
+    return counted, calls
+
+
+@_ACTION_PARAMS
+def test_orbit_acts_once_per_letter_and_lamp(act, root, key, start):
+    counting, calls = _counting(act)
     E = start(config([dy(9, 4), dy(11, 4)]))
-    orbit = orbit_enumerate(E, 5, act=counting, root=root)
-    assert orbit == _orbit_reference(E, 5, act, root)
+    orbit = orbit_enumerate(E, 5, move=lamp_action(counting, root, key))
+    assert orbit == _orbit_reference(E, 5, act, root, key)
     assert calls and max(calls.values()) == 1
     assert {ch for ch, _ in calls} == set("aAbB")
+
+
+@_ACTION_PARAMS
+def test_lamp_action_matches_the_oracle(act, root, key, start):
+    rng = random.Random(17)
+    move = lamp_action(act, root, key)
+    for _ in range(200):
+        C = start(config(rng.sample(BALL6, rng.randrange(6))))
+        word = "".join(rng.choice("aAbBs") for _ in range(rng.randrange(9)))
+        # one move for every sample, so tables filled by one word serve the next
+        assert act_word(word, C, move) == act_on_config(C, word, act, root, key), (C, word)
+        for ch in LAMP_LETTERS:
+            want = act_on_config(C, ch, act, root, key)
+            # a fresh move takes the first-use path, the shared one its tables
+            assert lamp_action(act, root, key)(ch, C) == want, (C, ch)
+            assert move(ch, C) == want, (C, ch)
+
+
+@_ACTION_PARAMS
+def test_lamp_action_acts_once_per_letter_and_lamp(act, root, key, start):
+    counting, calls = _counting(act)
+    move = lamp_action(counting, root, key)
+    C = start(config([dy(9, 4), dy(11, 4), dy(1, 1)]))
+    counts = {C: 1}
+    for _ in range(4):
+        counts = evolve(counts, LAMP_LETTERS, move)
+    rng = random.Random(4)
+    for _ in range(50):
+        word = "".join(rng.choice("aAbBs") for _ in range(rng.randrange(12)))
+        assert act_word(word, C, move) == act_on_config(C, word, act, root, key)
+    assert calls and max(calls.values()) == 1
+    assert sum(counts.values()) == 5**4
+
+
+@pytest.mark.parametrize("C", [EMPTY, (ROOT_CODE,), ((2, 0), (3, 0))])
+def test_lamp_action_refuses_an_unknown_letter(C):
+    with pytest.raises(ValueError, match="unknown letter 'x'"):
+        lamp_action()("x", C)
+    with pytest.raises(ValueError, match="unknown letter 'c'"):
+        act_word("ac", C, lamp_action())
+
+
+def test_lamp_spectral_proxy_matches_the_dyadic_oracle():
+    N = 8
+    series = transition_series(
+        EMPTY, EMPTY, N, LAMP_LETTERS, lambda ch, E: act_on_config(E, ch, act_letter, ROOT)
+    )
+    for n in range(2, N + 1):
+        want = max(float(series[k]) ** (1.0 / k) for k in range(2, n + 1, 2) if series[k] > 0)
+        assert spectral_radius_proxy(n, "lamp") == want, n
 
 
 def _naive_iterate(F, E, n):
