@@ -27,17 +27,16 @@ from .errors import (
     ZeroBase,
 )
 from .graph import (
-    Hair,
     act_letter,
     act_word,
     ball,
-    classify,
+    code,
     golden_path,
     hair_point,
-    struct_info,
+    node_info,
     subtree_T,
 )
-from .harmonic import VertexFn, level_min, phi_family, pow2
+from .harmonic import SCAN_WIDTH_CAP, VertexFn, level_min, phi_family, pow2
 from .lamplighter import (
     LAMP_LETTERS,
     Config,
@@ -223,9 +222,6 @@ class ConstructionResult:
         }
 
 
-_SCAN_WIDTH_CAP = 1 << 16
-
-
 def find_vertex_below(phi, threshold: Fraction, max_depth: int = 96) -> Dyadic:
     """A skeleton vertex with phi strictly below threshold.
 
@@ -248,7 +244,7 @@ def find_vertex_below(phi, threshold: Fraction, max_depth: int = 96) -> Dyadic:
         best = min(level, key=phi)
         if phi(best) < threshold:
             return best
-        if len(level) * 2 > _SCAN_WIDTH_CAP:
+        if len(level) * 2 > SCAN_WIDTH_CAP:
             raise SearchExhausted(
                 f"{phi.name}: no value below {threshold} within scannable depth",
                 frontier={"depth": depth, "width": len(level), "best": str(phi(best))},
@@ -439,13 +435,15 @@ def explicit_En_hairs(n: int) -> Config:
         x = act_word("A" * n + "b" * n + "a" * j, ROOT)
         if act_letter("b", x) != x:
             raise StructuralAssertFailed(f"lamp {j}: expected a hair looping on b")
-        addr = classify(x)
-        if not isinstance(addr, Hair) or addr.offset != n:
-            raise StructuralAssertFailed(f"lamp {j}: expected hair offset {n}, got {addr}")
-        lead, deeper, depth = struct_info(x)
+        node, m = code(x)
+        if abs(m) != n:
+            raise StructuralAssertFailed(
+                f"lamp {j}: expected hair offset {n}, got address {(node, m)}"
+            )
+        lead, deeper, depth = node_info(node)
         if not (lead == j and depth == j + n and deeper):
             raise StructuralAssertFailed(
-                f"lamp {j}: base path {addr.base} is not subtree {j} at depth {j + n}"
+                f"lamp {j}: base node {node} is not subtree {j} at depth {j + n}"
             )
         points.append(x)
     E = config(points)

@@ -8,9 +8,10 @@ accompanying manifest.json instead.
 
 Exit codes: 0 when the requested check passed, 1 when it ran and the
 property failed (or the inputs were unusable: an unknown or inexact name,
-a set that does not parse, cannot be read, holds 0 or 1 or names a recipe
-below its least n, a negative seed, a negative or oversized size, zero
-trials, steps or samples), 2 when a resource cap or search budget was exhausted.
+a phi:<i> index above its bound, a set that does not parse, cannot be read,
+holds 0 or 1 or names a recipe below its least n, a negative seed, a
+negative or oversized size, zero trials, steps or samples), 2 when a
+resource cap or search budget was exhausted.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Optional, Sequence
 from . import approx, freegroup, walks
 from .dyadic import ROOT
 from .errors import CapExceeded, ExtamenError, PreconditionFailed, SearchExhausted
-from .graph import Skeleton, ball, classify, get_orientation, root_hair_letter
+from .graph import ball, get_orientation, root_hair_letter
 from .harmonic import VertexFn, is_superharmonic_on
 from .lamplighter import orbit_enumerate, parse_config, serialize_config, switch_invariant_check
 from .minfn import parse_rational, resolve_phi, resolve_setfn
@@ -128,16 +129,16 @@ def _cmd_graph_explore(args):
     rows = []
     skeleton = hairs = 0
     root_rays = 0
-    for v in region.vertices:
-        addr = classify(v)
-        if isinstance(addr, Skeleton):
+    for v, (node, m) in zip(region.vertices, region.addresses):
+        depth = node.bit_length() - 1
+        if m == 0:
             skeleton += 1
-            rows.append([str(v), "skeleton", len(addr.path), 0])
+            rows.append([str(v), "skeleton", depth, 0])
         else:
             hairs += 1
-            if not addr.base and addr.offset == 1:
+            if node == 1 and abs(m) == 1:
                 root_rays += 1
-            rows.append([str(v), "hair", len(addr.base), addr.offset])
+            rows.append([str(v), "hair", depth, abs(m)])
     report = {
         "center": str(ROOT),
         "radius": args.n,

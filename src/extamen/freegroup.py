@@ -160,7 +160,7 @@ def z_boundary_ratio(segment: Iterable[ZVertex]) -> Fraction:
 
 def z_ball(radius: int) -> list[ZVertex]:
     """Vertices within the given distance of e, in breadth-first order."""
-    return list(bfs(Z_E, radius, Z_LETTERS, _act))
+    return bfs(Z_E, radius, Z_LETTERS, _act)[0]
 
 
 class ZBall(Sequence):

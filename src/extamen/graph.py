@@ -17,8 +17,9 @@ addresses, the one runtime vertex; a Ball turns its addresses into Dyadic
 vertices once, for output.  act_letter stays the Dyadic action and
 struct_act's oracle.
 
-The balls, leaving-edge shares and walk steps at the end take the action as
-arguments, so the free-group graph of ``freegroup`` uses them too.
+The search, leaving-edge shares and walk steps at the end take the action as
+arguments, so the free-group graph of ``freegroup`` uses them too; bfs, the
+one breadth-first search, records the position of every image as it goes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Optional
 
 from .dyadic import Dyadic
@@ -342,36 +342,20 @@ def golden_path(i: int) -> list[Dyadic]:
 class Ball:
     """A ball as ball() builds it: the code addresses of its vertices in
     breadth-first order (so the interior, distance below the radius, is a
-    prefix), their distances, and the Dyadic vertices in the same order."""
+    prefix), the Dyadic vertices in that order, and the neighbor_index bfs
+    records: the positions of the a, b, A, B images of each interior vertex."""
 
     center: Dyadic
     radius: int
     addresses: tuple[tuple[int, int], ...]
     vertices: tuple[Dyadic, ...] = field(compare=False)
-    dist: dict = field(compare=False)  # address -> distance
+    neighbor_index: array = field(compare=False)
 
     def interior(self) -> list[Dyadic]:
-        return [v for v, c in zip(self.vertices, self.addresses) if self.dist[c] < self.radius]
-
-    @cached_property
-    def neighbor_index(self) -> array:
-        """Positions in addresses of the a, b, A, B images of each interior vertex.
-
-        Flat, four entries per vertex in that order; the interior is the
-        first len(neighbor_index) // 4 vertices.  Built by struct_act on
-        first use and kept on the ball, so repeated sweeps over one ball
-        call no struct_act.
-        """
-        pos = {c: i for i, c in enumerate(self.addresses)}
-        index = array("i")
-        for c in self.addresses:
-            if self.dist[c] == self.radius:
-                break
-            for ch in EDGE_LABELS:
-                index.append(pos[struct_act(ch, c)])
-        return index
+        return list(self.vertices[: len(self.neighbor_index) // 4])
 
     def to_json(self) -> dict:
+        inside = set(self.addresses)
         return {
             "center": str(self.center),
             "radius": self.radius,
@@ -381,7 +365,7 @@ class Ball:
                 [str(u), ch, str(vertex(*w))]
                 for c, u in zip(self.addresses, self.vertices)
                 for ch in EDGE_LABELS
-                if (w := struct_act(ch, c)) in self.dist
+                if (w := struct_act(ch, c)) in inside
             ],
         }
 
@@ -389,8 +373,8 @@ class Ball:
 def ball(center: Dyadic, radius: int, cap: int = 10**6) -> Ball:
     """All vertices within graph distance radius, in breadth-first order,
     searched on addresses; ValueError when center is not a vertex."""
-    dist = bfs(code(center), radius, EDGE_LABELS, struct_act, cap)
-    return Ball(center, radius, tuple(dist), tuple(vertex(*c) for c in dist), dist)
+    addresses, index = bfs(code(center), radius, EDGE_LABELS, struct_act, cap)
+    return Ball(center, radius, tuple(addresses), tuple(vertex(*c) for c in addresses), index)
 
 
 # ---------------------------------------------------------------------------
@@ -422,28 +406,30 @@ def boundary_ratio(segment: Iterable[Dyadic]) -> Fraction:
 # vertex type works.
 
 
-def bfs(center, radius: int, letters, act, cap: int = 10**6) -> dict:
-    """Graph distance from center of every vertex within radius.
-
-    Breadth-first in the given letter order, so the dict's insertion order
-    is a deterministic vertex ordering.
-    """
+def bfs(center, radius: int, letters, act, cap: int = 10**6) -> tuple[list, array]:
+    """(vertices, index): every vertex within radius of center, breadth-first
+    in the given letter order, so those below the radius come first, and for
+    each of those the positions of its images, len(letters) flat entries."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    dist = {center: 0}
-    frontier = [center]
-    for step in range(1, radius + 1):
-        nxt = []
-        for u in frontier:
+    pos = {center: 0}
+    vertices = [center]
+    index = array("i")
+    done = 0
+    for _ in range(radius):
+        level = vertices[done:]
+        done = len(vertices)
+        for u in level:
             for ch in letters:
                 w = act(ch, u)
-                if w not in dist:
-                    if len(dist) >= cap:
+                i = pos.get(w)
+                if i is None:
+                    if len(pos) >= cap:
                         raise CapExceeded(f"ball of radius {radius} exceeds cap {cap}")
-                    dist[w] = step
-                    nxt.append(w)
-        frontier = nxt
-    return dist
+                    i = pos[w] = len(vertices)
+                    vertices.append(w)
+                index.append(i)
+    return vertices, index
 
 
 def leaving_share(pts: set, letters, act) -> Fraction:

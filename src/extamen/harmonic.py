@@ -9,10 +9,9 @@ floats, in which case margin comparisons take a tolerance.
 A sweep over a ball (is_superharmonic_on) reads a VertexFn by fn on the
 ball's addresses and any other phi on the Dyadic vertex, once per ball
 vertex, and takes the neighbours from the ball's neighbor_index, which the
-ball builds on first use and keeps.  When every value is a Fraction,
-each margin is an exact integer sum over the lcm of the five denominators,
-worked out once per distinct combination of the five values; other values
-go through the same quarter-sum as markov_apply_X.
+breadth-first search recorded.  One loop serves every value type: P phi is
+the quarter-sum markov_apply_X takes, in the values' own arithmetic, worked
+out once per distinct combination of the five value objects.
 
 A VertexFn reads a vertex one way: fn on its graph.code address, which the
 sweeps and the set functions of ``minfn`` call.  Calling the VertexFn on a
@@ -21,14 +20,13 @@ Dyadic vertex reads fn at the vertex's code.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
 from .dyadic import Dyadic, ROOT
-from .errors import PreconditionFailed
+from .errors import CapExceeded, PreconditionFailed
 from .graph import (
     Ball,
     act_letter,
@@ -119,61 +117,32 @@ def is_superharmonic_on(phi, region: Ball, tol=0) -> SuperharmonicReport:
 
     A VertexFn is read by fn on the ball's addresses, any other callable
     by phi(v); either way once per ball vertex, and the neighbours come
-    from the ball's cached neighbor_index.  When every value is a
-    Fraction, each distinct value gets an id, and P phi, the margin and
-    the violation flag are worked out once per distinct 5-tuple of ids
-    (the vertex and its a, b, A, B images), as exact integer sums over the
-    lcm of the five denominators; vertices with the same 5-tuple share
-    those Fractions.  Otherwise they are the quarter-sum and the
-    difference markov_apply_X gives, so floats and ints come out as before.
+    from the ball's neighbor_index.  P phi is the quarter-sum
+    markov_apply_X takes, in the values' own arithmetic; it, the margin
+    and the violation flag are worked out once per distinct 5-tuple of
+    value objects (the vertex's and its a, b, A, B images'), which the
+    bundled families share between vertices.
     """
     rep = SuperharmonicReport(region.center, region.radius)
-    index = region.neighbor_index
-    if not index:
-        return rep
     if isinstance(phi, VertexFn):
         vals = list(map(phi.fn, region.addresses))
     else:
         vals = [phi(v) for v in region.vertices]
+    # vals keeps every value object alive, so its id is unique meanwhile
+    ids = list(map(id, vals))
     entries, violations = rep.entries, rep.violations
-    it = iter(index)
-    if all(type(x) is Fraction for x in vals):
-        ids: dict = {}  # (numerator, denominator) -> id
-        by_obj: dict = {}  # id(value) -> its id in ids; the families reuse value objects
-        vid = []
-        for x in vals:
-            k = by_obj.get(id(x))
-            if k is None:
-                k = by_obj[id(x)] = ids.setdefault((x.numerator, x.denominator), len(ids))
-            vid.append(k)
-        pairs = list(ids)
-        lcm = math.lcm
-        zero_tol = tol == 0  # then the sign of the integer numerator decides
-        made = {}  # 5-tuple of ids -> (P phi, margin, violated)
-        for v, val, i, ia, ib, iA, iB in zip(region.vertices, vals, vid, it, it, it, it):
-            key = (i, vid[ia], vid[ib], vid[iA], vid[iB])
-            got = made.get(key)
-            if got is None:
-                (n, d), *nbrs = (pairs[k] for k in key)
-                L = lcm(d, *(den for _, den in nbrs))
-                S = sum(num * (L // den) for num, den in nbrs)
-                diff = 4 * n * (L // d) - S
-                margin = Fraction(diff, 4 * L)
-                got = made[key] = (
-                    Fraction(S, 4 * L),
-                    margin,
-                    diff < 0 if zero_tol else margin < -tol,
-                )
-            pval, margin, violated = got
-            entries.append((v, val, pval, margin))
-            if violated:
-                violations.append((v, margin))
-        return rep
-    for v, val, ia, ib, iA, iB in zip(region.vertices, vals, it, it, it, it):
-        pval = (vals[ia] + vals[ib] + vals[iA] + vals[iB]) / 4
-        margin = val - pval
+    made = {}  # 5-tuple of ids -> (P phi, margin, violated)
+    it = iter(region.neighbor_index)
+    for v, val, i, ia, ib, iA, iB in zip(region.vertices, vals, ids, it, it, it, it):
+        key = (i, ids[ia], ids[ib], ids[iA], ids[iB])
+        got = made.get(key)
+        if got is None:
+            pval = (vals[ia] + vals[ib] + vals[iA] + vals[iB]) / 4
+            margin = val - pval
+            got = made[key] = (pval, margin, margin < -tol)
+        pval, margin, violated = got
         entries.append((v, val, pval, margin))
-        if margin < -tol:
+        if violated:
             violations.append((v, margin))
     return rep
 
@@ -286,15 +255,22 @@ def hair_property_suite(phi, base: Dyadic, M: int, tol=0) -> HairPropertyReport:
     return rep
 
 
+# the widest skeleton level a scan builds, here and in approx.find_vertex_below
+SCAN_WIDTH_CAP = 1 << 16
+
+
 def level_min(phi, n: int):
     """(min of phi over skeleton depths 0..n, a witness at depth n).
 
     For a superharmonic positive function with its maximum at the root the
     minimum is attained on the deepest level; if no depth-n vertex attains
-    it the precondition was broken and we refuse.
+    it the precondition was broken and we refuse.  Depth n holds 2**n
+    vertices; CapExceeded when that is wider than SCAN_WIDTH_CAP.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if n >= SCAN_WIDTH_CAP.bit_length():
+        raise CapExceeded(f"skeleton level {n} is wider than the scan cap {SCAN_WIDTH_CAP}")
     level = [ROOT]
     best = phi(ROOT)
     for depth in range(n + 1):

@@ -343,12 +343,22 @@ _SETFN_NAME = re.compile(
 )
 
 
+# phi:<i> takes values down to 2**-i; far past this index its exact values
+# outgrow what str can print and pow2 can hold
+_PHI_MAX_INDEX = 1024
+
+
 def resolve_phi(name: str) -> VertexFn:
-    """The vertex function named exactly phi_u or phi:<i>."""
+    """The vertex function named exactly phi_u or phi:<i>, i at most 1024."""
     match = _PHI_NAME.fullmatch(name)
     if match is None:
         raise KeyError(f"unknown vertex function {name!r}")
-    return canonical_phi_u() if match[1] is None else phi_family(int(match[1]))
+    if match[1] is None:
+        return canonical_phi_u()
+    # the length test first: int() refuses strings of over 4300 digits
+    if len(match[1]) > len(str(_PHI_MAX_INDEX)) or int(match[1]) > _PHI_MAX_INDEX:
+        raise ValueError(f"phi index {match[1]} exceeds the bound {_PHI_MAX_INDEX}")
+    return phi_family(int(match[1]))
 
 
 def resolve_setfn(name: str) -> SetFn:

@@ -1,4 +1,5 @@
 import ast
+import csv
 import hashlib
 import importlib
 import json
@@ -16,6 +17,7 @@ import extamen
 from extamen.approx import construct
 from extamen.cli import main, parse_set_spec
 from extamen.dyadic import Dyadic, ROOT
+from extamen.graph import Skeleton, ball, classify
 from extamen.lamplighter import parse_config
 
 
@@ -58,6 +60,18 @@ def test_exit_one_on_unusable_input(capsys):
 def test_exit_two_on_cap(capsys):
     assert run(["graph", "explore", "--n", "8", "--cap", "100"]) == 2
     assert "resource limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["approx", "construct", "--kind", "single", "--n", "17"],
+    ["approx", "verify", "--fn", "minfun:phi_u", "--set", "single:17", "--n", "2"],
+])
+def test_single_past_the_scan_width_exits_two(capsys, argv):
+    # level 17 of the skeleton holds 2^17 vertices, past the scan cap 2^16
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource limit: skeleton level 17 is wider than the scan cap 65536\n"
 
 
 def test_explicit_default_cap_is_honoured(capsys):
@@ -144,6 +158,13 @@ def test_green_step_limit_exits_two(capsys, monkeypatch):
     (["approx", "verify", "--fn", "minfun:phi_u", "--set", "5/2^3", "--weak", "--n", "3",
       "--samples", "50", "--seed", "-3"], "--seed must be >= 0, got -3"),
     (["cx", "scan", "--trials", "5", "--seed", "-4"], "--seed must be >= 0, got -4"),
+    (["approx", "construct", "--kind", "single", "--n", "3", "--fn", "phi:20000"],
+     "phi index 20000 exceeds the bound 1024"),
+    (["approx", "construct", "--kind", "single", "--n", "3", "--fn", "phi:99999999999"],
+     "phi index 99999999999 exceeds the bound 1024"),
+    (["fn", "check", "--fn", "phi:1025", "--n", "2"], "phi index 1025 exceeds the bound 1024"),
+    (["approx", "verify", "--fn", "minfun:phi:1025", "--set", "explicit:2"],
+     "phi index 1025 exceeds the bound 1024"),
 ])
 def test_unusable_input_is_one_line(capsys, argv, message):
     assert run(argv) == 1
@@ -359,6 +380,28 @@ def test_no_module_reaches_into_another_modules_private_names():
             and node.value.id in modules and node.attr.startswith("_")
         }
         assert not reached, f"{path.name} reaches into {sorted(reached)}"
+
+
+@pytest.mark.parametrize("radius", range(9))
+def test_graph_explore_rows_equal_classify_rows(tmp_path, radius):
+    # rows read off addresses against rows read off classify's paths
+    want = [["vertex", "kind", "base_depth", "offset"]]
+    root_rays = 0
+    for v in ball(ROOT, radius).vertices:
+        addr = classify(v)
+        if isinstance(addr, Skeleton):
+            want.append([str(v), "skeleton", str(len(addr.path)), "0"])
+        else:
+            root_rays += not addr.base and addr.offset == 1
+            want.append([str(v), "hair", str(len(addr.base)), str(addr.offset)])
+    # radius 0 reaches neither root hair, so the check fails there
+    assert run(["graph", "explore", "--n", str(radius), "--out", str(tmp_path)]) == (0 if radius else 1)
+    rows = list(csv.reader((tmp_path / "series.csv").read_text().splitlines()))
+    assert rows == want
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["skeleton"] == sum(row[1] == "skeleton" for row in want[1:])
+    assert report["hairs"] == sum(row[1] == "hair" for row in want[1:])
+    assert report["root_hair_starts"] == root_rays == (2 if radius else 0)
 
 
 def test_graph_explore_leaves_numpy_unimported(tmp_path):

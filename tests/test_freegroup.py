@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extamen.errors import PreconditionFailed
+from extamen.graph import bfs
 from extamen.freegroup import (
     Z_E,
+    Z_LETTERS,
     ZBall,
     ZVertex,
     minfun_Z,
@@ -159,6 +161,17 @@ def test_ball_sizes():
     assert len(z_ball(2)) == 15
     with pytest.raises(ValueError):
         z_ball(-1)
+
+
+def test_bfs_index_gives_z_apply_images():
+    # the vertices below radius r are z_ball(r - 1), a prefix of z_ball(r)
+    for r in range(5):
+        vertices, index = bfs(Z_E, r, Z_LETTERS, lambda g, v: z_apply(v, g))
+        assert vertices == z_ball(r)
+        inner = z_ball(r - 1) if r else []
+        assert len(index) == len(Z_LETTERS) * len(inner)
+        images = [vertices[i] for i in index]
+        assert images == [z_apply(v, g) for v in inner for g in Z_LETTERS], r
 
 
 def test_zball_sequence_equals_bfs_ball():

@@ -91,18 +91,42 @@ def test_golden_path_oracle():
     assert golden_path(2) == [ROOT, dy(11, 4), dy(23, 5), dy(39, 6)]
 
 
+def _levels(center, radius):
+    """Graph distance from center of every vertex within radius, level by
+    level with act_letter: the search bfs runs, written out apart from it."""
+    dist = {center: 0}
+    level = {center}
+    for step in range(1, radius + 1):
+        level = {act_letter(ch, u) for u in level for ch in EDGE_LABELS} - dist.keys()
+        dist.update(dict.fromkeys(level, step))
+    return dist
+
+
+def _check_search_order(B):
+    """B's vertices are the ball, breadth-first, with the interior as the prefix."""
+    dist = _levels(B.center, B.radius)
+    assert set(B.vertices) == dist.keys() and len(B.vertices) == len(dist)
+    order = [dist[v] for v in B.vertices]
+    assert order == sorted(order), (B.center, B.radius)
+    assert B.interior() == [v for v in B.vertices if dist[v] < B.radius]
+
+
 def test_ball_radius_one():
     B = ball(ROOT, 1)
     assert set(B.vertices) == {ROOT, dy(11, 4), dy(9, 4), dy(1, 1), dy(3, 2)}
-    assert B.dist[ROOT_CODE] == 0
-    assert all(B.dist[c] == 1 for c in B.addresses if c != ROOT_CODE)
+    assert B.addresses[0] == ROOT_CODE and B.vertices[0] == ROOT
     assert B.interior() == [ROOT]
+    _check_search_order(B)
 
 
 def test_ball_is_deterministic_and_caps():
     assert ball(ROOT, 3).vertices == ball(ROOT, 3).vertices
     with pytest.raises(CapExceeded):
         ball(ROOT, 6, cap=10)
+    # the cap counts vertices: the radius-1 ball holds five
+    assert len(ball(ROOT, 1, cap=5).vertices) == 5
+    with pytest.raises(CapExceeded, match="ball of radius 1 exceeds cap 4"):
+        ball(ROOT, 1, cap=4)
 
 
 def test_ball_sizes():
@@ -459,27 +483,28 @@ def test_ball_neighbor_index():
     for center in (ROOT, hair_point(vertex_at("R"), 3)):
         for r in range(8):
             B = ball(center, r)
-            assert "neighbor_index" not in vars(B)  # built on first use only
-            index = B.neighbor_index
-            assert B.neighbor_index is index
             interior = B.interior()
-            assert len(index) == 4 * len(interior)
+            assert len(B.neighbor_index) == 4 * len(interior)
             assert list(B.vertices[: len(interior)]) == interior
+            _check_search_order(B)
 
 
 def test_ball_address_table():
-    # the search on addresses against the Dyadic search by act_letter
+    # the search on addresses against the Dyadic search by act_letter, and
+    # the index it records against one worked out from the distances
     deep = vertex_at("LR" * 40)  # its node needs 81 bits
     for center, radii in ((ROOT, range(9)), (hair_point(vertex_at("R"), 3), range(9)), (deep, (0, 2))):
         for r in radii:
             B = ball(center, r)
-            dist = bfs(center, r, EDGE_LABELS, act_letter)
-            assert B.vertices == tuple(dist), (center, r)
-            assert B.addresses == tuple(map(code, dist)), (center, r)
-            assert [B.dist[c] for c in B.addresses] == list(dist.values())
-            pos = {v: i for i, v in enumerate(dist)}
-            want = [pos[act_letter(ch, v)] for v, d in dist.items() if d < r for ch in EDGE_LABELS]
+            vertices, index = bfs(center, r, EDGE_LABELS, act_letter)
+            assert B.vertices == tuple(vertices), (center, r)
+            assert B.addresses == tuple(map(code, vertices)), (center, r)
+            assert list(B.neighbor_index) == list(index), (center, r)
+            dist = _levels(center, r)
+            pos = {v: i for i, v in enumerate(vertices)}
+            want = [pos[act_letter(ch, v)] for v in vertices if dist[v] < r for ch in EDGE_LABELS]
             assert list(B.neighbor_index) == want, (center, r)
+            _check_search_order(B)
 
 
 @pytest.mark.parametrize("point", [Dyadic(0, 0), Dyadic(1, 0)])

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from extamen import harmonic
 from extamen.dyadic import Dyadic, ROOT
-from extamen.errors import PreconditionFailed
+from extamen.errors import CapExceeded, PreconditionFailed
 from extamen.graph import (
     Hair,
     ball,
@@ -162,6 +163,24 @@ def test_level_min_rejects_interior_minimum():
         level_min(dip, 2)
 
 
+def test_level_min_refuses_a_level_past_the_scan_width(monkeypatch):
+    # level n holds 2^n skeleton vertices; 2^17 is past SCAN_WIDTH_CAP = 2^16,
+    # refused before any vertex of it is made
+    def refuse_to_scan(*args):
+        raise AssertionError("the scan started")
+
+    assert harmonic.SCAN_WIDTH_CAP == 1 << 16
+    monkeypatch.setattr(harmonic, "act_letter", refuse_to_scan)
+    with pytest.raises(CapExceeded, match="skeleton level 17 is wider than the scan cap 65536"):
+        level_min(canonical_phi_u(), 17)
+    monkeypatch.undo()
+    # the bound is the constant's: at cap 2^4, level 4 is scanned and level 5 refused
+    monkeypatch.setattr(harmonic, "SCAN_WIDTH_CAP", 1 << 4)
+    assert level_min(canonical_phi_u(), 4)[0] == pow2(-2)
+    with pytest.raises(CapExceeded, match="skeleton level 5 is wider than the scan cap 16"):
+        level_min(canonical_phi_u(), 5)
+
+
 def test_level_min_monotone_in_depth():
     vals = [level_min(canonical_phi_u(), n)[0] for n in range(7)]
     assert all(x >= y for x, y in zip(vals, vals[1:])), vals
@@ -259,6 +278,20 @@ def test_sweep_matches_reference():
                 want = _sweep_reference(phi, shared, tol)
                 _identical(is_superharmonic_on(phi, shared, tol), want)
                 _identical(is_superharmonic_on(phi, ball(center, r), tol), want)
+
+
+def test_sweep_shares_work_only_between_equal_value_tuples():
+    # two shared value objects.  step: on a hair walked by B, offsets 1 and
+    # 2 agree on their own, a, b and A values and differ in their B image's.
+    # bump: node 4 differs from the root in its own value only
+    one, two = Fraction(1), Fraction(2)
+    step = VertexFn("step", lambda c: two if c[1] <= -3 else one)
+    bump = VertexFn("bump", lambda c: two if c == (4, 0) else one)
+    for phi in (step, bump):
+        for r in range(6):
+            B = ball(ROOT, r)
+            _identical(is_superharmonic_on(phi, B), _sweep_reference(phi, B))
+        assert not is_superharmonic_on(phi, ball(ROOT, 3)).ok
 
 
 def test_sweep_cases_cover_violations_and_value_types():

@@ -302,6 +302,19 @@ def test_resolve_setfn_rejects_unknown():
             resolve_phi(bad)
 
 
+def test_resolve_phi_bounds_the_family_index():
+    # phi:<i> is exact down to 2^-1024; past that its values outgrow str and pow2
+    assert resolve_phi("phi:1024").name == "phi:1024"
+    assert resolve_setfn("minfun:phi:1024").name == "minfun:phi:1024"
+    for index in ("1025", "20000", "99999999999", "9" * 5000):
+        message = f"phi index {index} exceeds the bound 1024"
+        for name in (f"phi:{index}", f"minfun:phi:{index}", f"gmin:kmean:2:3:phi:{index}"):
+            resolve = resolve_phi if name.startswith("phi") else resolve_setfn
+            with pytest.raises(ValueError) as exc:
+                resolve(name)
+            assert exc.value.args == (message,), name
+
+
 # tokens of the name grammar, well- and ill-formed, each half the time.
 # Integers stay small, as a kmean arity m costs ensure_tested 1000 probes of
 # m coordinates, and every positive eps is at least 2^-64.

@@ -420,6 +420,65 @@ def _green_mc_reference(trials, steps, seed):
     return est, err, int(top_u.max()), int(top_m.max())
 
 
+def _green_mc_plain(trials, steps, seed, chunk=4096):
+    """green_mc's estimator one trial at a time in plain Python, with the
+    lumped rules written out: from the skeleton (m = 0) letters 0 and 1 step
+    to a child, letter 2 to the parent (onto the hair at the root) and
+    letter 3 onto the hair; on a hair letter 0 steps in, 1 out and 2, 3
+    loop.  Letters come `chunk` steps at a time as one (k, trials) draw,
+    which reads the generator as k draws of `trials` letters do.  Returns
+    what _green_mc_reference returns."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    states = [(0, 0)] * trials
+    visits = [1] * trials
+    top_u = top_m = 0
+    for start in range(0, steps, chunk):
+        block = rng.integers(0, 4, size=(min(chunk, steps - start), trials)).T.tolist()
+        for t, letters in enumerate(block):
+            u, m = states[t]
+            hits = 0
+            for r in letters:
+                if m:
+                    if r == 0:
+                        m -= 1
+                        hits += not (m or u)
+                    elif r == 1:
+                        m += 1
+                        top_m = max(top_m, m)
+                elif r < 2:
+                    u += 1
+                    top_u = max(top_u, u)
+                elif r == 2 and u:
+                    u -= 1
+                    hits += not u
+                else:
+                    m = 1
+                    top_m = max(top_m, 1)
+            states[t] = u, m
+            visits[t] += hits
+    visits = np.array(visits, dtype=np.int64)
+    est, err = float(visits.mean()), float(visits.std(ddof=1)) / math.sqrt(trials)
+    return est, err, top_u, top_m
+
+
+def test_block_draws_equal_per_step_draws():
+    # the plain reference's (k, trials) draws read what k per-step draws read
+    for trials in (3, 4, 7):
+        for seed in range(3):
+            block = np.random.Generator(np.random.Philox(seed)).integers(0, 4, size=(9, trials))
+            rng = np.random.Generator(np.random.Philox(seed))
+            want = [rng.integers(0, 4, size=trials).tolist() for _ in range(9)]
+            assert block.tolist() == want, (trials, seed)
+
+
+def test_green_mc_references_agree():
+    # the plain and the mask reference on one mid case, maxima included
+    for trials, steps, seed in ((777, 85, 11), (5, 3000, 2)):
+        want = _green_mc_reference(trials, steps, seed)
+        assert _green_mc_plain(trials, steps, seed, chunk=64) == want
+        assert _green_mc_plain(trials, steps, seed) == want
+
+
 # 2001 and 7001 trials: an odd number of rows a block, so every block ends on
 # the low half of a raw word and its high half carries into the next block
 @pytest.mark.parametrize("trials", [2, 3, 777, 1000, 2001, 7001, 70000])
@@ -427,18 +486,20 @@ def test_green_mc_equals_per_step_reference(trials):
     # step counts around a pass of _MC_K steps and a block of `rows` steps
     rows = _MC_K * max(1, _MC_BLOCK // (_MC_K * trials))
     cases = {1, 2, _MC_K - 1, _MC_K, _MC_K + 1, 7, rows - 1, rows + 1, 999, 10000}
-    # the reference is slow: 70000 trials stop at 999 steps
+    # the mask reference is slow: 70000 trials stop at 999 steps; up to
+    # three trials take the plain one
     cases = [steps for steps in sorted(cases) if trials * steps < 7 * 10**7]
+    reference = _green_mc_plain if trials <= 3 else _green_mc_reference
     for seed, steps in enumerate(cases, start=trials):
         rep = green_mc(trials, steps, seed=seed)
-        want = _green_mc_reference(trials, steps, seed)[:2]
+        want = reference(trials, steps, seed)[:2]
         assert (rep.estimate, rep.stderr) == want, (trials, steps, seed)
 
 
 def test_green_mc_long_run_equals_per_step_reference():
     # three trials over 10^5 steps wander far past every saturated class
     rep = green_mc(3, 10**5, seed=5)
-    est, err, top_u, top_m = _green_mc_reference(3, 10**5, 5)
+    est, err, top_u, top_m = _green_mc_plain(3, 10**5, 5)
     assert (rep.estimate, rep.stderr) == (est, err)
     assert top_u > 10 * _MC_K and top_m > 4 * _MC_K
 
