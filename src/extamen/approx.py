@@ -15,12 +15,15 @@ invariance of the family sum for any configuration with few lamps.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Callable, Optional, Sequence
 
 from .dyadic import Dyadic, ROOT
 from .errors import (
+    CapExceeded,
     PreconditionFailed,
     SearchExhausted,
     StructuralAssertFailed,
@@ -222,7 +225,7 @@ class ConstructionResult:
         }
 
 
-def find_vertex_below(phi, threshold: Fraction, max_depth: int = 96) -> Dyadic:
+def find_vertex_below(phi, threshold: Fraction) -> Dyadic:
     """A skeleton vertex with phi strictly below threshold.
 
     Uses the function's own descent hint when present (re-checking the value,
@@ -239,7 +242,7 @@ def find_vertex_below(phi, threshold: Fraction, max_depth: int = 96) -> Dyadic:
             )
         return q
     level = [ROOT]
-    for depth in range(1, max_depth + 1):
+    for depth in count(1):
         level = [act_letter(ch, v) for v in level for ch in ("a", "b")]
         best = min(level, key=phi)
         if phi(best) < threshold:
@@ -249,10 +252,6 @@ def find_vertex_below(phi, threshold: Fraction, max_depth: int = 96) -> Dyadic:
                 f"{phi.name}: no value below {threshold} within scannable depth",
                 frontier={"depth": depth, "width": len(level), "best": str(phi(best))},
             )
-    raise SearchExhausted(
-        f"{phi.name}: no value below {threshold} by depth {max_depth}",
-        frontier={"depth": max_depth},
-    )
 
 
 def _require_level(n: int) -> None:
@@ -359,9 +358,7 @@ def construct_En_countable(
     fam0 = phi_family(0)
     z0 = find_vertex_below(fam0, floor_of(fam0) / (16 * n * n))
     delta = fam0(z0)
-    N = 0
-    while pow2(-N) >= delta / (3 * n):
-        N += 1
+    N = phi_family_tail_bound(delta / (3 * n))
     points = [hair_point(z0, 4 * n * n)]
     for i in range(1, N + 1):
         fam = phi_family(i)
@@ -420,16 +417,25 @@ def construct(
 # ---------------------------------------------------------------------------
 # the explicit hair family and its refutation counterpart
 
+# lamp j takes a word of 2n + j letters, so the family costs O(n^2): n = 256
+# took 0.41 s on a 2-core machine; every use has n <= 8
+EXPLICIT_MAX_N = 256
+
 
 def explicit_En_hairs(n: int) -> Config:
     """The n-lamp configuration A^n b^n a^j . root for j = 0..n-1.
 
     Each lamp is validated structurally: offset n on a hair that loops on b,
     attached at depth j+n inside subtree j.  Any mismatch raises
-    StructuralAssertFailed rather than returning a dubious configuration.
+    StructuralAssertFailed rather than returning a dubious configuration;
+    n above EXPLICIT_MAX_N raises CapExceeded before any lamp is built.
     """
     if n < 1:
         raise PreconditionFailed("need n >= 1")
+    if n > sys.maxsize:  # not a size at all: "A" * n would raise this too
+        raise OverflowError(f"explicit:{n} cannot fit into an index-sized integer")
+    if n > EXPLICIT_MAX_N:
+        raise CapExceeded(f"explicit:{n} exceeds the lamp cap {EXPLICIT_MAX_N}")
     points = []
     for j in range(n):
         x = act_word("A" * n + "b" * n + "a" * j, ROOT)

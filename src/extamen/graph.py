@@ -17,8 +17,8 @@ addresses, the one runtime vertex; a Ball turns its addresses into Dyadic
 vertices once, for output.  act_letter stays the Dyadic action and
 struct_act's oracle.
 
-The search, leaving-edge shares and walk steps at the end take the action as
-arguments, so the free-group graph of ``freegroup`` uses them too; bfs, the
+The search, leaving-edge shares and the walk step at the end take the action
+as arguments, so the free-group graph of ``freegroup`` uses them too; bfs, the
 one breadth-first search, records the position of every image as it goes.
 """
 
@@ -55,7 +55,6 @@ __all__ = [
     "bfs",
     "leaving_share",
     "evolve",
-    "transition_series",
     "get_orientation",
     "vertex_at",
     "root_hair_letter",
@@ -454,19 +453,3 @@ def evolve(counts: dict, letters, act, cap: Optional[int] = None) -> dict:
     if cap is not None and len(out) > cap:
         raise CapExceeded(f"walk support {len(out)} exceeds cap {cap}")
     return out
-
-
-def transition_series(
-    start, target, n: int, letters, act, cap: Optional[int] = None
-) -> list[Fraction]:
-    """[P^t(start, target) for t = 0..n] for the uniform walk, exactly."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    k = len(letters)
-    counts = {start: 1}
-    series = [Fraction(counts.get(target, 0))]
-    for t in range(1, n + 1):
-        counts = evolve(counts, letters, act, cap)
-        series.append(Fraction(counts.get(target, 0), k**t))
-    assert sum(counts.values()) == k**n, "path counts must sum to k**n"
-    return series

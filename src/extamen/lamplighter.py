@@ -3,13 +3,12 @@
 A configuration is a finite set of vertices.  The four generator letters act
 pointwise; the switch letter 's' toggles membership of the root.  Words act
 right to left, matching the convention for the underlying vertex action.
-The walk operator averages uniformly over the five letters.  lamp_action,
-the one move of a configuration by a letter, takes the vertex action as an
-argument, so the free-group graph of ``freegroup`` uses it too; given
-graph.struct_act, orbits run on configurations of addresses, sorted tuples
-of graph.code pairs (to_codes).
-Set functions read addresses only: SetFn.fn takes the to_codes form, and
-the exact walk average markov_iterate runs on it.
+lamp_action, the one move of a configuration by a letter, takes the vertex
+action as an argument, so the free-group graph of ``freegroup`` uses it too;
+given graph.struct_act, orbits run on configurations of addresses, sorted
+tuples of graph.code pairs (to_codes).  Set functions read addresses only:
+SetFn.fn takes the to_codes form, and markov_iterate, the one exact average
+of the uniform five-letter walk, runs on it by graph.evolve.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ __all__ = [
     "lamp_action",
     "apply_letter",
     "apply_word",
-    "markov_apply_set",
     "markov_iterate",
     "orbit_enumerate",
     "switch_invariant_check",
@@ -141,11 +139,6 @@ def apply_word(E: Config, word: str) -> Config:
     return act_word(word, E, lamp_action(act_letter, ROOT))
 
 
-def markov_apply_set(F, E: Config):
-    """Uniform 5-letter average of F over the one-step images of E."""
-    return sum(F(apply_letter(E, ch)) for ch in LAMP_LETTERS) / 5
-
-
 def markov_iterate(F: SetFn, C: tuple, n: int, cap: int = 8):
     """Exact n-step walk average of F started at the address configuration C
     (to_codes of a configuration of vertices).
@@ -196,6 +189,7 @@ def orbit_enumerate(E: tuple, n: int, cap: int = 10**6, move=None) -> dict:
 
 
 def switch_invariant_check(F, samples: Iterable[Config]):
-    """Per-sample check of F(E) == F(E with the root toggled)."""
-    results = [(E, F(E) == F(apply_letter(E, "s"))) for E in samples]
+    """Per-sample check of F(E) == F(E with the root toggled), F any callable."""
+    move = lamp_action(act_letter, ROOT)
+    results = [(E, F(E) == F(move("s", E))) for E in samples]
     return all(flag for _, flag in results), results

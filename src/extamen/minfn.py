@@ -24,9 +24,9 @@ from .errors import (
     PreconditionFailed,
     PropertySelfTestFailed,
 )
-from .graph import ROOT_CODE, act_letter, ball
-from .harmonic import VertexFn, canonical_phi_u, markov_apply_X, phi_family, pow2
-from .lamplighter import Config, SetFn, lamp_action, markov_apply_set, markov_iterate
+from .graph import ROOT_CODE, act_letter, ball, code
+from .harmonic import VertexFn, canonical_phi_u, markov_apply_X, phi_family
+from .lamplighter import Config, SetFn, lamp_action, markov_iterate
 
 __all__ = [
     "minfun",
@@ -99,8 +99,8 @@ def non_superharmonic_transfer(phi, q: Dyadic) -> TransferReport:
     if phi(q) > phi(ROOT):
         raise PreconditionFailed("phi must stay below its root value")
 
-    F = minfun(phi)
-    margin = markov_apply_set(F, (q,)) - F((q,))
+    F, C = minfun(phi), (code(q),)
+    margin = markov_iterate(F, C, 1) - F.fn(C)
     assert margin == Fraction(4, 5) * gap, "transfer margin must be 4/5 of the gap"
     return TransferReport(q=q, vertex_gap=gap, set_margin=margin)
 
@@ -131,10 +131,11 @@ def phi_family_tail_bound(eps: Fraction) -> int:
     """Smallest N with the family's root values beyond N summing below eps."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    N = 0
-    while pow2(-N) >= eps:
-        N += 1
-    return N
+    # 2^-N < p/q exactly when p << N > q; at the bit-length gap p << N has at
+    # least q's bit length, so one more doubling passes q
+    p, q = eps.numerator, eps.denominator
+    N = max(0, q.bit_length() - p.bit_length())
+    return N + (p << N <= q)
 
 
 def countable_sum(
@@ -364,7 +365,8 @@ def resolve_phi(name: str) -> VertexFn:
 def resolve_setfn(name: str) -> SetFn:
     """Look up a SetFn by its registry name: minfun:<phi>,
     gmin:kmean:<k>:<m>:<phi> or sum:phi_family:eps=<rational or decimal>,
-    <phi> a resolve_phi name.  Names match exactly, so F.name is the name
+    <phi> a resolve_phi name and eps above 2^-1024, so that the sum reads no
+    member past phi:1024.  Names match exactly, so F.name is the name
     given, but for eps, which is read as a number and named in lowest terms.
     """
     match = _SETFN_NAME.fullmatch(name)
@@ -375,4 +377,7 @@ def resolve_setfn(name: str) -> SetFn:
         return minfun(resolve_phi(phi))
     if r_phi is not None:
         return generalized_minfun(r_family_kmean(int(k), int(m)), resolve_phi(r_phi))
-    return countable_sum(phi_family, parse_rational(eps), tail_bound=phi_family_tail_bound)
+    eps = parse_rational(eps)
+    if phi_family_tail_bound(eps) > _PHI_MAX_INDEX:
+        raise ValueError(f"eps <= 2^-{_PHI_MAX_INDEX} needs phi indices above {_PHI_MAX_INDEX}")
+    return countable_sum(phi_family, eps, tail_bound=phi_family_tail_bound)

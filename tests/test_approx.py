@@ -7,6 +7,7 @@ import pytest
 from extamen.approx import (
     BETA_SCHEDULES,
     CONSTRUCTIONS,
+    EXPLICIT_MAX_N,
     construct,
     construct_En_countable,
     construct_En_markov,
@@ -21,6 +22,7 @@ from extamen.approx import (
 )
 from extamen.dyadic import Dyadic, ROOT
 from extamen.errors import (
+    CapExceeded,
     PreconditionFailed,
     SearchExhausted,
     StructuralAssertFailed,
@@ -67,6 +69,16 @@ def test_explicit_first_levels():
     assert explicit_En_hairs(3) == (dy(9, 7), dy(19, 8), dy(39, 9))
     with pytest.raises(PreconditionFailed):
         explicit_En_hairs(0)
+
+
+def test_explicit_lamp_cap_refuses_before_building(monkeypatch):
+    # the family costs O(n^2), so a size past the cap builds no lamp at all
+    def no_lamp(*args):
+        raise AssertionError("a lamp was built")
+
+    monkeypatch.setattr("extamen.approx.act_word", no_lamp)
+    with pytest.raises(CapExceeded, match=f"explicit:{EXPLICIT_MAX_N + 1} exceeds the lamp cap"):
+        explicit_En_hairs(EXPLICIT_MAX_N + 1)
 
 
 def test_explicit_lamps_sit_on_distinct_hairs():

@@ -62,6 +62,22 @@ def test_exit_two_on_cap(capsys):
     assert "resource limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["walk", "return", "--n", "4097"], "series length 4097 exceeds the cap 2048"),
+    (["walk", "green", "--n", "100000"], "series length 100000 exceeds the cap 2048"),
+    (["approx", "verify", "--fn", "minfun:phi_u", "--set", "explicit:257"],
+     "explicit:257 exceeds the lamp cap 256"),
+    (["approx", "refute", "--set", "explicit:100000", "--n", "2"],
+     "explicit:100000 exceeds the lamp cap 256"),
+])
+def test_unbounded_sizes_exit_two_at_once(capsys, argv, message):
+    # the series cost about N^3.3 and the explicit family n^2, so both are capped
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"resource limit: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["approx", "construct", "--kind", "single", "--n", "17"],
     ["approx", "verify", "--fn", "minfun:phi_u", "--set", "single:17", "--n", "2"],
@@ -165,6 +181,13 @@ def test_green_step_limit_exits_two(capsys, monkeypatch):
     (["fn", "check", "--fn", "phi:1025", "--n", "2"], "phi index 1025 exceeds the bound 1024"),
     (["approx", "verify", "--fn", "minfun:phi:1025", "--set", "explicit:2"],
      "phi index 1025 exceeds the bound 1024"),
+    # the tail index of eps is read off bit lengths, so none of these waits
+    (["fn", "check", "--fn", "sum:phi_family:eps=1e-400", "--n", "2"],
+     "eps <= 2^-1024 needs phi indices above 1024"),
+    (["approx", "verify", "--fn", "sum:phi_family:eps=1e-1000000", "--set", "explicit:2"],
+     "eps <= 2^-1024 needs phi indices above 1024"),
+    (["walk", "decay", "--fn", "sum:phi_family:eps=5e-309", "--steps", "10",
+      "--checkpoints", "10"], "eps <= 2^-1024 needs phi indices above 1024"),
 ])
 def test_unusable_input_is_one_line(capsys, argv, message):
     assert run(argv) == 1

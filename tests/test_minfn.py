@@ -13,7 +13,7 @@ from extamen.errors import (
 from extamen.approx import construct_En_countable, explicit_En_hairs
 from extamen.graph import act_word, ball, hair_point, node_info, struct_info, vertex, vertex_at
 from extamen.harmonic import VertexFn, canonical_phi_u, phi_family, pow2
-from extamen.lamplighter import EMPTY, config, markov_apply_set, orbit_enumerate
+from extamen.lamplighter import EMPTY, config, markov_iterate, orbit_enumerate, to_codes
 from extamen.minfn import (
     SymmetricConcaveFn,
     T_operator,
@@ -62,7 +62,7 @@ def test_T_operator_interpolates():
     F = minfun(canonical_phi_u())
     E = config([dy(11, 4)])
     # alpha = 4/5 is the plain 5-letter walk
-    assert T_operator(F, E, Fraction(4, 5)) == markov_apply_set(F, E)
+    assert T_operator(F, E, Fraction(4, 5)) == markov_iterate(F, to_codes(E), 1)
     for alpha in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
         assert T_operator(F, E, alpha) <= F(E), f"alpha={alpha}"
     with pytest.raises(ValueError):
@@ -117,6 +117,37 @@ def test_tail_bound():
     assert phi_family_tail_bound(Fraction(1)) == 1
     with pytest.raises(ValueError):
         phi_family_tail_bound(Fraction(0))
+
+
+def _tail_bound_by_halving(eps):
+    # the smallest N with 2^-N < eps, one halving at a time
+    N = 0
+    while pow2(-N) >= eps:
+        N += 1
+    return N
+
+
+def test_tail_bound_closed_form_matches_halving():
+    rng = random.Random(23)
+    cases = [Fraction(1, 2**k) for k in range(70)] + [Fraction(3, 2**k) for k in range(70)]
+    cases += [Fraction(2**k + d, 2**j) for k in range(40) for j in range(45) for d in (-1, 1)
+              if 2**k + d > 0]
+    cases += [Fraction(rng.randrange(1, 10**rng.randrange(1, 30)),
+                       rng.randrange(1, 10**rng.randrange(1, 30))) for _ in range(2000)]
+    cases += [Fraction(7, 10**k) for k in range(60)] + [Fraction(10**k, 3) for k in range(5)]
+    for eps in cases:
+        assert phi_family_tail_bound(eps) == _tail_bound_by_halving(eps), eps
+    # 1e-30000 needs about 10^5 halvings; the closed form takes bit lengths
+    assert phi_family_tail_bound(Fraction(1, 10**30000)) == 99658
+
+
+def test_resolve_setfn_bounds_the_tail_index():
+    # eps = 2^-1023 reads members up to phi:1024, 2^-1024 would read phi:1025
+    F = resolve_setfn(f"sum:phi_family:eps=1/{2**1023}")
+    assert dict(F.meta)["truncation_N"] == 1024
+    for eps in (f"1/{2**1024}", "1e-400", "1e-30000"):
+        with pytest.raises(ValueError, match="needs phi indices above 1024"):
+            resolve_setfn(f"sum:phi_family:eps={eps}")
 
 
 def test_countable_sum_truncation():
@@ -213,7 +244,7 @@ def test_markov_image():
     F = minfun(canonical_phi_u())
     P1 = markov_image(F, 1)
     E = config([dy(11, 4)])
-    assert P1(E) == markov_apply_set(F, E)
+    assert P1(E) == markov_iterate(F, to_codes(E), 1)
     assert markov_image(F, 0)(E) == F(E)
 
 

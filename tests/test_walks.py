@@ -20,7 +20,6 @@ from extamen.graph import (
     evolve,
     hair_point,
     struct_act,
-    transition_series,
     vertex,
     vertex_at,
 )
@@ -41,6 +40,7 @@ from extamen.walks import (
     _MC_BLOCK,
     _MC_K,
     _MC_MAX_STEPS,
+    SERIES_MAX_N,
     StructuralLampWalk,
     WalkConfig,
     _NO_PARK,
@@ -62,6 +62,7 @@ from extamen.walks import (
     spectral_radius_proxy,
     supermartingale_check,
 )
+from oracles import transition_series
 
 
 def dy(num, exp):
@@ -125,6 +126,16 @@ def test_pn_exact_and_green_partial_refuse_non_vertices():
                 pn_exact(x, y, 3)
             with pytest.raises(ValueError, match="not a vertex"):
                 green_partial(x, y, Fraction(1, 2), 4)
+
+
+def test_series_length_cap():
+    # refused before any series is built, as the cost grows like N^3.3
+    N = SERIES_MAX_N + 1
+    for call in (lambda: lumped_return_series(N), lambda: return_prob(N),
+                 lambda: pn_exact(ROOT, vertex_at("L"), N),
+                 lambda: green_partial(ROOT, ROOT, Fraction(1, 2), N)):
+        with pytest.raises(CapExceeded, match=f"series length {N} exceeds the cap"):
+            call()
 
 
 def test_transition_series_validates():
@@ -610,6 +621,8 @@ def test_spectral_proxies():
     assert spectral_radius_proxy(60) == max(float(dp[k]) ** (1.0 / k) for k in range(2, 61, 2))
     lamp = spectral_radius_proxy(4, mode="lamp")
     assert 0 < lamp < 1
+    # P^20(empty, empty) from the squared 10-step half-walk
+    assert spectral_radius_proxy(20, mode="lamp") == 0.8677509184244984
     with pytest.raises(ValueError):
         spectral_radius_proxy(10, mode="Y")
 
