@@ -3,8 +3,8 @@
 Verification is exact: the whole length-<=n word orbit is enumerated and the
 relative change of the target function is compared with the tolerance beta.
 Both verifiers convert the configuration to graph.code addresses once, move
-it by one lamp_action over graph.struct_act and read the target through
-SetFn.fn, which takes addresses; reports keep the caller's Dyadic set.
+it by one lamp_action over graph.struct_act and read the target on addresses,
+in integers by SetFn.scaled, else by SetFn.fn; reports keep the Dyadic set.
 The constructors park lamps far out on hairs below skeleton vertices whose
 function values sit strictly under everything reachable from the root, which
 pins the minimum and makes the target exactly invariant on the orbit.  In the
@@ -137,12 +137,14 @@ def _deviation_scan(F, E: Config, n: int, beta: Fraction, mode: str, pairs) -> V
     is known to be nonzero; the first word to reach the largest deviation
     is reported.
 
-    The largest |v - base| is at the largest or the smallest value, so the
-    scan keeps the first pair to set each extreme and divides by F(E) only
-    at the end; nothing moved gives Fraction(0) and the empty word."""
-    value = F.fn
+    Values are numerators over one 2**K: F.scaled's, K raised (and the kept
+    numerators shifted) when a deeper one comes, or F.fn's with K = 0.  The
+    largest |v - base| is at the largest or the smallest value, so the scan
+    keeps the first pair to set each extreme and divides by F(E) once, where
+    2**K cancels; nothing moved gives Fraction(0) and the empty word."""
+    read = F.scaled or (lambda C: (F.fn(C), 0))
     start = to_codes(E)
-    base = value(start)
+    base, K = read(start)
     if base == 0:
         raise ZeroBase(f"{F.name} vanishes on the tested configuration")
     hi = lo = base
@@ -150,7 +152,11 @@ def _deviation_scan(F, E: Config, n: int, beta: Fraction, mode: str, pairs) -> V
     hi_word = lo_word = ""
     checked = 0
     for checked, (C, word) in enumerate(pairs(start), 1):
-        v = value(C)
+        v, e = read(C)
+        if e > K:
+            base, hi, lo, K = base << e - K, hi << e - K, lo << e - K, e
+        elif e < K:
+            v <<= K - e
         # equal values deviate by 0 and set no extreme; != is the cheap test
         if v != base:
             if v > hi:
@@ -162,7 +168,7 @@ def _deviation_scan(F, E: Config, n: int, beta: Fraction, mode: str, pairs) -> V
     # the running maximum of the deviation over the two extremes in scan
     # order, so a tie goes to the earlier word
     for _, dev, word in sorted([(hi_at, hi - base, hi_word), (lo_at, base - lo, lo_word)]):
-        dev /= base
+        dev = Fraction(dev, base) if F.scaled else dev / base
         if dev > worst:
             worst, worst_word = dev, word
     return VerifyReport(
@@ -172,7 +178,7 @@ def _deviation_scan(F, E: Config, n: int, beta: Fraction, mode: str, pairs) -> V
         beta=beta,
         mode=mode,
         checked=checked,
-        base_value=base,
+        base_value=Fraction(base, 1 << K) if F.scaled else base,
         worst_word=worst_word,
         worst_deviation=worst,
     )

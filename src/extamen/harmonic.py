@@ -65,6 +65,9 @@ class VertexFn:
     tree levels (which is hopeless once the needed depth passes ~20) and
     always re-check the returned value.  fn takes the graph.code address
     (node, m) of a vertex; calling the VertexFn on a Dyadic reads fn there.
+    fn may carry an attribute exponent, an integer reader with
+    fn(c) == 2**-fn.exponent(c), which minfun reads; a replacing fn carries
+    its own or none.
     """
 
     name: str
@@ -154,9 +157,13 @@ def canonical_phi_u() -> VertexFn:
     everywhere except the root where it equals 1.
     """
 
+    def exponent(c: tuple[int, int]) -> int:
+        return c[0].bit_length() - 3  # depth - 2
+
     def fn(c: tuple[int, int]) -> Fraction:
-        _, _, depth = node_info(c[0])
-        return pow2(2 - depth)
+        return pow2(-exponent(c))
+
+    fn.exponent = exponent
 
     def find_below(threshold: Fraction) -> Dyadic:
         d = 0

@@ -7,8 +7,8 @@ lamp_action, the one move of a configuration by a letter, takes the vertex
 action as an argument, so the free-group graph of ``freegroup`` uses it too;
 given graph.struct_act, orbits run on configurations of addresses, sorted
 tuples of graph.code pairs (to_codes).  Set functions read addresses only:
-SetFn.fn takes the to_codes form, and markov_iterate, the one exact average
-of the uniform five-letter walk, runs on it by graph.evolve.
+SetFn.fn and SetFn.scaled take the to_codes form, and markov_iterate, the
+one exact average of the uniform five-letter walk, runs on it by graph.evolve.
 """
 
 from __future__ import annotations
@@ -78,16 +78,31 @@ class SetFn:
 
     fn reads a configuration's addresses, the sorted tuple to_codes gives;
     calling the SetFn on a configuration of vertices evaluates fn there.
+    scaled, an optional exact reader of a dyadic function, gives the value
+    num / 2**e as integers (num, e), e >= 0.  fn is derived from scaled when
+    not given; given both, the verifiers read scaled.
     """
 
     name: str
-    fn: Callable[[tuple], Fraction]
+    fn: Optional[Callable[[tuple], Fraction]] = None
     switch_invariant: Optional[bool] = None
     superharmonic: Optional[bool] = None
     meta: tuple = ()
+    scaled: Optional[Callable[[tuple], tuple[int, int]]] = None
+
+    def __post_init__(self):
+        if self.fn is None:
+            if self.scaled is None:
+                raise TypeError(f"SetFn {self.name!r} needs fn or scaled")
+            object.__setattr__(self, "fn", partial(_from_scaled, self.scaled))
 
     def __call__(self, E: Config):
         return self.fn(to_codes(E))
+
+
+def _from_scaled(scaled, C: tuple) -> Fraction:
+    num, e = scaled(C)
+    return Fraction(num, 1 << e)
 
 
 class _Images(dict):

@@ -6,7 +6,8 @@ weighted sums, certified truncations of countable sums, walk images, and the
 generalized form that feeds the sorted value vector into a symmetric concave
 non-decreasing function after padding with 1.  Every SetFn built here reads
 address configurations, and the vertex functions through VertexFn.fn, which
-reads addresses too.
+reads addresses too; min-functions over an fn with an exponent reader and
+the phi_family closed form read in integers.
 """
 
 from __future__ import annotations
@@ -51,16 +52,23 @@ def _check_max_at_root(phi, radius: int = 3) -> bool:
 
 
 def minfun(phi) -> SetFn:
-    """Minimum of phi over the configuration; the empty set takes phi(root)."""
+    """Minimum of phi over the configuration; the empty set takes phi(root).
+    When phi.fn carries an exponent reader k it is scaled: 2**-(largest k)."""
     if phi.max_at_p is not True and not _check_max_at_root(phi):
         warnings.warn(f"{phi.name}: maximum at the root not confirmed on a probe ball")
-    root_val = phi.fn(ROOT_CODE)
+    root_val, k = phi.fn(ROOT_CODE), getattr(phi.fn, "exponent", None)
+
+    def scaled(C: tuple) -> tuple[int, int]:
+        e = max(map(k, C)) if C else k(ROOT_CODE)
+        return (1, e) if e >= 0 else (1 << -e, 0)
+
     return SetFn(
         name=f"minfun:{phi.name}",
-        fn=lambda C: min(map(phi.fn, C)) if C else root_val,
+        fn=None if k else (lambda C: min(map(phi.fn, C)) if C else root_val),
         switch_invariant=True,
         superharmonic=phi.superharmonic,
         meta=(("phi", phi),),
+        scaled=scaled if k else None,
     )
 
 
@@ -151,36 +159,36 @@ def countable_sum(
     truncation error is certified below eps.  The result records the
     truncation index and the certified error.
 
-    When family is phi_family itself the sum is evaluated in closed form, in
-    integers and O(|E| + N) time.  Member i is 2^-depth inside subtree i
-    (where depth >= i + 1) and 2^-i everywhere else, root included, so a lamp
-    with struct_info (lead, deeper, depth) can lower only term lead, and only
-    when deeper (equivalently depth > lead) and lead <= N; lead and depth
-    are read off each lamp's node by integer operations.  With e_i the
-    larger of i and the deepest such depth, F(E) = sum over i = 0..N of
-    2^-e_i, summed as one integer over 2^max(e_i); the empty set gives
-    2 - 2^-N.  Every other family takes the generic sum of minfun terms,
-    which is the oracle the closed form is tested against.
+    When family is phi_family itself the sum is read in closed form, as a
+    scaled reader in integers and O(|E| + N) time.  Member i is 2^-depth
+    inside subtree i (where depth >= i + 1) and 2^-i everywhere else, root
+    included, so a lamp with struct_info (lead, deeper, depth) can lower
+    only term lead, and only when deeper (equivalently depth > lead) and
+    lead <= N; lead and depth are read off each lamp's node by integer
+    operations.  With e_i the larger of i and the deepest such depth,
+    F(E) = sum over i = 0..N of 2^-e_i, one integer over 2^max(e_i); the
+    empty set gives 2 - 2^-N.  Other families sum their minfun terms.
     """
     if tail_bound is None:
         raise MissingTailBound("countable_sum needs a certified tail bound")
     N = tail_bound(eps)
     if family is phi_family:
-        fn = _phi_family_sum(N)
+        fn, scaled = None, _phi_family_sum(N)
     else:
         terms = [minfun(family(i)) for i in range(N + 1)]
-        fn = _linear([1] * len(terms), terms)
+        fn, scaled = _linear([1] * len(terms), terms), None
     return SetFn(
         name=f"sum:{family_name}:eps={eps}",
         fn=fn,
         switch_invariant=True,
         superharmonic=True,
         meta=(("truncation_N", N), ("certified_error", eps), ("family", family_name)),
+        scaled=scaled,
     )
 
 
-def _phi_family_sum(N: int) -> Callable[[tuple], Fraction]:
-    """Closed form of the sum of minfun(phi_family(i)) for i = 0..N on an
+def _phi_family_sum(N: int) -> Callable[[tuple], tuple[int, int]]:
+    """Scaled reader of the sum of minfun(phi_family(i)) for i = 0..N on an
     address configuration, reading each lamp's node with integer operations.
 
     depth is the node's bit length less one and lead its number of trailing
@@ -188,7 +196,7 @@ def _phi_family_sum(N: int) -> Callable[[tuple], Fraction]:
     it is one more.  Those lamps lie in no subtree, and depth > lead fails
     for them under either reading."""
 
-    def fn(C: tuple) -> Fraction:
+    def scaled(C: tuple) -> tuple[int, int]:
         deepest: dict[int, int] = {}
         for node, _ in C:
             depth = node.bit_length() - 1
@@ -203,9 +211,9 @@ def _phi_family_sum(N: int) -> Callable[[tuple], Fraction]:
         total = (2 << top) - (1 << (top - N))
         for i, e in deepest.items():
             total += (1 << (top - e)) - (1 << (top - i))
-        return Fraction(total, 1 << top)
+        return total, top
 
-    return fn
+    return scaled
 
 
 def markov_image(F: SetFn, n: int, cap: int = 8) -> SetFn:
@@ -329,8 +337,19 @@ def generalized_minfun(r: SymmetricConcaveFn, phi) -> SetFn:
 # registry
 
 
+# Fraction builds 10**|exponent| in full: 1e-10000000 takes about 13 s
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]*)\s*\Z")
+
+
 def parse_rational(s: str) -> Fraction:
-    """3/4 or 1e-6 as a Fraction; inf and nan raise as Fraction(float(s)) does."""
+    """3/4 or 1e-6 as a Fraction; inf and nan raise as Fraction(float(s)) does,
+    and so does a decimal exponent past 10**6 in magnitude, before Fraction
+    sees it."""
+    exp = _EXPONENT.search(s)
+    digits = exp[1].replace("_", "").lstrip("0") if exp else ""
+    # the length test first: int() refuses strings of over 4300 digits
+    if len(digits) > 7 or int(digits or 0) > 10**6:
+        raise ValueError(f"decimal exponent of {s.strip()} exceeds 10^6 in magnitude")
     try:
         return Fraction(s)
     except ValueError:

@@ -37,6 +37,7 @@ from extamen.lamplighter import (
     apply_word,
     config,
     orbit_enumerate,
+    to_codes,
 )
 from extamen.minfn import (
     countable_sum,
@@ -100,6 +101,9 @@ def test_strong_verify_zero_base():
     zero = SetFn(name="zero", fn=lambda E: Fraction(0))
     with pytest.raises(ZeroBase):
         strong_verify(zero, EMPTY, 2, Fraction(1, 2))
+    # a scaled reader's zero numerator, at any exponent
+    with pytest.raises(ZeroBase):
+        strong_verify(SetFn(name="zero", scaled=lambda C: (0, 5)), EMPTY, 2, Fraction(1, 2))
 
 
 def test_strong_verify_worst_word_replays():
@@ -173,12 +177,33 @@ def _tie(sign):
     return SetFn(f"tie:{sign}", fn=fn)
 
 
+def _scaled_tie(sign):
+    """_tie(sign) as a scaled reader: its values counted in halves over 2**1."""
+    def scaled(C):
+        halves = sum(sign * (-2 if m > 0 else 2) if m else
+                     (sign if node == 3 else 0) for node, m in C)
+        return 4 + max(-2, min(2, halves)), 1
+    return SetFn(f"scaled_tie:{sign}", scaled=scaled)
+
+
+def _deepening():
+    """A scaled user SetFn: 3 plus the sum of the hair offsets m over 2**(the
+    number of lamps), read over that power of two and not in lowest terms,
+    so that skeleton lamps read 3 at every exponent and the orbit of the
+    empty set raises the exponent with each lamp it switches on."""
+    return SetFn("deepening", scaled=lambda C: ((3 << len(C)) + sum(m for _, m in C), len(C)))
+
+
 def test_deviation_ties_go_to_the_earlier_word():
     # the orbit of the empty set meets A's hair at 'As' before B's at 'Bs',
-    # so tie:1 reaches its lower value first and tie:-1 its upper value
+    # so tie:1 reaches its lower value first and tie:-1 its upper value; the
+    # scaled ties compare integers and end on the same word
     for sign in (1, -1):
-        rep = strong_verify(_tie(sign), EMPTY, 2, Fraction(1, 2))
-        assert (rep.worst_word, rep.worst_deviation) == ("As", Fraction(1, 2))
+        assert all(_scaled_tie(sign)(C) == _tie(sign)(C) for C in orbit_enumerate(EMPTY, 2))
+        for F in (_tie(sign), _scaled_tie(sign)):
+            rep = strong_verify(F, EMPTY, 2, Fraction(1, 2))
+            assert (rep.worst_word, rep.worst_deviation) == ("As", Fraction(1, 2))
+        assert type(rep.worst_deviation) is Fraction
     rep = strong_verify(SetFn("constant", fn=lambda C: 3), EMPTY, 2, Fraction(1, 2))
     assert (rep.worst_word, rep.worst_deviation) == ("", 0)
     assert type(rep.worst_deviation) is Fraction
@@ -212,6 +237,10 @@ def _set_functions():
         ("tie:1", _tie(1), 7),
         ("tie:-1", _tie(-1), 7),
         ("constant", SetFn("constant", fn=lambda C: 3), 7),
+        # scaled user readers
+        ("scaled_tie:1", _scaled_tie(1), 7),
+        ("scaled_tie:-1", _scaled_tie(-1), 7),
+        ("deepening", _deepening(), 5),
     ]
 
 
@@ -240,7 +269,38 @@ def test_verifiers_match_the_dyadic_path(F, top):
                 F, E, n, beta, "weak", pairs)),
         ]:
             assert _fields(rep) == want
+            assert type(rep.base_value) is type(want[6])
             assert type(rep.worst_deviation) is type(want[-1])
+
+
+def test_scan_raises_its_exponent_mid_scan():
+    F, n, beta = _deepening(), 4, Fraction(1, 4)
+    orbit = orbit_enumerate(EMPTY, n)
+    exps = [F.scaled(to_codes(C))[1] for C in orbit]
+    # the first value off the base comes at a shallower exponent than later ones
+    moved = next(i for i, C in enumerate(orbit) if F(C) != F(EMPTY))
+    assert 0 < max(exps[:moved + 1]) < max(exps)
+    rep = strong_verify(F, EMPTY, n, beta)
+    assert _fields(rep) == _verify_reference(F, EMPTY, n, beta, "strong", orbit.items())
+    assert rep.worst_deviation > 0 and type(rep.base_value) is Fraction
+
+
+def test_a_traced_fn_beside_scaled_verifies_as_the_reference():
+    # the benchmark's tracer wraps fn by dataclasses.replace; scaled stays
+    F = resolve_setfn("sum:phi_family:eps=1/32")
+    calls = []
+
+    def traced(C):
+        calls.append(C)
+        return F.fn(C)
+
+    G = replace(F, fn=traced)
+    assert (G.fn, G.scaled) == (traced, F.scaled)
+    E, n, beta = config([dy(9, 4), hair_point(dy(11, 4), 3)]), 4, Fraction(1, 4)
+    rep = strong_verify(G, E, n, beta)
+    assert not calls
+    want = _verify_reference(G, E, n, beta, "strong", orbit_enumerate(E, n).items())
+    assert calls and _fields(rep) == want and rep.worst_deviation > 0
 
 
 def test_golden_witness_vacant_path():

@@ -7,6 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,13 @@ from extamen.lamplighter import parse_config
 
 def run(argv):
     return main(argv)
+
+
+# decimal exponents that parse_rational refuses before Fraction reads them
+OVERSIZED_EXPONENTS = [
+    ["approx", "verify", "--fn", "sum:phi_family:eps=1e-10000000", "--set", "explicit:2"],
+    ["walk", "green", "--r", "1e-10000000"],
+]
 
 
 def test_exit_zero_on_pass(capsys):
@@ -188,6 +196,8 @@ def test_green_step_limit_exits_two(capsys, monkeypatch):
      "eps <= 2^-1024 needs phi indices above 1024"),
     (["walk", "decay", "--fn", "sum:phi_family:eps=5e-309", "--steps", "10",
       "--checkpoints", "10"], "eps <= 2^-1024 needs phi indices above 1024"),
+    *[(argv, "decimal exponent of 1e-10000000 exceeds 10^6 in magnitude")
+      for argv in OVERSIZED_EXPONENTS],
 ])
 def test_unusable_input_is_one_line(capsys, argv, message):
     assert run(argv) == 1
@@ -196,6 +206,14 @@ def test_unusable_input_is_one_line(capsys, argv, message):
     assert captured.err.startswith("unusable input: ")
     assert message in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", OVERSIZED_EXPONENTS)
+def test_oversized_exponents_are_refused_at_once(capsys, argv):
+    # Fraction would first build 10^10000000, about 13 s of work
+    start = time.perf_counter()
+    assert run(argv) == 1
+    assert time.perf_counter() - start < 1
 
 
 def test_usage_error_exits_two():

@@ -31,6 +31,7 @@ from extamen.graph import (
     vertex_at,
 )
 from extamen.harmonic import VertexFn, canonical_phi_u, phi_family
+from extamen.minfn import minfun
 
 
 def dy(num, exp):
@@ -341,6 +342,10 @@ def test_replacing_fn_reads_the_new_fn():
     assert two(ROOT) == two.fn(ROOT_CODE) == 2
     assert two(hair_point(ROOT, 1)) == 1
     assert one(ROOT) == 1
+    # the replaced fn drops phi_u's exponent reader, and minfun reads the new fn
+    flat = replace(canonical_phi_u(), fn=lambda c: Fraction(1))
+    F = minfun(flat)
+    assert F.scaled is None and F((ROOT,)) == F(()) == 1
 
 
 def test_struct_act_rejects_unknown_letters():

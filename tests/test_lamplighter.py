@@ -22,6 +22,7 @@ from extamen.graph import (
 from extamen.lamplighter import (
     EMPTY,
     LAMP_LETTERS,
+    SetFn,
     apply_letter,
     apply_word,
     config,
@@ -314,6 +315,14 @@ def test_markov_apply_is_one_step_iterate():
     for _ in range(20):
         E = config(rng.sample(BALL6, rng.randrange(4)))
         assert markov_iterate(F, to_codes(E), 1) == _naive_iterate(F, E, 1)
+
+
+def test_setfn_derives_fn_from_scaled():
+    F = SetFn("halves", scaled=lambda C: (len(C) + 2, 1))
+    assert F(EMPTY) == 1 and F((ROOT,)) == Fraction(3, 2)
+    assert type(F(EMPTY)) is Fraction
+    with pytest.raises(TypeError, match="needs fn or scaled"):
+        SetFn("nothing")
 
 
 def test_switch_invariance_of_minfun():

@@ -11,7 +11,16 @@ from extamen.errors import (
     PropertySelfTestFailed,
 )
 from extamen.approx import construct_En_countable, explicit_En_hairs
-from extamen.graph import act_word, ball, hair_point, node_info, struct_info, vertex, vertex_at
+from extamen.graph import (
+    ROOT_CODE,
+    act_word,
+    ball,
+    hair_point,
+    node_info,
+    struct_info,
+    vertex,
+    vertex_at,
+)
 from extamen.harmonic import VertexFn, canonical_phi_u, phi_family, pow2
 from extamen.lamplighter import EMPTY, config, markov_iterate, orbit_enumerate, to_codes
 from extamen.minfn import (
@@ -112,6 +121,54 @@ def test_weighted_sum():
         weighted_sum([F, G], [Fraction(1)])
 
 
+def assert_scaled(F, C, want):
+    """F's scaled reader gives want at the configuration C as an integer pair
+    (num, e), e >= 0, and F.fn, derived from it, gives the same Fraction."""
+    codes = to_codes(C)
+    num, e = F.scaled(codes)
+    assert type(num) is int and type(e) is int and e >= 0, (C, num, e)
+    assert Fraction(num, 1 << e) == want, (C, num, e, want)
+    got = F.fn(codes)
+    assert got == want and type(got) is type(want) is Fraction, (C, got, want)
+
+
+def test_phi_u_exponent_reader_matches_fn():
+    # every node of depth below 14, on the skeleton and 3 out on either hair
+    # (the reader reads the node alone), against the node_info depth form
+    fn = canonical_phi_u().fn
+    k = fn.exponent
+    for node in range(1, 1 << 14):
+        _, _, depth = node_info(node)
+        for m in (0, 3, -3):
+            c = (node, m)
+            got = k(c)
+            assert type(got) is int and pow2(-got) == pow2(2 - depth) == fn(c), c
+    assert k(ROOT_CODE) == -2 and fn(ROOT_CODE) == 4
+
+
+def test_minfun_reader_matches_the_fraction_minimum():
+    phi = canonical_phi_u()
+    F = minfun(phi)
+    for C in [EMPTY, (ROOT,), config([ROOT, dy(23, 5)]), *rand_configs(80, seed=21)]:
+        codes = to_codes(C)
+        assert_scaled(F, C, min(map(phi.fn, codes)) if codes else phi.fn(ROOT_CODE))
+    # vertex functions whose fn carries no reader give minfuns without one
+    plain = VertexFn("plain", fn=lambda c: phi.fn(c), max_at_p=True)
+    for psi in (plain, phi_family(0), phi_family(3)):
+        assert minfun(psi).scaled is None
+    # a scaled term leaves a weighted sum on its Fraction fn
+    assert weighted_sum([F, F], [1, 1]).scaled is None
+
+
+def test_parse_rational_bounds_the_decimal_exponent():
+    # leading zeros and underscores do not count towards the magnitude
+    assert parse_rational("1E+0_000_003") == 1000
+    assert parse_rational("25e-0000000000002") == Fraction(1, 4)
+    for s in ("1e-1000001", "1e1000001", "1e99999999999999999999", "2.5E-1_000_001 "):
+        with pytest.raises(ValueError, match=r"exceeds 10\^6 in magnitude"):
+            parse_rational(s)
+
+
 def test_tail_bound():
     assert phi_family_tail_bound(Fraction(1, 2**20)) == 21
     assert phi_family_tail_bound(Fraction(1)) == 1
@@ -163,15 +220,17 @@ def test_countable_sum_truncation():
 
 
 def phi_family_oracle(N, C):
-    """The countable sum written out term by term: the generic definition."""
-    return sum(minfun(phi_family(i))(C) for i in range(N + 1))
+    """The countable sum written out term by term in Fractions, each term the
+    minimum of a member's fn (its root value on the empty set)."""
+    codes = to_codes(C)
+    members = map(phi_family, range(N + 1))
+    return sum(min(map(phi.fn, codes)) if codes else phi.fn(ROOT_CODE) for phi in members)
 
 
 def assert_matches_oracle(F, configs):
     N = dict(F.meta)["truncation_N"]
     for C in configs:
-        got, want = F(C), phi_family_oracle(N, C)
-        assert got == want and type(got) is type(want), f"{C}: {got} != {want}"
+        assert_scaled(F, C, phi_family_oracle(N, C))
 
 
 def test_phi_family_sum_matches_oracle_on_explicit_orbits():
