@@ -126,10 +126,10 @@ def _over(f: list[int], x: list[int], loops: int = 0) -> list[int]:
 SERIES_MAX_N = 2048
 
 
-def _counts(x: Dyadic, y: Dyadic, N: int) -> tuple[list[int], list[int]]:
-    """4^t P^t(x, y) and 4^t f_t(y), f_t the first-return mass at y, for
-    t = 0..N; ValueError when x or y is not a vertex, CapExceeded when N
-    exceeds SERIES_MAX_N."""
+def _passage(x: Dyadic, y: Dyadic, N: int) -> tuple[list[int], list[int]]:
+    """The word counts of F(x, y) / z^d to z^(N - d), d the distance from x
+    to y (empty when d > N), and of U_y / z to z^N; ValueError when x or y
+    is not a vertex, CapExceeded when N exceeds SERIES_MAX_N."""
     if N > SERIES_MAX_N:
         raise CapExceeded(f"series length {N} exceeds the cap {SERIES_MAX_N}")
     (nx, mx), (ny, my) = code(x), code(y)
@@ -161,6 +161,13 @@ def _counts(x: Dyadic, y: Dyadic, N: int) -> tuple[list[int], list[int]]:
     # terms of F / z^k up to z^(N - k), and N + 1 of them leave none
     for X in islice(path, N + 1):
         p = _over(p[:-1], X)
+    return p, ret
+
+
+def _counts(x: Dyadic, y: Dyadic, N: int) -> tuple[list[int], list[int]]:
+    """4^t P^t(x, y) and 4^t f_t(y), f_t the first-return mass at y, for
+    t = 0..N, from the series of _passage."""
+    p, ret = _passage(x, y, N)
     return [0] * (N + 1 - len(p)) + _over(p, ret), [0] + ret[:-1]
 
 
@@ -221,6 +228,10 @@ class MCReport:
 # depend only on the class c = min(u, _MC_K + 1) (_MC_K + 2) + min(m, _MC_K + 1)
 # and on the letters, read as a base-4 word w with the first letter highest:
 # they sit at [c, w] of the k-th tables of _mc_tables.
+#
+# The letters are the top two bits of each 32-bit half of the raw Philox
+# words, the low half first: one contiguous right shift by 30 of the words
+# read as little-endian uint32 halves writes them into a uint8 block.
 _MC_MAX_STEPS = 2**31 - 1
 _MC_K = 5
 # letters a block, in whole passes, and raw words a read: a block holds
@@ -262,9 +273,11 @@ def _mc_tables():
 def _mc_letters(bits, trials: int, steps: int, rows: int):
     """The letters of `steps` steps of `trials` trials, `rows` steps a block,
     as uint8 arrays of shape (rows, trials), valid until the next block: the
-    letters np.random.Generator(bits).integers(0, 4) draws.  Each takes one
-    32-bit half of a raw 64-bit word, the low half first, and keeps its top
-    two bits; a block that ends on a low half carries the high half over."""
+    letters np.random.Generator(bits).integers(0, 4) draws.  Each is the top
+    two bits of one 32-bit half of a raw 64-bit word, the low half first, so
+    one contiguous shift of the words read as little-endian uint32 halves
+    gives them in order; a block that ends on a low half carries the high
+    half over."""
     import numpy as np
 
     buf = np.empty(rows * trials + 1, dtype=np.uint8)
@@ -274,10 +287,10 @@ def _mc_letters(bits, trials: int, steps: int, rows: int):
         words = (need - odd + 1) // 2
         for a in range(0, words, _MC_CHUNK):
             w = bits.random_raw(min(_MC_CHUNK, words - a))
-            out = buf[odd + 2 * a:odd + 2 * (a + len(w))]
-            np.right_shift(w, 62, out=out[1::2], casting="unsafe")
-            np.right_shift(w, 30, out=w)
-            np.bitwise_and(w, 3, out=out[0::2], casting="unsafe")
+            # no copy on a little-endian host; the low half comes first on any
+            halves = w.astype("<u8", copy=False).view("<u4")
+            out = buf[odd + 2 * a:odd + 2 * a + len(halves)]
+            np.right_shift(halves, 30, out=out, casting="unsafe")
         yield buf[:need].reshape(-1, trials)
         odd = (need - odd) % 2
         buf[0] = buf[need]
@@ -362,8 +375,8 @@ class ReturnReport:
 
 def return_prob(N: int) -> ReturnReport:
     """First-return mass at the root through time N, the coefficients of
-    U_root from _counts."""
-    f = _scaled(_counts(ROOT, ROOT, N)[1])
+    U_root from _passage, without the P series of _counts."""
+    f = _scaled([0] + _passage(ROOT, ROOT, N)[1][:-1])
     return ReturnReport(N=N, first_return=f, partials=list(accumulate(f)))
 
 

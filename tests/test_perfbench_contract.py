@@ -111,15 +111,17 @@ EXACT_SERIES = {
 
 def test_each_exact_series_reads_the_kernel_not_another(monkeypatch):
     # the tracer wraps these four as module attributes: one calling another
-    # would count its walks.pn span twice
+    # would count its walks.pn span twice.  return_prob reads the first-return
+    # series alone, so it skips _counts' P series and calls _passage itself.
     calls = []
 
     def logged(name, fn):
         return lambda *args: calls.append(name) or fn(*args)
 
-    for name in ("_counts", *EXACT_SERIES):
+    for name in ("_passage", "_counts", *EXACT_SERIES):
         monkeypatch.setattr(walks, name, logged(name, getattr(walks, name)))
     for name, args in EXACT_SERIES.items():
         calls.clear()
         getattr(walks, name)(*args)
-        assert calls == [name, "_counts"], name
+        kernel = ["_passage"] if name == "return_prob" else ["_counts", "_passage"]
+        assert calls == [name, *kernel], name

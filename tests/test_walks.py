@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate, product
 
@@ -515,17 +516,60 @@ def test_green_mc_long_run_equals_per_step_reference():
     assert top_u > 10 * _MC_K and top_m > 4 * _MC_K
 
 
-@pytest.mark.parametrize("trials, rows", [(2, 5), (3, 5), (4, 3), (7, 1), (7001, 5)])
+def _letters_of(bits, trials, steps, rows):
+    blocks = _mc_letters(bits, trials, steps, rows)
+    return np.concatenate([block.copy() for block in blocks])
+
+
+def _generator_letters(seed, trials, steps):
+    rng = np.random.Generator(np.random.Philox(seed))
+    return [rng.integers(0, 4, size=trials).tolist() for _ in range(steps)]
+
+
+# (10000, 5) is the CLI's one-pass block: seven raw-word reads a block
+@pytest.mark.parametrize("trials, rows", [(2, 5), (3, 5), (4, 3), (7, 1), (7001, 5),
+                                          (10000, 5)])
 def test_green_mc_letters_equal_generator_draws(trials, rows):
     # whole blocks, some of an odd letter count, then a short block; 7001
-    # trials read a block's raw words in several reads
+    # and 10000 trials read a block's raw words in several reads
     steps = 3 * rows + 2
     for seed in range(3):
-        blocks = _mc_letters(np.random.Philox(seed), trials, steps, rows)
-        got = np.concatenate([block.copy() for block in blocks])
-        rng = np.random.Generator(np.random.Philox(seed))
-        want = [rng.integers(0, 4, size=trials).tolist() for _ in range(steps)]
+        got = _letters_of(np.random.Philox(seed), trials, steps, rows)
+        want = _generator_letters(seed, trials, steps)
         assert got.dtype == np.uint8 and got.tolist() == want, (trials, rows, seed)
+
+
+class _BigEndianPhilox:
+    """Philox's raw words, handed out as big-endian uint64 arrays."""
+
+    def __init__(self, seed):
+        self.bits = np.random.Philox(seed)
+
+    def random_raw(self, size):
+        return self.bits.random_raw(size).astype(">u8")
+
+
+@pytest.mark.parametrize("trials, rows", [(3, 5), (7001, 5)])
+def test_green_mc_letters_do_not_depend_on_byte_order(trials, rows):
+    # the halves are read low half first whatever the words' byte order
+    steps = 3 * rows + 2
+    for seed in range(2):
+        got = _letters_of(_BigEndianPhilox(seed), trials, steps, rows)
+        assert got.tolist() == _generator_letters(seed, trials, steps), (trials, rows, seed)
+
+
+def test_green_mc_block_memory():
+    # a pass of 10^5 trials holds 0.5 MB of uint8 letters and the call peaks
+    # at 5.4 MiB; uint32 letters would take 6.8 MiB.  A first call builds the
+    # tables and loads what numpy loads on first use.
+    green_mc(2, 1)
+    tracemalloc.start()
+    try:
+        green_mc(10**5, 20, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, peak
 
 
 def test_green_mc_tables_equal_k_fold_lumped_steps():
