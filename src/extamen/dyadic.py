@@ -50,12 +50,15 @@ class Dyadic:
 
     def __post_init__(self):
         num, exp = self.num, self.exp
+        if exp > 0 and num & 1 and 0 < num < 1 << exp:
+            return
         if exp < 0:
             num <<= -exp
             exp = 0
-        while exp > 0 and num % 2 == 0:
-            num //= 2
-            exp -= 1
+        # strip the trailing zeros of num in one shift, all of exp for 0
+        tz = min((num & -num).bit_length() - 1, exp) if num else exp
+        num >>= tz
+        exp -= tz
         if not 0 <= num <= (1 << exp):
             raise ValueError(f"dyadic {num}/2^{exp} outside [0,1]")
         object.__setattr__(self, "num", num)
@@ -109,14 +112,6 @@ def parse_dyadic(s: str) -> Dyadic:
     if "/" in s:
         return Dyadic.from_fraction(Fraction(s))
     return Dyadic.from_fraction(Fraction(int(s)))
-
-
-def _dyadic(num: int, exp: int) -> Dyadic:
-    """Dyadic(num, exp) with the trailing zeros of num stripped in one shift."""
-    if num:
-        tz = min((num & -num).bit_length() - 1, exp)
-        return Dyadic(num >> tz, exp - tz)
-    return ZERO
 
 
 @dataclass(frozen=True, eq=True)
@@ -210,7 +205,7 @@ class PLMap:
         # a denominator fine enough for x and for halving by the slope
         G = max(E, k) - min(e, 0)
         d = (n << (G - k)) - (self._x[i] << (G - E))
-        return _dyadic((self._y[i] << (G - E)) + (d << e if e >= 0 else d >> -e), G)
+        return Dyadic((self._y[i] << (G - E)) + (d << e if e >= 0 else d >> -e), G)
 
     def compose(self, other: "PLMap") -> "PLMap":
         """self after other (apply ``other`` first).
@@ -227,7 +222,7 @@ class PLMap:
         hy = [y << (E - other._exp) for y in other._y]
         hx = [x << (E + P - other._exp) for x in other._x]
         hs, gs = other.slopes, self.slopes
-        cuts, slopes = [0], []
+        cuts, slopes = [], []
         i = j = 0  # the current piece of other and of self
         while i < len(hs):
             a, b = hy[i + 1], gx[j + 1]
@@ -238,12 +233,12 @@ class PLMap:
             slopes.append(hs[i] + gs[j])
             i += a <= b
             j += b <= a
-        return PLMap.make([_dyadic(c, E + P) for c in cuts], slopes)
+        return PLMap.make([ZERO] + [Dyadic(c, E + P) for c in cuts], slopes)
 
     def invert(self) -> "PLMap":
         """The inverse map: its breakpoints are the images, its X and Y this map's Y and X."""
         E = self._exp
-        return PLMap(tuple(_dyadic(y, E) for y in self._y), tuple(-e for e in self.slopes))
+        return PLMap(tuple(Dyadic(y, E) for y in self._y), tuple(-e for e in self.slopes))
 
 
 @lru_cache(maxsize=None)

@@ -251,6 +251,9 @@ def struct_act(ch: str, c: tuple[int, int]) -> tuple[int, int]:
     raise ValueError(f"unknown letter {ch!r}")
 
 
+_TURNS = str.maketrans("10", "LR")
+
+
 def classify(v: Dyadic) -> Skeleton | Hair:
     """Structural address of v: Skeleton(path) or Hair(base path, offset).
 
@@ -260,7 +263,8 @@ def classify(v: Dyadic) -> Skeleton | Hair:
     vertices and raise ValueError.
     """
     q, depth, m = _digits(v)
-    path = tuple("L" if q >> i & 1 else "R" for i in range(depth))
+    # the node's digits below its leading 1, last first: bit i is turn i
+    path = tuple(bin(q | 1 << depth)[:2:-1].translate(_TURNS))
     return Hair(path, abs(m)) if m else Skeleton(path)
 
 

@@ -15,7 +15,11 @@ out once per distinct combination of the five value objects.
 
 A VertexFn reads a vertex one way: fn on its graph.code address, which the
 sweeps and the set functions of ``minfn`` call.  Calling the VertexFn on a
-Dyadic vertex reads fn at the vertex's code.
+Dyadic vertex reads fn at the vertex's code.  The bundled families read the
+address's node in one expression each: the skeleton depth is its bit length
+less one, and a node lies in subtree n when its trailing ones number n and
+its depth exceeds n (graph.node_info's test, which the tests keep as the
+oracle).
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .graph import (
     code,
     hair_point,
     neighbors,
-    node_info,
     vertex_at,
 )
 
@@ -161,7 +164,7 @@ def canonical_phi_u() -> VertexFn:
         return c[0].bit_length() - 3  # depth - 2
 
     def fn(c: tuple[int, int]) -> Fraction:
-        return pow2(-exponent(c))
+        return pow2(3 - c[0].bit_length())
 
     fn.exponent = exponent
 
@@ -191,12 +194,15 @@ def phi_family(n: int) -> VertexFn:
     """
     if n < 0:
         raise ValueError("family index must be >= 0")
+    off = pow2(-n)
 
     def fn(c: tuple[int, int]) -> Fraction:
-        lead, deeper, depth = node_info(c[0])
-        if lead == n and deeper:
-            return pow2(-depth)
-        return pow2(-n)
+        # the node's trailing ones are node_info's lead but on the root and
+        # the all-ones nodes, which fail n < depth under either reading
+        node = c[0]
+        if (node ^ (node + 1)).bit_length() - 1 == n < node.bit_length() - 1:
+            return pow2(1 - node.bit_length())
+        return off
 
     def find_below(threshold: Fraction) -> Dyadic:
         k = 0

@@ -628,7 +628,10 @@ class StructuralLampWalk:
                 stack = parked[s]
                 if stack[-1][0] == key:
                     woke = stack.pop()[1]
-                    base = max(p0[-1][2], p1[-1][2], 0)
+                    h0, h1 = p0[-1][2], p1[-1][2]
+                    base = h0 if h0 > h1 else h1
+                    if base < 0:
+                        base = 0
                     if s:
                         root = _trie(woke[0], root, woke[2])
                     else:

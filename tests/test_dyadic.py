@@ -1,3 +1,4 @@
+import time
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from extamen.dyadic import (
     reduce_fword,
     word_to_pl,
 )
+from oracles import dyadic_by_fraction
 
 
 def dy(num, exp):
@@ -57,6 +59,45 @@ def test_rejects_out_of_range():
         Dyadic(-1, 2)
     with pytest.raises(ValueError):
         Dyadic(9, 3)
+
+
+def _normalised(make, num, exp):
+    """make(num, exp) as a (num, exp) pair, or the message of its ValueError."""
+    try:
+        got = make(num, exp)
+    except ValueError as err:
+        return str(err)
+    return got if isinstance(got, tuple) else (got.num, got.exp)
+
+
+def test_construction_matches_fraction_oracle_on_a_grid():
+    # negative exponents, zero, negative and even numerators, values above 1
+    for exp in range(-5, 10):
+        for num in range(-70, 1100):
+            got = _normalised(Dyadic, num, exp)
+            assert got == _normalised(dyadic_by_fraction, num, exp), (num, exp)
+
+
+@st.composite
+def dyadic_inputs(draw):
+    exp = draw(st.integers(-8, 120))
+    top = 1 << max(exp, 0)
+    num = draw(st.one_of(st.integers(-top - 2, 2 * top + 2), st.integers(-3, 3)))
+    # a shifted numerator has trailing zeros to strip, or lands above 1
+    return num << draw(st.sampled_from((0, 1, 7, 64, 130))), exp
+
+
+@given(dyadic_inputs())
+@settings(max_examples=500, deadline=None)
+def test_construction_matches_fraction_oracle(args):
+    assert _normalised(Dyadic, *args) == _normalised(dyadic_by_fraction, *args)
+
+
+def test_long_numerator_normalises_in_one_shift():
+    start = time.perf_counter()
+    got = Dyadic(1 << 100_000, 100_001)
+    assert time.perf_counter() - start < 0.5
+    assert (got.num, got.exp) == (1, 1)
 
 
 def test_parse_dyadic():

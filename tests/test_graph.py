@@ -32,6 +32,7 @@ from extamen.graph import (
 )
 from extamen.harmonic import VertexFn, canonical_phi_u, phi_family
 from extamen.minfn import minfun
+from oracles import classify_by_turns
 
 
 def dy(num, exp):
@@ -224,6 +225,22 @@ def deep_dyadics(draw, max_exp=400):
 @settings(max_examples=400, deadline=None)
 def test_classify_follows_local_rules_on_random_dyadics(v):
     assert_local_rules(v)
+
+
+def assert_classify_matches_turn_by_turn(v):
+    got, want = classify(v), classify_by_turns(v)
+    assert type(got) is type(want) and got == want, v
+
+
+def test_classify_matches_turn_by_turn_oracle_on_ball():
+    for v in ball(ROOT, 14).vertices:
+        assert_classify_matches_turn_by_turn(v)
+
+
+@given(deep_dyadics())
+@settings(max_examples=400, deadline=None)
+def test_classify_matches_turn_by_turn_oracle_on_random_dyadics(v):
+    assert_classify_matches_turn_by_turn(v)
 
 
 # Letter-walking oracles for the closed forms: each vertex is reached by one

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,7 @@ from extamen.harmonic import (
     phi_family,
     pow2,
 )
+from extamen.minfn import _PHI_MAX_INDEX
 
 
 def dy(num, exp):
@@ -75,6 +77,69 @@ def test_phi_family_values():
     assert f1(ROOT) == Fraction(1, 2)
     with pytest.raises(ValueError):
         phi_family(-1)
+
+
+# The families read a node inline; node_info and struct_info are the oracles.
+# Every node below 2^14 and the all-ones nodes (where the inline trailing-ones
+# count is node_info's lead plus one) up to past the index cap, each at
+# offsets 0 and +-3, with its node_info.
+@lru_cache(maxsize=None)
+def _read_cases():
+    nodes = [*range(1, 1 << 14), *((2 << d) - 1 for d in range(14, _PHI_MAX_INDEX + 2))]
+    return [((node, m), node_info(node)) for node in nodes for m in (0, 3, -3)]
+
+
+_PHI_INDICES = [*range(17), 40, _PHI_MAX_INDEX]
+
+
+def _phi_family_misreads(fn, n):
+    """The addresses where fn is not phi_family(n) as node_info defines it."""
+    off = pow2(-n)
+    bad = []
+    for c, (lead, deeper, depth) in _read_cases():
+        want = pow2(-depth) if lead == n and deeper else off
+        got = fn(c)
+        if got != want or type(got) is not Fraction:
+            bad.append(c)
+    return bad
+
+
+def test_read_cases_agree_with_struct_info_where_the_hair_exists():
+    for (node, m), info in _read_cases():
+        try:
+            v = vertex(node, m)
+        except ValueError:
+            assert m, node
+        else:
+            assert struct_info(v) == info, (node, m)
+
+
+def test_phi_family_inline_read_matches_node_info():
+    for n in _PHI_INDICES:
+        assert _phi_family_misreads(phi_family(n).fn, n) == [], n
+
+
+def test_phi_family_read_check_catches_a_dropped_depth_guard():
+    def unguarded(n):
+        def fn(c):
+            node = c[0]
+            if (node ^ (node + 1)).bit_length() - 1 == n:
+                return pow2(1 - node.bit_length())
+            return pow2(-n)
+
+        return fn
+
+    # without n < depth, an all-ones node of depth n - 1 reads as in subtree n
+    for n in _PHI_INDICES[1:]:
+        assert ((2 << (n - 1)) - 1, 0) in _phi_family_misreads(unguarded(n), n), n
+
+
+def test_phi_u_inline_read_matches_node_info():
+    fn = canonical_phi_u().fn
+    for c, (_, _, depth) in _read_cases():
+        got = fn(c)
+        assert got == pow2(2 - depth) and type(got) is Fraction, c
+        assert fn.exponent(c) == depth - 2, c
 
 
 def test_phi_family_golden_pattern():
