@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import sys
@@ -28,19 +27,22 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import approx, freegroup, walks
+# what every command needs; each handler imports the modules it runs, so a
+# subcommand loads only those
 from .dyadic import ROOT
 from .errors import CapExceeded, ExtamenError, PreconditionFailed, SearchExhausted
 from .graph import ball, get_orientation, root_hair_letter
-from .harmonic import VertexFn, is_superharmonic_on
-from .lamplighter import orbit_enumerate, parse_config, serialize_config, switch_invariant_check
-from .minfn import parse_rational, resolve_phi, resolve_setfn
-from .walks import WalkConfig
 
 __all__ = ["main", "build_parser"]
 
 # options holding a count, a size or a seed; a negative value is unusable input
 NONNEGATIVE_OPTIONS = ("n", "cap", "trials", "steps", "samples", "seed")
+
+# copies of approx.BETA_SCHEDULES, approx.CONSTRUCTIONS and WalkConfig.fn_name,
+# so building the parser imports neither approx nor walks (a test pins them)
+BETA_CHOICES = ("inv_n", "inv_2n")
+KIND_CHOICES = ("single", "sum", "markov", "countable")
+DECAY_FN_DEFAULT = "minfun:phi_u"
 
 
 class UnusableInput(Exception):
@@ -68,8 +70,12 @@ def parse_set_spec(spec: str):
     """Configurations by recipe (explicit:<n>, or single:<n>, sum:<n> and
     countable:<n>, the set approx.construct builds at level n; an n too small
     is a ValueError), from a file, or inline as comma-separated dyadics."""
+    from .lamplighter import parse_config
+
     head, _, tail = spec.partition(":")
     if head in ("explicit", "single", "sum", "countable"):
+        from . import approx
+
         try:
             if head == "explicit":
                 return approx.explicit_En_hairs(int(tail))
@@ -100,6 +106,8 @@ def _csv_bytes(header: Sequence[str], rows: Sequence[Sequence]) -> bytes:
 def _emit(out: Optional[str], command: Sequence[str], report: dict, series, started: float) -> None:
     if out is None:
         return
+    import hashlib
+
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     payloads = {"report.json": _json_bytes(report)}
@@ -152,6 +160,9 @@ def _cmd_graph_explore(args):
 
 
 def _cmd_fn_check(args):
+    from .harmonic import VertexFn, is_superharmonic_on
+    from .minfn import resolve_phi, resolve_setfn
+
     with _resolving():
         try:
             F = resolve_phi(args.fn)
@@ -166,6 +177,9 @@ def _cmd_fn_check(args):
         ]
         report = rep.to_json()
         return rep.ok, report, (["vertex", "phi", "P_phi", "margin"], rows)
+    from . import walks
+    from .lamplighter import orbit_enumerate, switch_invariant_check
+
     samples = list(orbit_enumerate((), args.n, cap=args.cap))
     ok_sw, _ = switch_invariant_check(F, samples)
     sup = walks.supermartingale_check(F, samples, mode="lamp")
@@ -179,6 +193,9 @@ def _cmd_fn_check(args):
 
 
 def _cmd_approx_verify(args):
+    from . import approx
+    from .minfn import resolve_setfn
+
     if args.weak and not args.samples:
         raise UnusableInput("--samples must be >= 1")
     if args.beta == "inv_n" and not args.n:
@@ -197,6 +214,8 @@ def _cmd_approx_verify(args):
 
 
 def _cmd_approx_construct(args):
+    from . import approx
+
     beta = approx.BETA_SCHEDULES[args.beta]
     with _resolving():
         result = approx.construct(args.kind, args.n, args.fn, args.powers, beta)
@@ -206,6 +225,9 @@ def _cmd_approx_construct(args):
 
 
 def _cmd_approx_refute(args):
+    from . import approx
+    from .lamplighter import serialize_config
+
     with _resolving():
         E = parse_set_spec(args.set)
     wit = approx.golden_witness(E, args.n)
@@ -214,6 +236,9 @@ def _cmd_approx_refute(args):
 
 
 def _cmd_walk_green(args):
+    from . import walks
+    from .minfn import parse_rational
+
     with _resolving():
         r = parse_rational(args.r)
     if args.trials and not args.steps:
@@ -237,6 +262,8 @@ def _cmd_walk_green(args):
 
 
 def _cmd_walk_return(args):
+    from . import walks
+
     rep = walks.return_prob(args.n)
     monotone = all(
         rep.partials[i] <= rep.partials[i + 1] for i in range(len(rep.partials) - 1)
@@ -253,8 +280,11 @@ def _cmd_walk_return(args):
 
 
 def _cmd_walk_decay(args):
+    from . import walks
+    from .minfn import resolve_setfn
+
     with _resolving():
-        walk = WalkConfig(
+        walk = walks.WalkConfig(
             trials=args.trials,
             steps=args.steps,
             seed=args.seed,
@@ -273,6 +303,8 @@ def _cmd_walk_decay(args):
 
 
 def _cmd_cx_scan(args):
+    from . import freegroup
+
     if not args.trials:
         raise UnusableInput("--trials must be >= 1")
     configs = freegroup.random_z_configs(args.trials, seed=args.seed)
@@ -325,16 +357,16 @@ def build_parser() -> argparse.ArgumentParser:
     common(v, n_default=4)
     v.add_argument("--fn", required=True)
     v.add_argument("--set", required=True)
-    v.add_argument("--beta", choices=tuple(approx.BETA_SCHEDULES), default="inv_n")
+    v.add_argument("--beta", choices=BETA_CHOICES, default="inv_n")
     v.add_argument("--weak", action="store_true")
     v.add_argument("--samples", type=int, default=500)
     v.set_defaults(handler=_cmd_approx_verify)
     c = ap.add_parser("construct")
     common(c, n_default=4)
-    c.add_argument("--kind", choices=tuple(approx.CONSTRUCTIONS), required=True)
+    c.add_argument("--kind", choices=KIND_CHOICES, required=True)
     c.add_argument("--fn", default=None)
     c.add_argument("--powers", default=None)
-    c.add_argument("--beta", choices=tuple(approx.BETA_SCHEDULES), default="inv_n")
+    c.add_argument("--beta", choices=BETA_CHOICES, default="inv_n")
     c.set_defaults(handler=_cmd_approx_construct)
     rf = ap.add_parser("refute")
     common(rf, n_default=5)
@@ -358,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     wd.add_argument("--trials", type=int, default=100)
     wd.add_argument("--steps", type=int, default=1000)
     wd.add_argument("--checkpoints", default="100,1000")
-    wd.add_argument("--fn", default=WalkConfig.fn_name)
+    wd.add_argument("--fn", default=DECAY_FN_DEFAULT)
     wd.set_defaults(handler=_cmd_walk_decay)
 
     cx = sub.add_parser("cx").add_subparsers(dest="action", required=True)

@@ -26,6 +26,17 @@ def run(argv):
     return main(argv)
 
 
+def _fresh_python(script):
+    """Run script in a new interpreter that imports this extamen; its stdout lines."""
+    src = str(Path(extamen.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()
+
+
 # decimal exponents that parse_rational refuses before Fraction reads them
 OVERSIZED_EXPONENTS = [
     ["approx", "verify", "--fn", "sum:phi_family:eps=1e-10000000", "--set", "explicit:2"],
@@ -372,6 +383,91 @@ def test_readme_commands_reproduce_frozen_digests(tmp_path, argv, report_sha, se
         assert digest("series.csv") == series_sha
 
 
+# what the package re-exported when it imported every submodule eagerly
+PACKAGE_EXPORTS = {
+    "dyadic": (
+        "Dyadic ONE PLMap ROOT ZERO cocycle_eval cocycle_identity_check gen_a gen_b "
+        "letter_map parse_dyadic word_to_pl"
+    ),
+    "errors": (
+        "CapExceeded ExtamenError MissingTailBound PreconditionFailed "
+        "PropertySelfTestFailed SearchExhausted StructuralAssertFailed ZeroBase"
+    ),
+    "graph": (
+        "Ball Hair Skeleton act_letter act_word ball boundary_ratio classify "
+        "folner_hair_segment get_orientation golden_path hair_point neighbors "
+        "root_hair_letter struct_info subtree_T vertex_at"
+    ),
+    "harmonic": (
+        "VertexFn canonical_phi_u hair_property_suite harmonic_witness_search "
+        "is_superharmonic_on level_min markov_apply_X phi_family pow2"
+    ),
+    "lamplighter": (
+        "Config SetFn apply_letter apply_word config markov_iterate orbit_enumerate "
+        "parse_config serialize_config switch_invariant_check"
+    ),
+    "minfn": (
+        "SymmetricConcaveFn T_operator countable_sum generalized_minfun markov_image "
+        "minfun non_superharmonic_transfer phi_family_tail_bound r_family_kmean "
+        "resolve_setfn weighted_sum"
+    ),
+    "approx": (
+        "BetaSchedule BETA_SCHEDULES construct_En_countable construct_En_markov "
+        "construct_En_single construct_En_sum explicit_En_hairs generalized_En_search "
+        "golden_witness strong_verify weak_verify"
+    ),
+    "walks": (
+        "StructuralLampWalk WalkConfig delta_check_phi_u green_mc green_partial "
+        "lumped_return_series pn_exact potential_decay_experiment return_prob "
+        "spectral_radius_proxy supermartingale_check"
+    ),
+    "freegroup": (
+        "ZVertex Z_E minfun_Z phi_Z random_z_configs tail_segment witness_word "
+        "z_apply z_ball z_boundary_ratio z_neighbors"
+    ),
+}
+
+
+@pytest.mark.parametrize("module", PACKAGE_EXPORTS)
+def test_package_re_exports_each_name_from_its_module(module):
+    submodule = importlib.import_module(f"extamen.{module}")
+    assert getattr(extamen, module) is submodule
+    for name in PACKAGE_EXPORTS[module].split():
+        assert getattr(extamen, name) is getattr(submodule, name), name
+        assert vars(extamen)[name] is getattr(submodule, name), f"{name} is not cached"
+
+
+def test_package_lists_every_name():
+    names = [name for names in PACKAGE_EXPORTS.values() for name in names.split()]
+    assert sorted(extamen.__all__) == sorted(names)
+    star = {}
+    exec("from extamen import *", star)
+    for name in names:
+        assert star[name] is getattr(extamen, name), name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        extamen.no_such_name
+
+
+def test_package_import_loads_no_submodule():
+    # dir() offers every name before any is loaded; each submodule loads on
+    # first use of a name it defines, with what it imports
+    wanted = sorted({*PACKAGE_EXPORTS, *" ".join(PACKAGE_EXPORTS.values()).split()})
+    script = (
+        "import sys\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('extamen.'))\n"
+        "import extamen\n"
+        f"print(sorted(set({wanted!r}) - set(dir(extamen))))\n"
+        "print(loaded())\n"
+        "from extamen import Dyadic\n"
+        "print(loaded())\n"
+        "extamen.errors\n"
+        "print(loaded())\n"
+    )
+    assert _fresh_python(script) == [
+        "[]", "[]", "['extamen.dyadic']", "['extamen.dyadic', 'extamen.errors']"
+    ]
+
+
 def test_every_exported_name_exists():
     for info in pkgutil.iter_modules(extamen.__path__):
         if info.name == "__main__":
@@ -381,23 +477,35 @@ def test_every_exported_name_exists():
             assert hasattr(module, name), f"extamen.{info.name}.__all__ names missing {name!r}"
 
 
+def _imported_names(statements):
+    return {
+        alias.asname or alias.name.split(".")[0]
+        for node in statements
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+
+
 def test_every_imported_name_is_used():
-    # __init__ only re-exports, so it is the one module left out
+    # a module's top-level imports are used somewhere in it (or exported);
+    # an import inside a function is used inside that function
     for path in sorted(Path(extamen.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text())
-        imported = {
-            alias.asname or alias.name.split(".")[0]
-            for node in tree.body
-            if isinstance(node, (ast.Import, ast.ImportFrom))
-            and getattr(node, "module", None) != "__future__"
-            for alias in node.names
-        }
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        module = importlib.import_module(f"extamen.{path.stem}")
-        unused = imported - used - set(getattr(module, "__all__", ()))
-        assert not unused, f"{path.name} imports unused names {sorted(unused)}"
+        scopes = [(tree, tree.body)] + [
+            (node, list(ast.walk(node)))
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        name = "extamen" if path.stem == "__init__" else f"extamen.{path.stem}"
+        exported = set(getattr(importlib.import_module(name), "__all__", ()))
+        for scope, statements in scopes:
+            used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+            unused = _imported_names(statements) - used
+            if scope is tree:
+                unused -= exported
+            where = path.name if scope is tree else f"{path.name}:{scope.name}"
+            assert not unused, f"{where} imports unused names {sorted(unused)}"
 
 
 def test_no_module_reaches_into_another_modules_private_names():
@@ -459,10 +567,84 @@ def test_graph_explore_leaves_numpy_unimported(tmp_path):
         "walks.green_mc(2, 1)\n"
         "print(walks._mc_tables.cache_info().currsize)\n"
     )
-    src = str(Path(extamen.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    assert _fresh_python(script)[-2:] == ["0 False [0, 0]", "1"]
+
+
+# each subcommand with the extamen submodules it must not load, or with
+# "only" and the submodules it loads, exactly; numpy only for green_mc
+SUBCOMMAND_MODULES = [
+    (["graph", "explore", "--n", "2"], "only", {"cli", "dyadic", "errors", "graph"}),
+    (["fn", "check", "--fn", "phi_u", "--n", "3"], "not", {"approx", "walks", "freegroup"}),
+    (["fn", "check", "--fn", "minfun:phi_u", "--n", "3"], "not", {"approx", "freegroup"}),
+    (["approx", "verify", "--fn", "minfun:phi_u", "--set", "explicit:3", "--n", "3"],
+     "not", {"walks", "freegroup"}),
+    (["approx", "construct", "--kind", "countable", "--n", "3"], "not", {"walks", "freegroup"}),
+    (["approx", "refute", "--set", "3/4", "--n", "3"], "not", {"walks", "freegroup"}),
+    (["walk", "green", "--n", "5"], "not", {"approx", "freegroup"}),
+    (["walk", "green", "--n", "5", "--trials", "2", "--steps", "10"], "not", {"approx", "freegroup"}),
+    (["walk", "return", "--n", "5"], "not", {"approx", "freegroup"}),
+    (["walk", "decay", "--trials", "2", "--steps", "100", "--checkpoints", "10,100"],
+     "not", {"approx", "freegroup"}),
+    (["cx", "scan", "--trials", "3"], "not", {"approx", "walks", "minfn"}),
+]
+
+
+@pytest.mark.parametrize("argv, how, modules", SUBCOMMAND_MODULES,
+                         ids=[" ".join(c[0]) for c in SUBCOMMAND_MODULES])
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, how, modules):
+    script = (
+        "import json, sys\n"
+        "from extamen import cli\n"
+        f"code = cli.main({argv + ['--out', str(tmp_path)]!r})\n"
+        "loaded = sorted(m.partition('.')[2] for m in sys.modules if m.startswith('extamen.'))\n"
+        "print(json.dumps([code, loaded, 'numpy' in sys.modules]))\n"
     )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-2:] == ["0 False [0, 0]", "1"]
+    code, loaded, numpy_loaded = json.loads(_fresh_python(script)[-1])
+    assert code == 0
+    if how == "only":
+        assert set(loaded) == modules
+    else:
+        assert not modules & set(loaded), sorted(modules & set(loaded))
+    assert numpy_loaded == ("--trials" in argv and argv[:2] == ["walk", "green"])
+
+
+def test_parser_choices_copy_their_registries():
+    from extamen import approx, cli
+    from extamen.walks import WalkConfig
+
+    assert cli.BETA_CHOICES == tuple(approx.BETA_SCHEDULES)
+    assert cli.KIND_CHOICES == tuple(approx.CONSTRUCTIONS)
+    assert cli.DECAY_FN_DEFAULT == WalkConfig.fn_name
+
+
+# sha256 of the --help text (COLUMNS=80) of every parser, frozen from the
+# parser that read its choices off the registries; argparse lays help out
+# differently across Python versions, so the freeze holds for 3.11
+HELP_DIGESTS = {
+    "": "b9932700cd05dc342662c26d009b1ee969c843a23b681df5183ab0ab92446230",
+    "graph": "858d9c7bb93005a207e14327d0501c729f3e514c8bcaab81af92fab5f7163ba9",
+    "graph explore": "b3477940f05c733cb49c97dcbb303fe0670d393c86b57c967ec10a5faeb2b88d",
+    "fn": "60f0658b042821621b0e150394c3d5239cd3ef9f492a88e8676476b37932c931",
+    "fn check": "5b94cdb1e622397085fe9f873b70b6fc1c4ba5bbd0e0c433491c0361811c10d9",
+    "approx": "e3ce5977a4755380bbba550b46884178d2708644a3cc86cd4ec5c1041ef199b6",
+    "approx verify": "c62cb2ea525461b1abb3e4e1042b34e3db52d7a0cd3e869289d2e89ba8e1c1b0",
+    "approx construct": "c4b7efa3716a8b5c94c3a666d8619dedc90876c30ae766fd46b274c6006ea80c",
+    "approx refute": "c4071d39b630454e1e0dadd4241fc98ad5ba479dd34f7946031ca15c5910c2aa",
+    "walk": "b29b030c3e83e90d71e7f2dd775a75578e91a114569e1903a8ceb92160163aa0",
+    "walk green": "915e594f706f504e1d26d1c0a6c9019e533fd732deda10039977c33b95330b4b",
+    "walk return": "d57964e35cebfb2e389a0b0cb8e6093e7b24f95bf6578063822b9ae8ebc92de5",
+    "walk decay": "0d82f53f2d03fcdbfdd9e8069115b594158905b35f37b882c9075cf8f3d6fcb2",
+    "cx": "5cd6652c56e9de32d9394fe469d16039fce3b4c6cf5e776d647df21c37a5e085",
+    "cx scan": "7b141788a9691ab36d10031b0624312f45a1404ffc1543c22f312cc571d6c5e6",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help digests are frozen on Python 3.11")
+@pytest.mark.parametrize("command", HELP_DIGESTS, ids=lambda c: c or "extamen")
+def test_help_text_is_frozen(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        run([*command.split(), "--help"])
+    assert exit_.value.code == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == HELP_DIGESTS[command], text
