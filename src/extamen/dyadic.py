@@ -15,7 +15,6 @@ appears only at apply_fraction, which takes any rational in [0,1].
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -41,28 +40,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=True)
 class Dyadic:
-    """num / 2**exp, canonical: num odd unless exp == 0 (covers 0 and 1)."""
+    """num / 2**exp, canonical: num odd unless exp == 0 (covers 0 and 1).
 
-    num: int
-    exp: int
+    A slotted value type, immutable by contract: nothing assigns num or exp
+    after __init__ (a __setattr__ guard would slow down every vertex).
+    Equal only to a Dyadic, and hashed as the (num, exp) tuple.
+    """
 
-    def __post_init__(self):
-        num, exp = self.num, self.exp
-        if exp > 0 and num & 1 and 0 < num < 1 << exp:
-            return
-        if exp < 0:
-            num <<= -exp
-            exp = 0
-        # strip the trailing zeros of num in one shift, all of exp for 0
-        tz = min((num & -num).bit_length() - 1, exp) if num else exp
-        num >>= tz
-        exp -= tz
-        if not 0 <= num <= (1 << exp):
-            raise ValueError(f"dyadic {num}/2^{exp} outside [0,1]")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
+    __slots__ = ("num", "exp")
+
+    def __init__(self, num: int, exp: int):
+        if not (exp > 0 and num & 1 and 0 < num < 1 << exp):
+            if exp < 0:
+                num <<= -exp
+                exp = 0
+            # strip the trailing zeros of num in one shift, all of exp for 0
+            tz = min((num & -num).bit_length() - 1, exp) if num else exp
+            num >>= tz
+            exp -= tz
+            if not 0 <= num <= (1 << exp):
+                raise ValueError(f"dyadic {num}/2^{exp} outside [0,1]")
+        self.num = num
+        self.exp = exp
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.num == other.num and self.exp == other.exp
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.exp))
 
     @property
     def value(self) -> Fraction:
@@ -114,29 +122,26 @@ def parse_dyadic(s: str) -> Dyadic:
     return Dyadic.from_fraction(Fraction(int(s)))
 
 
-@dataclass(frozen=True, eq=True)
 class PLMap:
     """Increasing piecewise-linear bijection of [0,1].
 
     Piece i runs over [breakpoints[i], breakpoints[i+1]] with slope
     2**slopes[i]; offsets are implied by continuity from f(0) = 0.
-    Canonical form has no two adjacent pieces with the same slope, which
-    makes dataclass equality the right group-element equality.
+    Canonical form has no two adjacent pieces with the same slope, so two
+    maps are the same group element exactly when their breakpoints and
+    slopes are equal, which is what ==, hash and repr read.
 
     The pieces are also kept in integer coordinates over one power-of-two
     denominator 2**_exp: breakpoint i is _x[i] / 2**_exp and its image
     _y[i] / 2**_exp.  They are derived from the compared fields, so they
-    stay out of equality, hash and repr.
+    stay out of equality, hash and repr.  A slotted value type, immutable
+    by contract: nothing assigns a field after __init__.
     """
 
-    breakpoints: tuple[Dyadic, ...]
-    slopes: tuple[int, ...]
-    _exp: int = field(init=False, repr=False, compare=False, default=0)
-    _x: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
-    _y: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
+    __slots__ = ("breakpoints", "slopes", "_exp", "_x", "_y")
 
-    def __post_init__(self):
-        bps, slopes = self.breakpoints, self.slopes
+    def __init__(self, breakpoints: tuple[Dyadic, ...], slopes: tuple[int, ...]):
+        bps = breakpoints
         if len(bps) < 2 or bps[0] != ZERO or bps[-1] != ONE:
             raise ValueError("breakpoints must run from 0 to 1")
         if len(slopes) != len(bps) - 1:
@@ -155,9 +160,22 @@ class PLMap:
             ys.append(ys[-1] + (step << e if e >= 0 else step >> -e))
         if ys[-1] != 1 << E:
             raise ValueError("map does not fix 1")
-        object.__setattr__(self, "_exp", E)
-        object.__setattr__(self, "_x", xs)
-        object.__setattr__(self, "_y", tuple(ys))
+        self.breakpoints = breakpoints
+        self.slopes = slopes
+        self._exp = E
+        self._x = xs
+        self._y = tuple(ys)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.breakpoints == other.breakpoints and self.slopes == other.slopes
+
+    def __hash__(self) -> int:
+        return hash((self.breakpoints, self.slopes))
+
+    def __repr__(self) -> str:
+        return f"PLMap(breakpoints={self.breakpoints!r}, slopes={self.slopes!r})"
 
     @classmethod
     def make(cls, breakpoints, slopes) -> "PLMap":

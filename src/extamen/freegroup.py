@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -41,26 +40,43 @@ Z_LETTERS = ("a", "A", "b", "B")
 _INV = {"a": "A", "A": "a", "b": "B", "B": "b"}
 
 
-@dataclass(frozen=True)
 class ZVertex:
-    """Either a reduced word not starting with 'a', or a tail point k >= 1."""
+    """Either a reduced word not starting with 'a', or a tail point k >= 1.
 
-    kind: str
-    word: str = ""
-    k: int = 0
+    A slotted value type, immutable by contract: nothing assigns a field
+    after __init__.  Equal only to a ZVertex, and hashed as the (kind,
+    word, k) tuple.  The images the graph's action builds are valid by
+    construction and skip the checks (_made).
+    """
 
-    def __post_init__(self):
-        if self.kind == "word":
-            if self.word.startswith("a"):
+    __slots__ = ("kind", "word", "k")
+
+    def __init__(self, kind: str, word: str = "", k: int = 0):
+        if kind == "word":
+            if word.startswith("a"):
                 raise ValueError("words starting with 'a' live on the tail")
-            for i in range(len(self.word) - 1):
-                if _INV[self.word[i]] == self.word[i + 1]:
-                    raise ValueError(f"word {self.word!r} is not reduced")
-        elif self.kind == "tail":
-            if self.k < 1:
+            for i in range(len(word) - 1):
+                if _INV[word[i]] == word[i + 1]:
+                    raise ValueError(f"word {word!r} is not reduced")
+        elif kind == "tail":
+            if k < 1:
                 raise ValueError("tail index starts at 1")
         else:
-            raise ValueError(f"unknown vertex kind {self.kind!r}")
+            raise ValueError(f"unknown vertex kind {kind!r}")
+        self.kind = kind
+        self.word = word
+        self.k = k
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.word == other.word and self.k == other.k
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.word, self.k))
+
+    def __repr__(self) -> str:
+        return f"ZVertex(kind={self.kind!r}, word={self.word!r}, k={self.k!r})"
 
     def __str__(self) -> str:
         if self.kind == "tail":
@@ -75,22 +91,34 @@ class ZVertex:
 Z_E = ZVertex("word", "")
 
 
+def _made(kind: str, word: str = "", k: int = 0) -> ZVertex:
+    """ZVertex(kind, word, k) without its checks, for a vertex valid by
+    construction: a reduced word not starting with 'a', or a tail k >= 1."""
+    v = object.__new__(ZVertex)
+    v.kind = kind
+    v.word = word
+    v.k = k
+    return v
+
+
 def z_apply(v: ZVertex, g: str) -> ZVertex:
     """Right multiplication by one letter."""
     if g not in Z_LETTERS:
         raise ValueError(f"unknown letter {g!r}")
     if v.kind == "tail":
         if g == "a":
-            return ZVertex("tail", k=v.k + 1)
+            return _made("tail", k=v.k + 1)
         if g == "A":
-            return Z_E if v.k == 1 else ZVertex("tail", k=v.k - 1)
+            return Z_E if v.k == 1 else _made("tail", k=v.k - 1)
         return v
+    # a reduced word stays reduced: the letter either cancels the last one
+    # or does not undo it, and an 'a' on e leaves for the tail
     w = v.word
     if not w and g == "a":
-        return ZVertex("tail", k=1)
+        return _made("tail", k=1)
     if w and w[-1] == _INV[g]:
-        return ZVertex("word", w[:-1])
-    return ZVertex("word", w + g)
+        return _made("word", w[:-1])
+    return _made("word", w + g)
 
 
 def z_neighbors(v: ZVertex) -> dict[str, ZVertex]:
@@ -147,7 +175,7 @@ def witness_word(E: tuple[ZVertex, ...]) -> tuple[str, Fraction]:
 def tail_segment(L: int, start: int = 1) -> tuple[ZVertex, ...]:
     if L < 1 or start < 1:
         raise PreconditionFailed("segment needs L >= 1 and start >= 1")
-    return tuple(ZVertex("tail", k=k) for k in range(start, start + L))
+    return tuple(_made("tail", k=k) for k in range(start, start + L))
 
 
 def z_boundary_ratio(segment: Iterable[ZVertex]) -> Fraction:
@@ -193,12 +221,12 @@ class ZBall(Sequence):
             p -= 3**r + 1
             r += 1
         if p == 0:
-            return ZVertex("tail", k=r)
+            return _made("tail", k=r)
         word = ""
         for place in range(r - 1, -1, -1):
             barred = _INV[word[-1]] if word else "a"
             word += [g for g in Z_LETTERS if g != barred][(p - 1) // 3**place % 3]
-        return ZVertex("word", word)
+        return _made("word", word)
 
 
 def random_z_configs(

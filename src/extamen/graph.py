@@ -25,7 +25,6 @@ one breadth-first search, records the position of every image as it goes.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -122,19 +121,51 @@ def neighbors(v: Dyadic) -> dict[str, Dyadic]:
 # structural addresses
 
 
-@dataclass(frozen=True)
 class Skeleton:
-    """Tree address of a skeleton vertex: path of 'L'/'R' turns from the root."""
+    """Tree address of a skeleton vertex: path of 'L'/'R' turns from the root.
 
-    path: tuple[str, ...]
+    Skeleton, Hair and Ball are slotted value types, immutable by contract:
+    nothing assigns a field after __init__.  Each is equal only to its own
+    class, hashed as the tuple of its compared fields and shown with keyword
+    fields.
+    """
+
+    __slots__ = ("path",)
+
+    def __init__(self, path: tuple[str, ...]):
+        self.path = path
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.path == other.path
+
+    def __hash__(self) -> int:
+        return hash((self.path,))
+
+    def __repr__(self) -> str:
+        return f"Skeleton(path={self.path!r})"
 
 
-@dataclass(frozen=True)
 class Hair:
     """Address on the ray attached to the skeleton vertex with the given path."""
 
-    base: tuple[str, ...]
-    offset: int
+    __slots__ = ("base", "offset")
+
+    def __init__(self, base: tuple[str, ...], offset: int):
+        self.base = base
+        self.offset = offset
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.base == other.base and self.offset == other.offset
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.offset))
+
+    def __repr__(self) -> str:
+        return f"Hair(base={self.base!r}, offset={self.offset!r})"
 
 
 # Always empty: addresses are computed, not cached.  perfbench reads its size.
@@ -341,18 +372,47 @@ def golden_path(i: int) -> list[Dyadic]:
 # balls
 
 
-@dataclass(frozen=True)
 class Ball:
     """A ball as ball() builds it: the code addresses of its vertices in
     breadth-first order (so the interior, distance below the radius, is a
     prefix), the Dyadic vertices in that order, and the neighbor_index bfs
-    records: the positions of the a, b, A, B images of each interior vertex."""
+    records: the positions of the a, b, A, B images of each interior vertex.
 
-    center: Dyadic
-    radius: int
-    addresses: tuple[tuple[int, int], ...]
-    vertices: tuple[Dyadic, ...] = field(compare=False)
-    neighbor_index: array = field(compare=False)
+    Equality and hash read the center, radius and addresses only; vertices
+    and neighbor_index follow from them."""
+
+    __slots__ = ("center", "radius", "addresses", "vertices", "neighbor_index")
+
+    def __init__(
+        self,
+        center: Dyadic,
+        radius: int,
+        addresses: tuple[tuple[int, int], ...],
+        vertices: tuple[Dyadic, ...],
+        neighbor_index: array,
+    ):
+        self.center = center
+        self.radius = radius
+        self.addresses = addresses
+        self.vertices = vertices
+        self.neighbor_index = neighbor_index
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.center, self.radius, self.addresses) == (
+            other.center, other.radius, other.addresses
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.center, self.radius, self.addresses))
+
+    def __repr__(self) -> str:
+        return (
+            f"Ball(center={self.center!r}, radius={self.radius!r}, "
+            f"addresses={self.addresses!r}, vertices={self.vertices!r}, "
+            f"neighbor_index={self.neighbor_index!r})"
+        )
 
     def interior(self) -> list[Dyadic]:
         return list(self.vertices[: len(self.neighbor_index) // 4])

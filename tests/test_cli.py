@@ -608,6 +608,16 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, how, mod
     assert numpy_loaded == ("--trials" in argv and argv[:2] == ["walk", "green"])
 
 
+def test_graph_explore_loads_no_dataclass_machinery(tmp_path):
+    script = (
+        "import sys\n"
+        "from extamen import cli\n"
+        f"code = cli.main(['graph', 'explore', '--n', '2', '--out', {str(tmp_path)!r}])\n"
+        "print(code, 'dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+    )
+    assert _fresh_python(script)[-1] == "0 False False"
+
+
 def test_parser_choices_copy_their_registries():
     from extamen import approx, cli
     from extamen.walks import WalkConfig

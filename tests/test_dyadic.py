@@ -212,6 +212,22 @@ def test_pl_breakpoint_values_are_kept_outside_equality(w):
     assert word_to_pl(w + invert_fword(w)) == PLMap.identity()
 
 
+def test_value_types_compare_hash_and_show_their_fields():
+    x = Dyadic(num=5, exp=3)
+    assert x == ROOT and hash(x) == hash((5, 3)) and repr(x) == "Dyadic(5, 3)"
+    assert x != (5, 3) and x.__eq__((5, 3)) is NotImplemented
+    assert x.__eq__(Fraction(5, 8)) is NotImplemented and not hasattr(x, "__dict__")
+    g = gen_a()
+    assert PLMap(breakpoints=g.breakpoints, slopes=g.slopes) == g
+    assert hash(g) == hash((g.breakpoints, g.slopes))
+    assert repr(g) == (
+        "PLMap(breakpoints=(Dyadic(0, 0), Dyadic(1, 2), Dyadic(3, 2), Dyadic(1, 0)), "
+        "slopes=(1, -1, 0))"
+    )
+    assert g != (g.breakpoints, g.slopes) and g.__eq__(g.breakpoints) is NotImplemented
+    assert not hasattr(g, "__dict__")
+
+
 def test_cocycle_known_values():
     assert cocycle_eval(g0_map(), dy(1, 1)) == 1
     assert cocycle_eval(g0_map(), dy(3, 2)) == 1

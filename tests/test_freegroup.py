@@ -52,7 +52,30 @@ def test_vertex_validation():
         ZVertex("tail", k=0)
     with pytest.raises(ValueError):
         ZVertex("ray")
+    with pytest.raises(ValueError, match="not reduced"):
+        ZVertex("word", "bAbaAb")
+    with pytest.raises(ValueError, match="tail index starts at 1"):
+        ZVertex("tail", "", -3)
     assert str(Z_E) == "e" and str(tail(3)) == "tail(3)" and str(w("ba")) == "ba"
+
+
+def test_vertices_compare_hash_and_show_their_fields():
+    v = ZVertex(kind="word", word="bA")
+    assert v == w("bA") and hash(v) == hash(("word", "bA", 0))
+    assert repr(v) == "ZVertex(kind='word', word='bA', k=0)"
+    assert repr(tail(2)) == "ZVertex(kind='tail', word='', k=2)"
+    assert v != ("word", "bA", 0) and v.__eq__("bA") is NotImplemented
+    assert tail(2).sort_key() == ("tail", 2, "") and not hasattr(v, "__dict__")
+
+
+def test_images_are_the_vertices_the_checked_constructor_builds():
+    # z_apply, tail_segment and ZBall skip the checks; each of their
+    # vertices must pass them and equal the checked construction
+    built = [z_apply(v, g) for v in z_ball(6) for g in Z_LETTERS]
+    built += list(tail_segment(5, start=2)) + list(ZBall(4))
+    for v in built:
+        twin = ZVertex(v.kind, v.word, v.k)
+        assert type(v) is ZVertex and v == twin and hash(v) == hash(twin), v
 
 
 def test_apply_transitions():

@@ -1,3 +1,4 @@
+from array import array
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -10,6 +11,7 @@ from extamen.errors import CapExceeded
 from extamen.graph import (
     EDGE_LABELS,
     ROOT_CODE,
+    Ball,
     Hair,
     Skeleton,
     act_letter,
@@ -534,3 +536,22 @@ def test_ball_refuses_a_non_vertex(point):
     for r in (0, 2):
         with pytest.raises(ValueError, match="is not a vertex"):
             ball(point, r)
+
+
+def test_addresses_and_balls_compare_hash_and_show_their_fields():
+    s, h = Skeleton(path=()), Hair(base=(), offset=1)
+    assert classify(vertex(1)) == s and classify(vertex(1, 1)) == h
+    assert repr(s) == "Skeleton(path=())" and repr(h) == "Hair(base=(), offset=1)"
+    assert hash(s) == hash(((),)) and hash(h) == hash(((), 1))
+    assert s != h and s.__eq__(()) is NotImplemented and h.__eq__(((), 1)) is NotImplemented
+    b = ball(ROOT, 1)
+    assert repr(b) == (
+        "Ball(center=Dyadic(5, 3), radius=1, addresses=((1, 0), (3, 0), (2, 0), (1, 1), (1, -1)), "
+        "vertices=(Dyadic(5, 3), Dyadic(11, 4), Dyadic(9, 4), Dyadic(1, 1), Dyadic(3, 2)), "
+        "neighbor_index=array('i', [1, 2, 3, 4]))"
+    )
+    # equality and hash read center, radius and addresses, not what follows from them
+    twin = Ball(b.center, b.radius, b.addresses, vertices=(), neighbor_index=array("i"))
+    assert twin == b and hash(twin) == hash(b) == hash((b.center, b.radius, b.addresses))
+    assert b != ball(ROOT, 2) and b.__eq__(b.addresses) is NotImplemented
+    assert not any(hasattr(x, "__dict__") for x in (s, h, b))
