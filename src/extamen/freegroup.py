@@ -45,8 +45,7 @@ class ZVertex:
 
     A slotted value type, immutable by contract: nothing assigns a field
     after __init__.  Equal only to a ZVertex, and hashed as the (kind,
-    word, k) tuple.  The images the graph's action builds are valid by
-    construction and skip the checks (_made).
+    word, k) tuple.
     """
 
     __slots__ = ("kind", "word", "k")
@@ -91,34 +90,22 @@ class ZVertex:
 Z_E = ZVertex("word", "")
 
 
-def _made(kind: str, word: str = "", k: int = 0) -> ZVertex:
-    """ZVertex(kind, word, k) without its checks, for a vertex valid by
-    construction: a reduced word not starting with 'a', or a tail k >= 1."""
-    v = object.__new__(ZVertex)
-    v.kind = kind
-    v.word = word
-    v.k = k
-    return v
-
-
 def z_apply(v: ZVertex, g: str) -> ZVertex:
     """Right multiplication by one letter."""
     if g not in Z_LETTERS:
         raise ValueError(f"unknown letter {g!r}")
     if v.kind == "tail":
         if g == "a":
-            return _made("tail", k=v.k + 1)
+            return ZVertex("tail", k=v.k + 1)
         if g == "A":
-            return Z_E if v.k == 1 else _made("tail", k=v.k - 1)
+            return Z_E if v.k == 1 else ZVertex("tail", k=v.k - 1)
         return v
-    # a reduced word stays reduced: the letter either cancels the last one
-    # or does not undo it, and an 'a' on e leaves for the tail
     w = v.word
     if not w and g == "a":
-        return _made("tail", k=1)
+        return ZVertex("tail", k=1)
     if w and w[-1] == _INV[g]:
-        return _made("word", w[:-1])
-    return _made("word", w + g)
+        return ZVertex("word", w[:-1])
+    return ZVertex("word", w + g)
 
 
 def z_neighbors(v: ZVertex) -> dict[str, ZVertex]:
@@ -175,7 +162,7 @@ def witness_word(E: tuple[ZVertex, ...]) -> tuple[str, Fraction]:
 def tail_segment(L: int, start: int = 1) -> tuple[ZVertex, ...]:
     if L < 1 or start < 1:
         raise PreconditionFailed("segment needs L >= 1 and start >= 1")
-    return tuple(_made("tail", k=k) for k in range(start, start + L))
+    return tuple(ZVertex("tail", k=k) for k in range(start, start + L))
 
 
 def z_boundary_ratio(segment: Iterable[ZVertex]) -> Fraction:
@@ -221,12 +208,12 @@ class ZBall(Sequence):
             p -= 3**r + 1
             r += 1
         if p == 0:
-            return _made("tail", k=r)
+            return ZVertex("tail", k=r)
         word = ""
         for place in range(r - 1, -1, -1):
             barred = _INV[word[-1]] if word else "a"
             word += [g for g in Z_LETTERS if g != barred][(p - 1) // 3**place % 3]
-        return _made("word", word)
+        return ZVertex("word", word)
 
 
 def random_z_configs(

@@ -1,6 +1,8 @@
+import ast
 import time
 from bisect import bisect_right
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -226,6 +228,50 @@ def test_value_types_compare_hash_and_show_their_fields():
     )
     assert g != (g.breakpoints, g.slopes) and g.__eq__(g.breakpoints) is NotImplemented
     assert not hasattr(g, "__dict__")
+
+
+def test_value_type_fields_are_assigned_only_by_their_constructors():
+    # the slotted value types are dict and set keys and have no __setattr__
+    # guard, so no code may assign or delete one of their fields after
+    # __init__: outside an __init__ storing on its own self, no attribute of
+    # those names is stored, deleted or set by name anywhere in the package
+    import extamen
+    from extamen.freegroup import ZVertex
+    from extamen.graph import Ball, Hair, Skeleton
+
+    fields = {f for cls in (Dyadic, PLMap, Skeleton, Hair, Ball, ZVertex) for f in cls.__slots__}
+    setters = {"setattr", "delattr", "__setattr__", "__delattr__"}
+    found = []
+
+    def scan(node, path, in_init):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                scan(child, path, getattr(child, "name", "") == "__init__")
+                continue
+            if isinstance(child, ast.ClassDef):
+                scan(child, path, False)
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and isinstance(child.ctx, (ast.Store, ast.Del))
+                and child.attr in fields
+                and not (in_init and isinstance(child.value, ast.Name) and child.value.id == "self")
+            ):
+                found.append(f"{path.name}:{child.lineno} .{child.attr}")
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+                named = [a.value for a in child.args if isinstance(a, ast.Constant)]
+                if name in setters and set(named) & fields:
+                    found.append(f"{path.name}:{child.lineno} {name}")
+            scan(child, path, in_init)
+
+    package = Path(extamen.__file__).parent
+    sources = sorted(package.rglob("*.py"))
+    assert len(sources) > 5
+    for path in sources:
+        scan(ast.parse(path.read_text()), path, False)
+    assert not found, found
 
 
 def test_cocycle_known_values():

@@ -68,16 +68,6 @@ def test_vertices_compare_hash_and_show_their_fields():
     assert tail(2).sort_key() == ("tail", 2, "") and not hasattr(v, "__dict__")
 
 
-def test_images_are_the_vertices_the_checked_constructor_builds():
-    # z_apply, tail_segment and ZBall skip the checks; each of their
-    # vertices must pass them and equal the checked construction
-    built = [z_apply(v, g) for v in z_ball(6) for g in Z_LETTERS]
-    built += list(tail_segment(5, start=2)) + list(ZBall(4))
-    for v in built:
-        twin = ZVertex(v.kind, v.word, v.k)
-        assert type(v) is ZVertex and v == twin and hash(v) == hash(twin), v
-
-
 def test_apply_transitions():
     assert z_apply(Z_E, "a") == tail(1)
     assert z_apply(tail(1), "A") == Z_E
