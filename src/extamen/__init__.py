@@ -15,11 +15,11 @@ _EXPORTS = {
         PropertySelfTestFailed SearchExhausted StructuralAssertFailed ZeroBase""",
     "graph": """Ball Hair Skeleton act_letter act_word ball boundary_ratio classify
         folner_hair_segment get_orientation golden_path hair_point neighbors
-        root_hair_letter struct_info subtree_T vertex_at""",
+        root_hair_letter vertex_at""",
     "harmonic": """VertexFn canonical_phi_u hair_property_suite harmonic_witness_search
         is_superharmonic_on level_min markov_apply_X phi_family pow2""",
-    "lamplighter": """Config SetFn apply_letter apply_word config markov_iterate
-        orbit_enumerate parse_config serialize_config switch_invariant_check""",
+    "lamplighter": """Config SetFn apply_letter config markov_iterate orbit_enumerate
+        parse_config serialize_config switch_invariant_check""",
     "minfn": """SymmetricConcaveFn T_operator countable_sum generalized_minfun
         markov_image minfun non_superharmonic_transfer phi_family_tail_bound
         r_family_kmean resolve_setfn weighted_sum""",

@@ -30,21 +30,19 @@ from .errors import (
     ZeroBase,
 )
 from .graph import (
-    act_letter,
+    ROOT_CODE,
     act_word,
     ball,
-    code,
-    golden_path,
     hair_point,
     node_info,
-    subtree_T,
+    struct_act,
+    vertex,
 )
 from .harmonic import SCAN_WIDTH_CAP, VertexFn, level_min, phi_family, pow2
 from .lamplighter import (
     LAMP_LETTERS,
     Config,
     SetFn,
-    apply_word,
     config,
     lamp_action,
     orbit_enumerate,
@@ -235,8 +233,8 @@ def find_vertex_below(phi, threshold: Fraction) -> Dyadic:
     """A skeleton vertex with phi strictly below threshold.
 
     Uses the function's own descent hint when present (re-checking the value,
-    since hints are advisory); otherwise scans levels, which is only viable
-    while the threshold is moderate.
+    since hints are advisory); otherwise scans levels of addresses by phi.fn,
+    as level_min does, which is only viable while the threshold is moderate.
     """
     if threshold <= 0:
         raise PreconditionFailed("threshold must be positive")
@@ -247,16 +245,16 @@ def find_vertex_below(phi, threshold: Fraction) -> Dyadic:
                 f"{phi.name}: descent hint gave {q} with value {phi(q)} >= {threshold}"
             )
         return q
-    level = [ROOT]
+    level = [ROOT_CODE]
     for depth in count(1):
-        level = [act_letter(ch, v) for v in level for ch in ("a", "b")]
-        best = min(level, key=phi)
-        if phi(best) < threshold:
-            return best
+        level = [struct_act(ch, c) for c in level for ch in "ab"]
+        best = min(level, key=phi.fn)
+        if phi.fn(best) < threshold:
+            return vertex(*best)
         if len(level) * 2 > SCAN_WIDTH_CAP:
             raise SearchExhausted(
                 f"{phi.name}: no value below {threshold} within scannable depth",
-                frontier={"depth": depth, "width": len(level), "best": str(phi(best))},
+                frontier={"depth": depth, "width": len(level), "best": str(phi.fn(best))},
             )
 
 
@@ -426,6 +424,9 @@ def construct(
 # lamp j takes a word of 2n + j letters, so the family costs O(n^2): n = 256
 # took 0.41 s on a 2-core machine; every use has n <= 8
 EXPLICIT_MAX_N = 256
+# golden_witness reports fractions over about 2^n, and str refuses integers
+# of over 4300 digits, as 2^n has from n = 14,286 on
+GOLDEN_MAX_N = 8192
 
 
 def explicit_En_hairs(n: int) -> Config:
@@ -444,10 +445,10 @@ def explicit_En_hairs(n: int) -> Config:
         raise CapExceeded(f"explicit:{n} exceeds the lamp cap {EXPLICIT_MAX_N}")
     points = []
     for j in range(n):
-        x = act_word("A" * n + "b" * n + "a" * j, ROOT)
-        if act_letter("b", x) != x:
+        c = act_word("A" * n + "b" * n + "a" * j, ROOT_CODE, struct_act)
+        if struct_act("b", c) != c:
             raise StructuralAssertFailed(f"lamp {j}: expected a hair looping on b")
-        node, m = code(x)
+        node, m = c
         if abs(m) != n:
             raise StructuralAssertFailed(
                 f"lamp {j}: expected hair offset {n}, got address {(node, m)}"
@@ -457,7 +458,7 @@ def explicit_En_hairs(n: int) -> Config:
             raise StructuralAssertFailed(
                 f"lamp {j}: base node {node} is not subtree {j} at depth {j + n}"
             )
-        points.append(x)
+        points.append(vertex(*c))
     E = config(points)
     if len(E) != n:
         raise StructuralAssertFailed("explicit lamps must be pairwise distinct")
@@ -489,19 +490,20 @@ def golden_witness(E: Config, n: int, F: Optional[SetFn] = None) -> WitnessResul
     index below n-1 holds no lamp, and steering a lamp (or a freshly
     switched root lamp) down its golden path drops that summand by half.
     Switch and forward letters never increase any summand, so the drop
-    survives in the sum.
+    survives in the sum.  n above GOLDEN_MAX_N raises CapExceeded.
     """
     if n < 2:
         raise PreconditionFailed("need n >= 2")
+    if n > GOLDEN_MAX_N:
+        raise CapExceeded(f"golden witness level {n} exceeds the cap {GOLDEN_MAX_N}")
     if len(E) > n - 2:
         raise PreconditionFailed(f"guaranteed only for at most {n - 2} lamps")
     if F is None:
         F = countable_sum(phi_family, pow2(-n), tail_bound=phi_family_tail_bound)
-    i = next(
-        idx for idx in range(n - 1) if not any(subtree_T(idx, x) for x in E)
-    )
-    spine = golden_path(i)[:-1]
-    lamp_depths = [k for k, v in enumerate(spine) if v in E]
+    C = to_codes(E)
+    occupied = {lead for lead, deeper, _ in (node_info(node) for node, _ in C) if deeper}
+    i = next(idx for idx in range(n - 1) if idx not in occupied)
+    lamp_depths = [k for k in range(i + 1) if ((2 << k) - 1, 0) in C]
     if lamp_depths:
         k = max(lamp_depths)
         word = "b" + "a" * (i - k)
@@ -509,8 +511,8 @@ def golden_witness(E: Config, n: int, F: Optional[SetFn] = None) -> WitnessResul
     else:
         word = "b" + "a" * i + "s"
         case = "vacant-path"
-    base = F(E)
-    deviation = (base - F(apply_word(E, word))) / base
+    base = F.fn(C)
+    deviation = (base - F.fn(act_word(word, C, lamp_action()))) / base
     assert deviation >= pow2(-n), (
         f"witness {word!r} moved the sum by {deviation}, below {pow2(-n)}"
     )

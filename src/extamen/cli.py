@@ -181,7 +181,7 @@ def _cmd_fn_check(args):
     from .lamplighter import orbit_enumerate, switch_invariant_check
 
     samples = list(orbit_enumerate((), args.n, cap=args.cap))
-    ok_sw, _ = switch_invariant_check(F, samples)
+    ok_sw, _ = switch_invariant_check(F.fn, samples)
     sup = walks.supermartingale_check(F, samples, mode="lamp")
     report = {
         "fn": args.fn,

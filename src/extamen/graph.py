@@ -5,17 +5,18 @@ a, A, b, B (A and B are the inverse generators).  Structurally it is a binary
 tree (the skeleton) rooted at 5/8 with an infinite ray (hair) attached to
 every vertex, two rays at the root (Savchuk, arXiv:0803.0043).  code(v) =
 (node, m) reads a vertex's structural address off its binary digits in closed
-form from that picture, and vertex(node, m) inverts it; classify and
-struct_info read the same digits.  The test suite checks them against the
-local rules of the action (children, parent, hair steps and loops) on a ball
-and on random dyadics.  The skeleton orientation is fixed: the a-image of a
-skeleton vertex is its L child and the b-image its R child.
+form from that picture, and vertex(node, m) inverts it; classify reads the
+same digits.  The test suite checks them against the local rules of the
+action (children, parent, hair steps and loops) on a ball and on random
+dyadics.  The skeleton orientation is fixed: the a-image of a skeleton vertex
+is its L child and the b-image its R child.
 
-struct_act is the action on addresses and node_info the struct_info of an
-address.  Balls, orbits, verification and exact n-step probabilities run on
-addresses, the one runtime vertex; a Ball turns its addresses into Dyadic
-vertices once, for output.  act_letter stays the Dyadic action and
-struct_act's oracle.
+struct_act is the action on addresses and node_info the subtree digest of an
+address's node.  Every runtime path of the package (balls, level scans,
+orbits, verification, the walks) converts its input to addresses once, moves
+them by struct_act and builds a Dyadic by vertex only for what it returns or
+reports; a Ball does so once per vertex.  act_letter, the Dyadic action, is
+the definition of the graph and the oracle struct_act is tested against.
 
 The search, leaving-edge shares and the walk step at the end take the action
 as arguments, so the free-group graph of ``freegroup`` uses them too; bfs, the
@@ -44,10 +45,8 @@ __all__ = [
     "vertex",
     "ROOT_CODE",
     "struct_act",
-    "struct_info",
     "node_info",
     "hair_point",
-    "subtree_T",
     "golden_path",
     "folner_hair_segment",
     "boundary_ratio",
@@ -299,21 +298,11 @@ def classify(v: Dyadic) -> Skeleton | Hair:
     return Hair(path, abs(m)) if m else Skeleton(path)
 
 
-def struct_info(v: Dyadic) -> tuple[int, bool, int]:
-    """(leading L-turns, whether the path continues past them, base depth).
-
-    The digest of classify(v) used by the bundled vertex functions: a vertex
-    belongs to subtree i exactly when leading == i and the path continues
-    (its first non-L turn is an R by construction).  The leading L-turns
-    are the trailing ones of the base code.
-    """
-    q, depth, _ = _digits(v)
-    lead = _lead(q)
-    return lead, depth > lead, depth
-
-
 def node_info(node: int) -> tuple[int, bool, int]:
-    """struct_info of any vertex whose address has this node."""
+    """(leading L-turns, whether the path continues past them, base depth)
+    of any vertex whose address has this node: it lies in subtree i exactly
+    when leading == i and the path continues (its first non-L turn is an R).
+    The leading L-turns are the trailing ones of the node below its top bit."""
     depth = node.bit_length() - 1
     lead = _lead(node ^ (1 << depth))
     return lead, depth > lead, depth
@@ -322,12 +311,6 @@ def node_info(node: int) -> tuple[int, bool, int]:
 def _lead(q: int) -> int:
     """The number of trailing ones of q."""
     return (q ^ (q + 1)).bit_length() - 1
-
-
-def subtree_T(i: int, v: Dyadic) -> bool:
-    """Is v (skeleton or hair) inside the subtree hanging right of spine depth i?"""
-    lead, deeper, _ = struct_info(v)
-    return lead == i and deeper
 
 
 def root_hair_letter(root_hair: str | None = None) -> str:
@@ -454,19 +437,19 @@ def folner_hair_segment(L: int, root_hair: str | None = None) -> tuple[Dyadic, .
 
 def boundary_ratio(segment: Iterable[Dyadic]) -> Fraction:
     """(labeled edge-ends leaving the set) / (4 |set|)."""
-    pts = set(segment)
+    pts = set(map(code, segment))
     if not pts:
         raise ValueError("empty set has no boundary ratio")
-    return leaving_share(pts, EDGE_LABELS, act_letter)
+    return leaving_share(pts, EDGE_LABELS, struct_act)
 
 
 # ---------------------------------------------------------------------------
 # labeled actions
 #
 # These take the action as arguments: its letters and act(letter, vertex).
-# The dyadic graph passes EDGE_LABELS with struct_act on addresses or
-# act_letter on Dyadics, the free-group graph its own pair; any hashable
-# vertex type works.
+# The dyadic graph passes EDGE_LABELS with struct_act on addresses (its
+# tests also act_letter on Dyadics), the free-group graph its own pair; any
+# hashable vertex type works.
 
 
 def bfs(center, radius: int, letters, act, cap: int = 10**6) -> tuple[list, array]:

@@ -10,8 +10,9 @@ A sweep over a ball (is_superharmonic_on) reads a VertexFn by fn on the
 ball's addresses and any other phi on the Dyadic vertex, once per ball
 vertex, and takes the neighbours from the ball's neighbor_index, which the
 breadth-first search recorded.  One loop serves every value type: P phi is
-the quarter-sum markov_apply_X takes, in the values' own arithmetic, worked
-out once per distinct combination of the five value objects.
+the quarter-sum markov_apply_X takes at one address, over the struct_act
+images, in the values' own arithmetic, worked out once per distinct
+combination of the five value objects.
 
 A VertexFn reads a vertex one way: fn on its graph.code address, which the
 sweeps and the set functions of ``minfn`` call.  Calling the VertexFn on a
@@ -29,14 +30,16 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .dyadic import Dyadic, ROOT
+from .dyadic import Dyadic
 from .errors import CapExceeded, PreconditionFailed
 from .graph import (
+    EDGE_LABELS,
+    ROOT_CODE,
     Ball,
-    act_letter,
     code,
     hair_point,
-    neighbors,
+    struct_act,
+    vertex,
     vertex_at,
 )
 
@@ -85,10 +88,11 @@ class VertexFn:
         return self.fn(code(v))
 
 
-def markov_apply_X(phi, v: Dyadic):
-    """One step of the walk operator: quarter-sum of phi over labeled images."""
-    nb = neighbors(v)
-    return (phi(nb["a"]) + phi(nb["b"]) + phi(nb["A"]) + phi(nb["B"])) / 4
+def markov_apply_X(phi: VertexFn, c: tuple[int, int]):
+    """One step of the walk operator at the address c: the quarter-sum of
+    phi.fn over the a, b, A, B images of c under struct_act."""
+    a, b, A, B = (phi.fn(struct_act(ch, c)) for ch in EDGE_LABELS)
+    return (a + b + A + B) / 4
 
 
 @dataclass
@@ -232,8 +236,8 @@ class HairPropertyReport:
         return not self.failures
 
 
-def hair_property_suite(phi, base: Dyadic, M: int, tol=0) -> HairPropertyReport:
-    """Check the three hair facts for offsets up to M.
+def hair_property_suite(phi: VertexFn, base: Dyadic, M: int, tol=0) -> HairPropertyReport:
+    """Check the three hair facts for offsets up to M, reading phi.fn.
 
     For a positive function that is superharmonic along the probed hair:
     increments are non-increasing, values never decrease outward, and the
@@ -242,14 +246,15 @@ def hair_property_suite(phi, base: Dyadic, M: int, tol=0) -> HairPropertyReport:
     probed hair points themselves (a radius-M ball around a deep base is
     exponentially large and the facts only use margins along the hair).
     """
-    pts = [hair_point(base, m) for m in range(M + 2)]
-    for v in pts[: M + 1]:
-        val = phi(v)
+    node, end = code(hair_point(base, M + 1))
+    step = 1 if end > 0 else -1
+    pts = [(node, step * m) for m in range(M + 2)]
+    values = list(map(phi.fn, pts))
+    for c, val in zip(pts[: M + 1], values):
         if val <= 0:
-            raise PreconditionFailed(f"phi({v}) = {val} is not positive")
-        if val - markov_apply_X(phi, v) < -tol:
-            raise PreconditionFailed(f"phi is not superharmonic at {v}")
-    values = [phi(v) for v in pts]
+            raise PreconditionFailed(f"phi({vertex(*c)}) = {val} is not positive")
+        if val - markov_apply_X(phi, c) < -tol:
+            raise PreconditionFailed(f"phi is not superharmonic at {vertex(*c)}")
     rep = HairPropertyReport(base, values[: M + 1], [])
     for m in range(M):
         inc0 = values[m + 1] - values[m]
@@ -272,26 +277,28 @@ def hair_property_suite(phi, base: Dyadic, M: int, tol=0) -> HairPropertyReport:
 SCAN_WIDTH_CAP = 1 << 16
 
 
-def level_min(phi, n: int):
+def level_min(phi: VertexFn, n: int):
     """(min of phi over skeleton depths 0..n, a witness at depth n).
 
     For a superharmonic positive function with its maximum at the root the
     minimum is attained on the deepest level; if no depth-n vertex attains
-    it the precondition was broken and we refuse.  Depth n holds 2**n
-    vertices; CapExceeded when that is wider than SCAN_WIDTH_CAP.
+    it the precondition was broken and we refuse.  phi.fn is read on
+    addresses, and the witness is the first minimum in the order struct_act
+    builds a level in, each vertex's a-image before its b-image.  Depth n
+    holds 2**n vertices; CapExceeded when that is wider than SCAN_WIDTH_CAP.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n >= SCAN_WIDTH_CAP.bit_length():
         raise CapExceeded(f"skeleton level {n} is wider than the scan cap {SCAN_WIDTH_CAP}")
-    level = [ROOT]
-    best = phi(ROOT)
+    level = [ROOT_CODE]
+    best = phi.fn(ROOT_CODE)
     for depth in range(n + 1):
-        vals = [phi(v) for v in level]
+        vals = list(map(phi.fn, level))
         best = min(best, *vals)
         if depth < n:
-            level = [act_letter(ch, v) for v in level for ch in ("a", "b")]
-    witness = next((v for v, val in zip(level, vals) if val == best), None)
+            level = [struct_act(ch, c) for c in level for ch in "ab"]
+    witness = next((vertex(*c) for c, val in zip(level, vals) if val == best), None)
     if witness is None:
         raise PreconditionFailed(
             f"minimum over depths 0..{n} not attained at depth {n}; "

@@ -5,10 +5,11 @@ pointwise; the switch letter 's' toggles membership of the root.  Words act
 right to left, matching the convention for the underlying vertex action.
 lamp_action, the one move of a configuration by a letter, takes the vertex
 action as an argument, so the free-group graph of ``freegroup`` uses it too;
-given graph.struct_act, orbits run on configurations of addresses, sorted
-tuples of graph.code pairs (to_codes).  Set functions read addresses only:
-SetFn.fn and SetFn.scaled take the to_codes form, and markov_iterate, the
-one exact average of the uniform five-letter walk, runs on it by graph.evolve.
+by default graph.struct_act, so that orbits run on configurations of
+addresses, sorted tuples of graph.code pairs (to_codes).  Set functions read
+addresses only: SetFn.fn and SetFn.scaled take the to_codes form, and
+markov_iterate, the one exact average of the uniform five-letter walk, runs
+on it by graph.evolve.  Only apply_letter moves Dyadic vertices.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, Iterable, Optional
 
 from .dyadic import Dyadic, ROOT, parse_dyadic
 from .errors import CapExceeded
-from .graph import ROOT_CODE, act_letter, act_word, code, evolve, struct_act
+from .graph import ROOT_CODE, act_letter, code, evolve, struct_act
 
 __all__ = [
     "Config",
@@ -32,7 +33,6 @@ __all__ = [
     "LAMP_LETTERS",
     "lamp_action",
     "apply_letter",
-    "apply_word",
     "markov_iterate",
     "orbit_enumerate",
     "switch_invariant_check",
@@ -149,11 +149,6 @@ def apply_letter(E: Config, ch: str) -> Config:
     return lamp_action(act_letter, ROOT)(ch, E)
 
 
-def apply_word(E: Config, word: str) -> Config:
-    """Apply a word over aAbBs, rightmost letter first, by one lamp_action."""
-    return act_word(word, E, lamp_action(act_letter, ROOT))
-
-
 def markov_iterate(F: SetFn, C: tuple, n: int, cap: int = 8):
     """Exact n-step walk average of F started at the address configuration C
     (to_codes of a configuration of vertices).
@@ -180,11 +175,11 @@ def orbit_enumerate(E: tuple, n: int, cap: int = 10**6, move=None) -> dict:
 
     Breadth-first with deduplication; the witness is the first word found,
     so witnesses are shortest and deterministic given the letter order.
-    move is a lamp_action, by default the Dyadic one.
+    move is a lamp_action, by default lamp_action() on addresses.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    move = move or lamp_action(act_letter, ROOT)
+    move = move or lamp_action()
     seen = {E: ""}
     frontier = [E]
     for _ in range(n):
@@ -203,8 +198,9 @@ def orbit_enumerate(E: tuple, n: int, cap: int = 10**6, move=None) -> dict:
     return seen
 
 
-def switch_invariant_check(F, samples: Iterable[Config]):
-    """Per-sample check of F(E) == F(E with the root toggled), F any callable."""
-    move = lamp_action(act_letter, ROOT)
-    results = [(E, F(E) == F(move("s", E))) for E in samples]
+def switch_invariant_check(F, samples: Iterable[tuple]):
+    """Per-sample check of F(C) == F(C with the root toggled) on address
+    configurations C, F any callable on them (SetFn.fn for a SetFn)."""
+    move = lamp_action()
+    results = [(C, F(C) == F(move("s", C))) for C in samples]
     return all(flag for _, flag in results), results

@@ -25,9 +25,9 @@ from .errors import (
     PreconditionFailed,
     PropertySelfTestFailed,
 )
-from .graph import ROOT_CODE, act_letter, ball, code
+from .graph import ROOT_CODE, ball, code
 from .harmonic import VertexFn, canonical_phi_u, markov_apply_X, phi_family
-from .lamplighter import Config, SetFn, lamp_action, markov_iterate
+from .lamplighter import SetFn, lamp_action, markov_iterate
 
 __all__ = [
     "minfun",
@@ -72,13 +72,14 @@ def minfun(phi) -> SetFn:
     )
 
 
-def T_operator(F, E: Config, alpha: Fraction):
-    """alpha times the 4-letter average plus (1 - alpha) times the switch image."""
+def T_operator(F: SetFn, C: tuple, alpha: Fraction):
+    """alpha times the 4-letter average plus (1 - alpha) times the switch
+    image of F.fn at the address configuration C."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    move = lamp_action(act_letter, ROOT)
-    t1 = (F(move("a", E)) + F(move("b", E)) + F(move("A", E)) + F(move("B", E))) / 4
-    return alpha * t1 + (1 - alpha) * F(move("s", E))
+    move = lamp_action()
+    t1 = (F.fn(move("a", C)) + F.fn(move("b", C)) + F.fn(move("A", C)) + F.fn(move("B", C))) / 4
+    return alpha * t1 + (1 - alpha) * F.fn(move("s", C))
 
 
 @dataclass
@@ -101,13 +102,14 @@ def non_superharmonic_transfer(phi, q: Dyadic) -> TransferReport:
     """
     if q == ROOT:
         raise PreconditionFailed("the root cannot be a violation point here")
-    gap = markov_apply_X(phi, q) - phi(q)
+    c = code(q)
+    gap = markov_apply_X(phi, c) - phi.fn(c)
     if gap <= 0:
         raise PreconditionFailed(f"phi is superharmonic at {q} (gap {gap})")
-    if phi(q) > phi(ROOT):
+    if phi.fn(c) > phi.fn(ROOT_CODE):
         raise PreconditionFailed("phi must stay below its root value")
 
-    F, C = minfun(phi), (code(q),)
+    F, C = minfun(phi), (c,)
     margin = markov_iterate(F, C, 1) - F.fn(C)
     assert margin == Fraction(4, 5) * gap, "transfer margin must be 4/5 of the gap"
     return TransferReport(q=q, vertex_gap=gap, set_margin=margin)
@@ -162,9 +164,9 @@ def countable_sum(
     When family is phi_family itself the sum is read in closed form, as a
     scaled reader in integers and O(|E| + N) time.  Member i is 2^-depth
     inside subtree i (where depth >= i + 1) and 2^-i everywhere else, root
-    included, so a lamp with struct_info (lead, deeper, depth) can lower
-    only term lead, and only when deeper (equivalently depth > lead) and
-    lead <= N; lead and depth are read off each lamp's node by integer
+    included, so a lamp whose node has node_info (lead, deeper, depth) can
+    lower only term lead, and only when deeper (equivalently depth > lead)
+    and lead <= N; lead and depth are read off each lamp's node by integer
     operations.  With e_i the larger of i and the deepest such depth,
     F(E) = sum over i = 0..N of 2^-e_i, one integer over 2^max(e_i); the
     empty set gives 2 - 2^-N.  Other families sum their minfun terms.

@@ -454,7 +454,8 @@ class SupermartingaleReport:
 
 
 def supermartingale_check(fn, states: Iterable, mode: str = "lamp") -> SupermartingaleReport:
-    """Exact one-step mean decrease of fn at each given state."""
+    """Exact one-step mean decrease of fn.fn at each state: an address (mode
+    X, fn a VertexFn) or an address configuration (mode lamp, fn a SetFn)."""
     if mode not in ("X", "lamp"):
         raise ValueError("mode must be 'X' or 'lamp'")
     if getattr(fn, "superharmonic", None) is False:
@@ -464,10 +465,9 @@ def supermartingale_check(fn, states: Iterable, mode: str = "lamp") -> Supermart
     for st in states:
         checked += 1
         if mode == "X":
-            margin = fn(st) - markov_apply_X(fn, st)
+            margin = fn.fn(st) - markov_apply_X(fn, st)
         else:
-            C = to_codes(st)
-            margin = fn.fn(C) - markov_iterate(fn, C, 1)
+            margin = fn.fn(st) - markov_iterate(fn, st, 1)
         if margin < 0:
             violations.append((st, margin))
     return SupermartingaleReport(mode=mode, checked=checked, violations=violations)

@@ -5,12 +5,34 @@ state and reads one target's mass at every step: a one-sided walk, slow but
 plain, against which the package's series and proxies are checked.
 dyadic_by_fraction and classify_by_turns are the slow, obvious forms of
 Dyadic's normalisation and of graph.classify.
+
+The rest move Dyadic vertices by graph.act_letter, the definition of the
+action, where the package moves graph.code addresses by graph.struct_act:
+the lamp action on configurations of vertices (dyadic_move, apply_word),
+the subtree digest read off classify (struct_info, subtree_T), the walk
+operator at a vertex (neighbor_mean), the level scans of harmonic.level_min
+and approx.find_vertex_below (with scan_fns, the functions they are checked
+on), the explicit hair family and the golden witness.
 """
 
 from fractions import Fraction
 from typing import Optional
 
-from extamen.graph import Hair, Skeleton, _digits, evolve
+from extamen.dyadic import ROOT
+from extamen.graph import (
+    EDGE_LABELS,
+    Hair,
+    Skeleton,
+    _digits,
+    act_letter,
+    act_word,
+    classify,
+    evolve,
+    golden_path,
+)
+from extamen.harmonic import VertexFn, canonical_phi_u, phi_family, pow2
+from extamen.lamplighter import config, lamp_action
+from extamen.minfn import countable_sum, phi_family_tail_bound
 
 
 def transition_series(
@@ -45,3 +67,89 @@ def classify_by_turns(v):
     q, depth, m = _digits(v)
     path = tuple("L" if q >> i & 1 else "R" for i in range(depth))
     return Hair(path, abs(m)) if m else Skeleton(path)
+
+
+def dyadic_move():
+    """The lamp action on configurations of Dyadic vertices."""
+    return lamp_action(act_letter, ROOT)
+
+
+def apply_word(E: tuple, word: str) -> tuple:
+    """E moved by a word over aAbBs, rightmost letter first."""
+    return act_word(word, E, dyadic_move())
+
+
+def struct_info(v) -> tuple[int, bool, int]:
+    """(leading L-turns, whether the path continues past them, base depth)
+    of the skeleton path classify(v) gives v or its hair's base."""
+    addr = classify(v)
+    path = addr.path if isinstance(addr, Skeleton) else addr.base
+    lead = len(path) - len("".join(path).lstrip("L"))
+    return lead, len(path) > lead, len(path)
+
+
+def subtree_T(i: int, v) -> bool:
+    """Is v (skeleton or hair) inside the subtree hanging right of spine depth i?"""
+    lead, deeper, _ = struct_info(v)
+    return lead == i and deeper
+
+
+def neighbor_mean(phi, v):
+    """The quarter-sum of phi over the a, b, A, B images of the vertex v."""
+    a, b, A, B = (phi(act_letter(ch, v)) for ch in EDGE_LABELS)
+    return (a + b + A + B) / 4
+
+
+def scan_fns() -> list:
+    """phi_u, phi:0..3 and a plain function of the address: 2^-(depth+1)
+    times 1, 5/4 or 3/2 by the node mod 3, so each level lies below the last
+    and its first minimum depends on the order of the scan."""
+    mixed = VertexFn("mixed", lambda c: Fraction(4 + c[0] % 3, 4 << c[0].bit_length()))
+    return [canonical_phi_u(), *map(phi_family, range(4)), mixed]
+
+
+def _levels():
+    """Skeleton levels of Dyadic vertices from the root, each vertex's
+    a-image before its b-image."""
+    level = [ROOT]
+    while True:
+        yield level
+        level = [act_letter(ch, v) for v in level for ch in ("a", "b")]
+
+
+def level_min(phi, n: int):
+    """(min of phi over skeleton depths 0..n, the first depth-n vertex that
+    attains it, or None)."""
+    for depth, level in zip(range(n + 1), _levels()):
+        vals = [phi(v) for v in level]
+        best = min(vals) if depth == 0 else min(best, *vals)
+    return best, next((v for v, val in zip(level, vals) if val == best), None)
+
+
+def scan_below(phi, threshold, max_depth: int):
+    """The first minimum of phi on the first skeleton level below the root
+    where phi goes below threshold, or None within max_depth."""
+    for depth, level in zip(range(max_depth + 1), _levels()):
+        best = min(level, key=phi)
+        if depth and phi(best) < threshold:
+            return best
+    return None
+
+
+def explicit_hairs(n: int) -> tuple:
+    """The configuration A^n b^n a^j . root for j = 0..n-1."""
+    return config(act_word("A" * n + "b" * n + "a" * j, ROOT) for j in range(n))
+
+
+def golden_witness(E: tuple, n: int) -> tuple:
+    """(word, index, case, deviation) of the golden witness, found on the
+    vertices of E and the golden path."""
+    F = countable_sum(phi_family, pow2(-n), tail_bound=phi_family_tail_bound)
+    i = next(idx for idx in range(n - 1) if not any(subtree_T(idx, x) for x in E))
+    lamp_depths = [k for k, v in enumerate(golden_path(i)[:-1]) if v in E]
+    if lamp_depths:
+        word, case = "b" + "a" * (i - max(lamp_depths)), "spine-lamp"
+    else:
+        word, case = "b" + "a" * i + "s", "vacant-path"
+    base = F(E)
+    return word, i, case, (base - F(apply_word(E, word))) / base

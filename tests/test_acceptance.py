@@ -198,8 +198,8 @@ def test_criterion_08_generalized_targets():
     G = generalized_minfun(r_family_kmean(2, 3), canonical_phi_u())
     verts = ball(ROOT, 6).vertices
     rng = random.Random(4321)
-    samples = [config(rng.sample(verts, rng.randrange(7))) for _ in range(10**4)]
-    ok_switch, _ = switch_invariant_check(G, samples)
+    samples = [to_codes(config(rng.sample(verts, rng.randrange(7)))) for _ in range(10**4)]
+    ok_switch, _ = switch_invariant_check(G.fn, samples)
     sup = supermartingale_check(G, samples)
     search = generalized_En_search(r_family_kmean(2, 3), canonical_phi_u(), 4)
     found = search.found is not None and search.report.passed

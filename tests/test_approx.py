@@ -8,6 +8,7 @@ from extamen.approx import (
     BETA_SCHEDULES,
     CONSTRUCTIONS,
     EXPLICIT_MAX_N,
+    GOLDEN_MAX_N,
     construct,
     construct_En_countable,
     construct_En_markov,
@@ -34,7 +35,6 @@ from extamen.lamplighter import (
     EMPTY,
     LAMP_LETTERS,
     SetFn,
-    apply_word,
     config,
     orbit_enumerate,
     to_codes,
@@ -48,6 +48,8 @@ from extamen.minfn import (
     resolve_setfn,
     weighted_sum,
 )
+import oracles
+from oracles import apply_word, dyadic_move
 
 
 def dy(num, exp):
@@ -68,6 +70,9 @@ def test_beta_schedules():
 def test_explicit_first_levels():
     assert explicit_En_hairs(1) == (dy(3, 3),)
     assert explicit_En_hairs(3) == (dy(9, 7), dy(19, 8), dy(39, 9))
+    # the fold on addresses against the fold of the Dyadic action
+    for n in range(1, 33):
+        assert explicit_En_hairs(n) == oracles.explicit_hairs(n), n
     with pytest.raises(PreconditionFailed):
         explicit_En_hairs(0)
 
@@ -154,7 +159,7 @@ def test_verifiers_match_their_reference_scans():
     for E in (EMPTY, (ROOT,), config([dy(9, 4), hair_point(dy(11, 4), 3)])):
         for n in (1, 3):
             beta = Fraction(1, 3)
-            orbit = orbit_enumerate(E, n).items()
+            orbit = orbit_enumerate(E, n, move=dyadic_move()).items()
             assert _fields(strong_verify(F, E, n, beta)) == _verify_reference(
                 F, E, n, beta, "strong", orbit)
             rng = random.Random(4)
@@ -199,7 +204,8 @@ def test_deviation_ties_go_to_the_earlier_word():
     # so tie:1 reaches its lower value first and tie:-1 its upper value; the
     # scaled ties compare integers and end on the same word
     for sign in (1, -1):
-        assert all(_scaled_tie(sign)(C) == _tie(sign)(C) for C in orbit_enumerate(EMPTY, 2))
+        orbit = orbit_enumerate(EMPTY, 2, move=dyadic_move())
+        assert all(_scaled_tie(sign)(C) == _tie(sign)(C) for C in orbit)
         for F in (_tie(sign), _scaled_tie(sign)):
             rep = strong_verify(F, EMPTY, 2, Fraction(1, 2))
             assert (rep.worst_word, rep.worst_deviation) == ("As", Fraction(1, 2))
@@ -257,7 +263,7 @@ def test_verifiers_match_the_dyadic_path(F, top):
     for E, n in cases:
         n = min(n, top)
         beta = Fraction(1, n)
-        orbit = orbit_enumerate(E, n)
+        orbit = orbit_enumerate(E, n, move=dyadic_move())
         rng = random.Random(n)
         words = ["".join(rng.choice(LAMP_LETTERS) for _ in range(rng.randint(1, n)))
                  for _ in range(40)]
@@ -275,7 +281,7 @@ def test_verifiers_match_the_dyadic_path(F, top):
 
 def test_scan_raises_its_exponent_mid_scan():
     F, n, beta = _deepening(), 4, Fraction(1, 4)
-    orbit = orbit_enumerate(EMPTY, n)
+    orbit = orbit_enumerate(EMPTY, n, move=dyadic_move())
     exps = [F.scaled(to_codes(C))[1] for C in orbit]
     # the first value off the base comes at a shallower exponent than later ones
     moved = next(i for i, C in enumerate(orbit) if F(C) != F(EMPTY))
@@ -299,7 +305,8 @@ def test_a_traced_fn_beside_scaled_verifies_as_the_reference():
     E, n, beta = config([dy(9, 4), hair_point(dy(11, 4), 3)]), 4, Fraction(1, 4)
     rep = strong_verify(G, E, n, beta)
     assert not calls
-    want = _verify_reference(G, E, n, beta, "strong", orbit_enumerate(E, n).items())
+    orbit = orbit_enumerate(E, n, move=dyadic_move())
+    want = _verify_reference(G, E, n, beta, "strong", orbit.items())
     assert calls and _fields(rep) == want and rep.worst_deviation > 0
 
 
@@ -336,6 +343,20 @@ def test_golden_witness_preconditions():
         golden_witness(EMPTY, 1)
 
 
+def test_golden_witness_cap_refuses_before_building_the_sum(monkeypatch):
+    # the reported fractions lie over about 2^n; at the cap they still print
+    w = golden_witness((ROOT,), GOLDEN_MAX_N)
+    assert w.deviation >= pow2(-GOLDEN_MAX_N) and len(str(w.deviation)) > 4000
+
+    def no_sum(*args, **kwargs):
+        raise AssertionError("the family sum was built")
+
+    monkeypatch.setattr("extamen.approx.countable_sum", no_sum)
+    for n in (GOLDEN_MAX_N + 1, 99_999_999_999):
+        with pytest.raises(CapExceeded, match=f"golden witness level {n} exceeds the cap"):
+            golden_witness((ROOT,), n)
+
+
 def test_golden_witness_random_configs():
     verts = ball(ROOT, 6).vertices
     rng = random.Random(2)
@@ -345,6 +366,21 @@ def test_golden_witness_random_configs():
         w = golden_witness(E, n)
         assert w.deviation >= pow2(-n), f"{E} n={n}"
         assert len(w.word) <= n
+        assert (w.word, w.index, w.case, w.deviation) == oracles.golden_witness(E, n)
+
+
+def test_golden_witness_matches_the_dyadic_oracle():
+    # the witness on addresses against the golden path of Dyadic vertices
+    verts = ball(ROOT, 5).vertices
+    rng = random.Random(29)
+    cases = set()
+    for _ in range(200):
+        n = rng.randint(4, 8)
+        E = config(rng.sample(verts, rng.randrange(n - 1)))
+        w = golden_witness(E, n)
+        assert (w.word, w.index, w.case, w.deviation) == oracles.golden_witness(E, n), (E, n)
+        cases.add((w.case, w.index > 0))
+    assert len(cases) == 4
 
 
 def test_construct_single_frozen_constants():
@@ -438,6 +474,12 @@ def test_find_vertex_below_scans_without_hint():
     bare = replace(phi_family(0), find_below=None)
     q = find_vertex_below(bare, pow2(-7))
     assert bare(q) < pow2(-7)
+    # the scan on addresses against the scan of Dyadic levels
+    for phi in oracles.scan_fns():
+        bare = replace(phi, find_below=None)
+        for t in (Fraction(3, 4), Fraction(1, 5), pow2(-5), Fraction(3, 1000)):
+            want = oracles.scan_below(bare, t, 12)
+            assert want is not None and find_vertex_below(bare, t) == want, (phi.name, t)
 
 
 def test_find_vertex_below_scan_gives_up():

@@ -88,6 +88,12 @@ def test_exit_two_on_cap(capsys):
      "explicit:257 exceeds the lamp cap 256"),
     (["approx", "refute", "--set", "explicit:100000", "--n", "2"],
      "explicit:100000 exceeds the lamp cap 256"),
+    # the witness's fractions lie over about 2^n, past what Python prints
+    # from n = 14,286 on; 99999999999 would not fit in memory
+    (["approx", "refute", "--set", "p", "--n", "15000"],
+     "golden witness level 15000 exceeds the cap 8192"),
+    (["approx", "refute", "--set", "p", "--n", "99999999999"],
+     "golden witness level 99999999999 exceeds the cap 8192"),
 ])
 def test_unbounded_sizes_exit_two_at_once(capsys, argv, message):
     # the series cost about N^3.3 and the explicit family n^2, so both are capped
@@ -396,14 +402,14 @@ PACKAGE_EXPORTS = {
     "graph": (
         "Ball Hair Skeleton act_letter act_word ball boundary_ratio classify "
         "folner_hair_segment get_orientation golden_path hair_point neighbors "
-        "root_hair_letter struct_info subtree_T vertex_at"
+        "root_hair_letter vertex_at"
     ),
     "harmonic": (
         "VertexFn canonical_phi_u hair_property_suite harmonic_witness_search "
         "is_superharmonic_on level_min markov_apply_X phi_family pow2"
     ),
     "lamplighter": (
-        "Config SetFn apply_letter apply_word config markov_iterate orbit_enumerate "
+        "Config SetFn apply_letter config markov_iterate orbit_enumerate "
         "parse_config serialize_config switch_invariant_check"
     ),
     "minfn": (

@@ -1,11 +1,14 @@
+import ast
 from array import array
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import extamen
 from extamen.dyadic import Dyadic, ROOT, letter_map, word_to_pl
 from extamen.errors import CapExceeded
 from extamen.graph import (
@@ -24,17 +27,16 @@ from extamen.graph import (
     folner_hair_segment,
     golden_path,
     hair_point,
+    leaving_share,
     neighbors,
     node_info,
     struct_act,
-    struct_info,
-    subtree_T,
     vertex,
     vertex_at,
 )
 from extamen.harmonic import VertexFn, canonical_phi_u, phi_family
 from extamen.minfn import minfun
-from oracles import classify_by_turns
+from oracles import classify_by_turns, struct_info, subtree_T
 
 
 def dy(num, exp):
@@ -322,6 +324,34 @@ def test_struct_act_matches_act_letter_on_random_dyadics(v, ch):
     assert struct_act(ch, code(v)) == code(act_letter(ch, v))
 
 
+def test_only_graph_names_the_dyadic_action():
+    # act_letter defines the graph and is the oracle of struct_act, which
+    # every runtime path moves addresses by.  Outside graph.py only
+    # lamplighter.apply_letter, the letter action on configurations of Dyadic
+    # vertices that the benchmark's tracer wraps, may name it (and import it)
+    found = set()
+
+    def scan(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scan(child, module, f"{where}.{child.name}".lstrip("."))
+                continue
+            if (
+                isinstance(child, ast.Name) and child.id == "act_letter"
+                or isinstance(child, ast.Attribute) and child.attr == "act_letter"
+                or isinstance(child, ast.alias) and child.name == "act_letter"
+            ):
+                found.add((module, where or "<module>"))
+            scan(child, module, where)
+
+    sources = sorted(Path(extamen.__file__).parent.rglob("*.py"))
+    assert len(sources) > 5
+    for path in sources:
+        if path.name != "graph.py":
+            scan(ast.parse(path.read_text()), path.stem, "")
+    assert found == {("lamplighter", "<module>"), ("lamplighter", "apply_letter")}, found
+
+
 # the bundled vertex functions read addresses; their Dyadic definitions on
 # struct_info are the oracles
 def _phi_u_oracle(v):
@@ -458,6 +488,8 @@ def test_struct_info_digests():
     assert struct_info(dy(9, 4)) == (0, True, 1)
     # hairs inherit the digest of their base
     assert struct_info(dy(13, 4)) == struct_info(dy(11, 4))
+    for v in (ROOT, dy(11, 4), dy(23, 5), dy(39, 6), dy(9, 4), dy(13, 4)):
+        assert node_info(code(v)[0]) == struct_info(v), v
 
 
 def test_subtree_membership():
@@ -480,6 +512,9 @@ def test_folner_segment_ratio_exact():
 def test_skeleton_sets_have_fat_boundary():
     verts = [v for v in ball(ROOT, 4).vertices if isinstance(classify(v), Skeleton)]
     assert boundary_ratio(verts) >= Fraction(1, 4)
+    # the share on addresses against the same share by the Dyadic action
+    for pts in (verts, folner_hair_segment(5), ball(ROOT, 3).vertices):
+        assert boundary_ratio(pts) == leaving_share(set(pts), EDGE_LABELS, act_letter)
 
 
 def test_ball_json_shape():

@@ -9,6 +9,7 @@ from extamen import harmonic
 from extamen.dyadic import Dyadic, ROOT
 from extamen.errors import CapExceeded, PreconditionFailed
 from extamen.graph import (
+    ROOT_CODE,
     Hair,
     ball,
     classify,
@@ -16,7 +17,6 @@ from extamen.graph import (
     golden_path,
     hair_point,
     node_info,
-    struct_info,
     vertex,
     vertex_at,
 )
@@ -33,6 +33,8 @@ from extamen.harmonic import (
     pow2,
 )
 from extamen.minfn import _PHI_MAX_INDEX
+import oracles
+from oracles import neighbor_mean, struct_info
 
 
 def dy(num, exp):
@@ -60,7 +62,7 @@ def test_phi_u_values():
 
 def test_phi_u_margin_only_at_root():
     phi = canonical_phi_u()
-    assert markov_apply_X(phi, ROOT) == 3
+    assert markov_apply_X(phi, ROOT_CODE) == neighbor_mean(phi, ROOT) == 3
     rep = is_superharmonic_on(phi, ball(ROOT, 4))
     assert rep.ok
     for v, _, _, margin in rep.entries:
@@ -185,7 +187,7 @@ def _ray_fn(increment):
             return Fraction(1 + increment * addr.offset)
         return Fraction(1, 4)
 
-    return fn
+    return VertexFn(f"ray:{increment}", lambda c: fn(vertex(*c)))
 
 
 def test_hair_suite_linear_growth_passes():
@@ -202,7 +204,7 @@ def test_hair_suite_rejects_non_superharmonic_base():
 
 def test_hair_suite_rejects_nonpositive():
     with pytest.raises(PreconditionFailed):
-        hair_property_suite(lambda v: Fraction(0), ROOT, 3)
+        hair_property_suite(VertexFn("zero", lambda c: Fraction(0)), ROOT, 3)
 
 
 def test_level_min_phi_u():
@@ -225,7 +227,19 @@ def test_level_min_rejects_interior_minimum():
         return Fraction(2) if depth == 1 else Fraction(3)
 
     with pytest.raises(PreconditionFailed):
-        level_min(dip, 2)
+        level_min(VertexFn("dip", lambda c: dip(vertex(*c))), 2)
+
+
+def test_level_min_matches_the_dyadic_scan():
+    for phi in oracles.scan_fns():
+        for n in range(9):
+            assert level_min(phi, n) == oracles.level_min(phi, n), (phi.name, n)
+
+
+def test_markov_apply_matches_the_dyadic_neighbour_mean():
+    for phi in oracles.scan_fns():
+        for v in ball(ROOT, 5).vertices:
+            assert markov_apply_X(phi, code(v)) == neighbor_mean(phi, v), (phi.name, v)
 
 
 def test_level_min_refuses_a_level_past_the_scan_width(monkeypatch):
@@ -235,7 +249,7 @@ def test_level_min_refuses_a_level_past_the_scan_width(monkeypatch):
         raise AssertionError("the scan started")
 
     assert harmonic.SCAN_WIDTH_CAP == 1 << 16
-    monkeypatch.setattr(harmonic, "act_letter", refuse_to_scan)
+    monkeypatch.setattr(harmonic, "struct_act", refuse_to_scan)
     with pytest.raises(CapExceeded, match="skeleton level 17 is wider than the scan cap 65536"):
         level_min(canonical_phi_u(), 17)
     monkeypatch.undo()
@@ -297,11 +311,11 @@ def test_superharmonic_report_roundtrip():
 
 
 def _sweep_reference(phi, region, tol=0):
-    """The per-vertex sweep: phi and markov_apply_X at each interior vertex."""
+    """The per-vertex sweep: phi and its neighbour mean at each interior vertex."""
     rep = SuperharmonicReport(region.center, region.radius)
     for v in region.interior():
         val = phi(v)
-        pval = markov_apply_X(phi, v)
+        pval = neighbor_mean(phi, v)
         margin = val - pval
         rep.entries.append((v, val, pval, margin))
         if margin < -tol:

@@ -24,7 +24,6 @@ from extamen.lamplighter import (
     LAMP_LETTERS,
     SetFn,
     apply_letter,
-    apply_word,
     config,
     lamp_action,
     markov_iterate,
@@ -37,7 +36,7 @@ from extamen.lamplighter import (
 from extamen.minfn import minfun
 from extamen.harmonic import canonical_phi_u
 from extamen.walks import spectral_radius_proxy
-from oracles import transition_series
+from oracles import apply_word, dyadic_move, transition_series
 
 
 def dy(num, exp):
@@ -131,14 +130,19 @@ def test_apply_word_rightmost_first():
 
 
 def test_orbit_depth_one():
-    orbit = orbit_enumerate(EMPTY, 1)
+    # addresses by default, Dyadic vertices by the Dyadic move
+    assert orbit_enumerate(EMPTY, 1) == {EMPTY: "", (ROOT_CODE,): "s"}
+    orbit = orbit_enumerate(EMPTY, 1, move=dyadic_move())
     assert orbit == {EMPTY: "", (ROOT,): "s"}
 
 
 def test_orbit_witness_words_replay():
-    orbit = orbit_enumerate(config([ROOT]), 3)
+    orbit = orbit_enumerate(config([ROOT]), 3, move=dyadic_move())
     assert all(apply_word((ROOT,), w) == C for C, w in orbit.items())
     assert all(len(w) <= 3 for w in orbit.values())
+    on_codes = orbit_enumerate((ROOT_CODE,), 3)
+    assert all(act_word(w, (ROOT_CODE,), lamp_action()) == C for C, w in on_codes.items())
+    assert list(on_codes.values()) == list(orbit.values())
 
 
 def test_orbit_cap():
@@ -328,12 +332,12 @@ def test_setfn_derives_fn_from_scaled():
 def test_switch_invariance_of_minfun():
     F = minfun(canonical_phi_u())
     rng = random.Random(11)
-    samples = [config(rng.sample(BALL6, rng.randrange(5))) for _ in range(50)]
-    ok, results = switch_invariant_check(F, samples)
+    samples = [to_codes(config(rng.sample(BALL6, rng.randrange(5)))) for _ in range(50)]
+    ok, results = switch_invariant_check(F.fn, samples)
     assert ok, [str(E) for E, flag in results if not flag]
 
 
 def test_switch_invariance_catches_size_counter():
     sized = lambda E: Fraction(len(E))
-    ok, _ = switch_invariant_check(sized, [EMPTY, (ROOT,)])
+    ok, _ = switch_invariant_check(sized, [EMPTY, (ROOT_CODE,)])
     assert not ok

@@ -17,7 +17,6 @@ from extamen.graph import (
     ball,
     hair_point,
     node_info,
-    struct_info,
     vertex,
     vertex_at,
 )
@@ -38,6 +37,7 @@ from extamen.minfn import (
     resolve_setfn,
     weighted_sum,
 )
+from oracles import dyadic_move, struct_info
 
 
 def dy(num, exp):
@@ -67,15 +67,23 @@ def test_minfun_warns_without_root_max():
         minfun(grows)
 
 
+def _T_on_vertices(F, E, alpha):
+    """T_operator on a configuration of Dyadic vertices, moved by act_letter."""
+    move = dyadic_move()
+    t1 = (F(move("a", E)) + F(move("b", E)) + F(move("A", E)) + F(move("B", E))) / 4
+    return alpha * t1 + (1 - alpha) * F(move("s", E))
+
+
 def test_T_operator_interpolates():
     F = minfun(canonical_phi_u())
     E = config([dy(11, 4)])
+    C = to_codes(E)
     # alpha = 4/5 is the plain 5-letter walk
-    assert T_operator(F, E, Fraction(4, 5)) == markov_iterate(F, to_codes(E), 1)
+    assert T_operator(F, C, Fraction(4, 5)) == markov_iterate(F, C, 1)
     for alpha in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-        assert T_operator(F, E, alpha) <= F(E), f"alpha={alpha}"
+        assert T_operator(F, C, alpha) <= F(E), f"alpha={alpha}"
     with pytest.raises(ValueError):
-        T_operator(F, E, Fraction(1))
+        T_operator(F, C, Fraction(1))
 
 
 def test_T_never_exceeds_superharmonic_F():
@@ -84,7 +92,9 @@ def test_T_never_exceeds_superharmonic_F():
     for E in rand_configs(60, seed=5):
         for F in fns:
             for alpha in alphas:
-                assert T_operator(F, E, alpha) <= F(E), f"{F.name} at {E}"
+                got = T_operator(F, to_codes(E), alpha)
+                assert got == _T_on_vertices(F, E, alpha), f"{F.name} at {E}"
+                assert got <= F(E), f"{F.name} at {E}"
 
 
 def test_transfer_of_violation():
@@ -236,12 +246,12 @@ def assert_matches_oracle(F, configs):
 def test_phi_family_sum_matches_oracle_on_explicit_orbits():
     for n in range(1, 8):
         F = countable_sum(phi_family, pow2(-n), tail_bound=phi_family_tail_bound)
-        assert_matches_oracle(F, orbit_enumerate(explicit_En_hairs(n), n))
+        assert_matches_oracle(F, orbit_enumerate(explicit_En_hairs(n), n, move=dyadic_move()))
 
 
 def test_phi_family_sum_matches_oracle_on_countable_orbit():
     result = construct_En_countable(4)
-    assert_matches_oracle(result.setfn, orbit_enumerate(result.E, 4))
+    assert_matches_oracle(result.setfn, orbit_enumerate(result.E, 4, move=dyadic_move()))
 
 
 def test_phi_family_sum_reads_nodes_as_node_info_does():

@@ -24,15 +24,15 @@ from extamen.graph import (
     vertex,
     vertex_at,
 )
-from extamen.harmonic import canonical_phi_u, pow2
+from extamen.harmonic import VertexFn, canonical_phi_u, pow2
 from extamen.lamplighter import (
     EMPTY,
     LAMP_LETTERS,
     Config,
     SetFn,
     apply_letter,
-    apply_word,
     config,
+    to_codes,
 )
 from extamen.minfn import minfun
 from extamen.walks import (
@@ -63,7 +63,7 @@ from extamen.walks import (
     spectral_radius_proxy,
     supermartingale_check,
 )
-from oracles import transition_series
+from oracles import apply_word, neighbor_mean, transition_series
 
 
 def dy(num, exp):
@@ -706,15 +706,21 @@ def test_delta_check_small_radius():
 
 
 def test_supermartingale_check_vertex_mode():
-    rep = supermartingale_check(canonical_phi_u(), ball(ROOT, 3).vertices, mode="X")
+    rep = supermartingale_check(canonical_phi_u(), ball(ROOT, 3).addresses, mode="X")
     assert rep.ok and rep.checked == len(ball(ROOT, 3).vertices)
+    # a function with violations, against its margins on the Dyadic vertices
+    bump = VertexFn("bump", lambda c: Fraction(3 if c == (4, 0) else 2, 1 + abs(c[1])))
+    B = ball(ROOT, 3)
+    want = [(c, bump(v) - neighbor_mean(bump, v)) for c, v in zip(B.addresses, B.vertices)]
+    rep = supermartingale_check(bump, B.addresses, mode="X")
+    assert rep.violations == [(c, m) for c, m in want if m < 0] != []
 
 
 def test_supermartingale_check_lamp_mode():
     F = minfun(canonical_phi_u())
     verts = ball(ROOT, 4).vertices
     rng = random.Random(6)
-    states = [config(rng.sample(verts, rng.randrange(4))) for _ in range(40)]
+    states = [to_codes(config(rng.sample(verts, rng.randrange(4)))) for _ in range(40)]
     rep = supermartingale_check(F, states)
     assert rep.ok and rep.checked == 40
 
