@@ -11,8 +11,8 @@ from importlib import import_module
 _EXPORTS = {
     "dyadic": """Dyadic ONE PLMap ROOT ZERO cocycle_eval cocycle_identity_check gen_a
         gen_b letter_map parse_dyadic word_to_pl""",
-    "errors": """CapExceeded ExtamenError MissingTailBound PreconditionFailed
-        PropertySelfTestFailed SearchExhausted StructuralAssertFailed ZeroBase""",
+    "errors": """CapExceeded ExtamenError PreconditionFailed PropertySelfTestFailed
+        SearchExhausted StructuralAssertFailed ZeroBase""",
     "graph": """Ball Hair Skeleton act_letter act_word ball boundary_ratio classify
         folner_hair_segment get_orientation golden_path hair_point neighbors
         root_hair_letter vertex_at""",
@@ -23,7 +23,7 @@ _EXPORTS = {
     "minfn": """SymmetricConcaveFn T_operator countable_sum generalized_minfun
         markov_image minfun non_superharmonic_transfer phi_family_tail_bound
         r_family_kmean resolve_setfn weighted_sum""",
-    "approx": """BetaSchedule BETA_SCHEDULES construct_En_countable construct_En_markov
+    "approx": """BETA_SCHEDULES construct_En_countable construct_En_markov
         construct_En_single construct_En_sum explicit_En_hairs generalized_En_search
         golden_witness strong_verify weak_verify""",
     "walks": """StructuralLampWalk WalkConfig delta_check_phi_u green_mc green_partial

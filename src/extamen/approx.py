@@ -61,7 +61,6 @@ from .minfn import (
 )
 
 __all__ = [
-    "BetaSchedule",
     "BETA_SCHEDULES",
     "VerifyReport",
     "strong_verify",
@@ -81,20 +80,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BetaSchedule:
-    """Tolerance as a function of the level n."""
-
-    name: str
-    fn: Callable[[int], Fraction]
-
-    def value(self, n: int) -> Fraction:
-        return self.fn(n)
-
-
-BETA_SCHEDULES = {
-    "inv_n": BetaSchedule("inv_n", lambda n: Fraction(1, n)),
-    "inv_2n": BetaSchedule("inv_2n", lambda n: pow2(-n)),
+# tolerance schedules: name -> the tolerance beta(n) at level n
+BETA_SCHEDULES: dict[str, Callable[[int], Fraction]] = {
+    "inv_n": lambda n: Fraction(1, n),
+    "inv_2n": lambda n: pow2(-n),
 }
 
 
@@ -186,7 +175,7 @@ def strong_verify(F, E: Config, n: int, beta: Fraction, cap: int = 10**6) -> Ver
     """Exact relative deviation of F over the whole length-<=n orbit of E."""
     return _deviation_scan(
         F, E, n, beta, "strong",
-        lambda C: orbit_enumerate(C, n, cap=cap, move=lamp_action()).items(),
+        lambda C: orbit_enumerate(C, n, cap=cap).items(),
     )
 
 
@@ -265,7 +254,7 @@ def _require_level(n: int) -> None:
 
 
 def construct_En_single(
-    phi, n: int, beta: BetaSchedule = BETA_SCHEDULES["inv_n"]
+    phi, n: int, beta: Callable[[int], Fraction] = BETA_SCHEDULES["inv_n"]
 ) -> ConstructionResult:
     """One lamp far out on a hair under a vertex where phi is already tiny."""
     _require_level(n)
@@ -279,7 +268,7 @@ def construct_En_single(
         E=E,
         setfn=minfun(phi),
         n=n,
-        beta=beta.value(n),
+        beta=beta(n),
         notes=(
             ("level_min", str(r_n)),
             ("threshold", str(threshold)),
@@ -292,7 +281,7 @@ def construct_En_single(
 def construct_En_sum(
     phis: Sequence[VertexFn],
     n: int,
-    beta: BetaSchedule = BETA_SCHEDULES["inv_n"],
+    beta: Callable[[int], Fraction] = BETA_SCHEDULES["inv_n"],
 ) -> ConstructionResult:
     """One lamp per unit-weight summand, each pinning its own minimum below the common floor."""
     _require_level(n)
@@ -308,7 +297,7 @@ def construct_En_sum(
         E=E,
         setfn=F,
         n=n,
-        beta=beta.value(n),
+        beta=beta(n),
         notes=(
             ("ball_floor", str(eps)),
             ("threshold", str(threshold)),
@@ -321,7 +310,7 @@ def construct_En_markov(
     phis: Sequence[VertexFn],
     powers: Sequence[int],
     n: int,
-    beta: BetaSchedule = BETA_SCHEDULES["inv_n"],
+    beta: Callable[[int], Fraction] = BETA_SCHEDULES["inv_n"],
 ) -> ConstructionResult:
     """Walk images only widen the word window, so delegate to the sum recipe
     at level n plus the largest power."""
@@ -337,17 +326,16 @@ def construct_En_markov(
         E=inner.E,
         setfn=F,
         n=n,
-        beta=beta.value(n),
+        beta=beta(n),
         notes=inner.notes + (("delegated_level", str(m)),),
     )
 
 
 def construct_En_countable(
-    n: int,
-    eps: Fraction = Fraction(1, 2**20),
-    beta: BetaSchedule = BETA_SCHEDULES["inv_n"],
+    n: int, beta: Callable[[int], Fraction] = BETA_SCHEDULES["inv_n"]
 ) -> ConstructionResult:
-    """Enough lamps that every summand of the family sum is pinned.
+    """Enough lamps that every summand of the family sum is pinned; the
+    target is that sum truncated with certified error 2^-20.
 
     The index cutoff N is driven by the smallest family value achieved, so
     beyond it the summands cannot see the root's n-ball at all and stay
@@ -369,12 +357,12 @@ def construct_En_countable(
         z = find_vertex_below(fam, floor_of(fam) / (16 * n * n))
         points.append(hair_point(z, 4 * n * n))
     E = config(points)
-    F = countable_sum(phi_family, eps, tail_bound=phi_family_tail_bound)
+    F = countable_sum(phi_family, pow2(-20), tail_bound=phi_family_tail_bound)
     return ConstructionResult(
         E=E,
         setfn=F,
         n=n,
-        beta=beta.value(n),
+        beta=beta(n),
         notes=(
             ("delta", str(delta)),
             ("index_cutoff", str(N)),
@@ -395,7 +383,7 @@ CONSTRUCTIONS = {
 
 def construct(
     kind: str, n: int, fn: Optional[str] = None, powers: Optional[str] = None,
-    beta: BetaSchedule = BETA_SCHEDULES["inv_n"],
+    beta: Callable[[int], Fraction] = BETA_SCHEDULES["inv_n"],
 ) -> ConstructionResult:
     """Construction kind at level n on the vertex functions named in fn
     (comma-separated; CONSTRUCTIONS[kind] by default) and, for markov, the
@@ -513,9 +501,10 @@ def golden_witness(E: Config, n: int, F: Optional[SetFn] = None) -> WitnessResul
         case = "vacant-path"
     base = F.fn(C)
     deviation = (base - F.fn(act_word(word, C, lamp_action()))) / base
-    assert deviation >= pow2(-n), (
-        f"witness {word!r} moved the sum by {deviation}, below {pow2(-n)}"
-    )
+    if deviation < pow2(-n):
+        raise StructuralAssertFailed(
+            f"witness {word!r} moved the sum by {deviation}, below {pow2(-n)}"
+        )
     return WitnessResult(
         word=word, index=i, case=case, base_value=base, deviation=deviation
     )
@@ -543,7 +532,7 @@ def generalized_En_search(
     r: SymmetricConcaveFn,
     phi,
     n: int,
-    beta: BetaSchedule = BETA_SCHEDULES["inv_n"],
+    beta: Callable[[int], Fraction] = BETA_SCHEDULES["inv_n"],
     budget: int = 8,
     cap: int = 10**6,
 ) -> SearchResult:
@@ -576,7 +565,7 @@ def generalized_En_search(
                     frontier={"candidate": t, "collected": len(bases)},
                 )
         E = config(hair_point(q, n * n) for q in bases)
-        report = strong_verify(F, E, n, beta.value(n), cap=cap)
+        report = strong_verify(F, E, n, beta(n), cap=cap)
         if report.passed:
             return SearchResult(found=E, tried=tried, report=report)
         last = report

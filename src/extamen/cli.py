@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Every subcommand prints a one-line summary and can write report.json plus an
-optional series.csv under --out.  Those two files carry no timestamps and
-re-running the same command reproduces them byte for byte; volatile data
+optional series.csv under --out; of the shared options --n, --seed and --cap
+it takes only those its handler reads.  Those two files carry no timestamps
+and re-running the same command reproduces them byte for byte; volatile data
 (wall clock, output hashes, orientation and root-hair conventions) go to the
 accompanying manifest.json instead.
 
@@ -11,7 +12,9 @@ property failed (or the inputs were unusable: an unknown or inexact name,
 a phi:<i> index above its bound, a set that does not parse, cannot be read,
 holds 0 or 1 or names a recipe below its least n, a negative seed, a
 negative or oversized size, zero trials, steps or samples), 2 when a
-resource cap or search budget was exhausted.
+resource cap or search budget was exhausted or when the command line does
+not parse (an unknown option or a non-integer value: argparse's usage text
+on stderr).
 """
 
 from __future__ import annotations
@@ -205,7 +208,7 @@ def _cmd_approx_verify(args):
     with _resolving():
         F = resolve_setfn(args.fn)
         E = parse_set_spec(args.set)
-    beta = approx.BETA_SCHEDULES[args.beta].value(args.n)
+    beta = approx.BETA_SCHEDULES[args.beta](args.n)
     if args.weak:
         rep = approx.weak_verify(F, E, args.n, beta, samples=args.samples, seed=args.seed)
     else:
@@ -335,26 +338,30 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="extamen")
     sub = top.add_subparsers(dest="group", required=True)
 
-    def common(p, *, n_default=None, cap_default=10**6):
-        p.add_argument("--n", type=int, default=n_default)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cap", type=int, default=cap_default)
+    def common(p, *, n=None, seed=False, cap=None):
+        # the shared options the handler reads, always in this order, then --out
+        if n is not None:
+            p.add_argument("--n", type=int, default=n)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if cap is not None:
+            p.add_argument("--cap", type=int, default=cap)
         p.add_argument("--out", default=None)
 
     graph = sub.add_parser("graph").add_subparsers(dest="action", required=True)
     g = graph.add_parser("explore")
-    common(g, n_default=4)
+    common(g, n=4, cap=10**6)
     g.set_defaults(handler=_cmd_graph_explore)
 
     fn = sub.add_parser("fn").add_subparsers(dest="action", required=True)
     f = fn.add_parser("check")
-    common(f, n_default=6)
+    common(f, n=6, cap=10**6)
     f.add_argument("--fn", required=True)
     f.set_defaults(handler=_cmd_fn_check)
 
     ap = sub.add_parser("approx").add_subparsers(dest="action", required=True)
     v = ap.add_parser("verify")
-    common(v, n_default=4)
+    common(v, n=4, seed=True, cap=10**6)
     v.add_argument("--fn", required=True)
     v.add_argument("--set", required=True)
     v.add_argument("--beta", choices=BETA_CHOICES, default="inv_n")
@@ -362,31 +369,31 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--samples", type=int, default=500)
     v.set_defaults(handler=_cmd_approx_verify)
     c = ap.add_parser("construct")
-    common(c, n_default=4)
+    common(c, n=4, cap=10**6)
     c.add_argument("--kind", choices=KIND_CHOICES, required=True)
     c.add_argument("--fn", default=None)
     c.add_argument("--powers", default=None)
     c.add_argument("--beta", choices=BETA_CHOICES, default="inv_n")
     c.set_defaults(handler=_cmd_approx_construct)
     rf = ap.add_parser("refute")
-    common(rf, n_default=5)
+    common(rf, n=5)
     rf.add_argument("--set", required=True)
     rf.set_defaults(handler=_cmd_approx_refute)
 
     walk = sub.add_parser("walk").add_subparsers(dest="action", required=True)
     wg = walk.add_parser("green")
     # green_mc budgets (trials * steps) exceed the generic cap
-    common(wg, n_default=30, cap_default=10**10)
+    common(wg, n=30, seed=True, cap=10**10)
     wg.add_argument("--r", default="1")
     wg.add_argument("--trials", type=int, default=0)
     wg.add_argument("--steps", type=int, default=10**5)
     wg.set_defaults(handler=_cmd_walk_green)
     wr = walk.add_parser("return")
-    common(wr, n_default=30)
+    common(wr, n=30)
     wr.set_defaults(handler=_cmd_walk_return)
     wd = walk.add_parser("decay")
     # like green_mc, a decay run is budgeted by trials * steps
-    common(wd, cap_default=10**10)
+    common(wd, seed=True, cap=10**10)
     wd.add_argument("--trials", type=int, default=100)
     wd.add_argument("--steps", type=int, default=1000)
     wd.add_argument("--checkpoints", default="100,1000")
@@ -395,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cx = sub.add_parser("cx").add_subparsers(dest="action", required=True)
     s = cx.add_parser("scan")
-    common(s)
+    common(s, seed=True)
     s.add_argument("--trials", type=int, default=200)
     s.set_defaults(handler=_cmd_cx_scan)
     return top

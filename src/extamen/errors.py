@@ -37,9 +37,5 @@ class PreconditionFailed(ExtamenError):
     """The input function does not satisfy a required hypothesis."""
 
 
-class MissingTailBound(ExtamenError):
-    """A countable sum was requested without a certified tail bound."""
-
-
 class PropertySelfTestFailed(ExtamenError):
     """A user-supplied function failed its randomized property self-test."""

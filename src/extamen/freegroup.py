@@ -41,7 +41,8 @@ _INV = {"a": "A", "A": "a", "b": "B", "B": "b"}
 
 
 class ZVertex:
-    """Either a reduced word not starting with 'a', or a tail point k >= 1.
+    """Either a reduced word over aAbB not starting with 'a', or a tail point
+    k >= 1; anything else is a ValueError.
 
     A slotted value type, immutable by contract: nothing assigns a field
     after __init__.  Equal only to a ZVertex, and hashed as the (kind,
@@ -54,9 +55,14 @@ class ZVertex:
         if kind == "word":
             if word.startswith("a"):
                 raise ValueError("words starting with 'a' live on the tail")
-            for i in range(len(word) - 1):
-                if _INV[word[i]] == word[i + 1]:
+            last = ""
+            for ch in word:
+                inv = _INV.get(ch)
+                if inv is None:
+                    raise ValueError(f"word {word!r} has a letter outside aAbB")
+                if inv == last:
                     raise ValueError(f"word {word!r} is not reduced")
+                last = ch
         elif kind == "tail":
             if k < 1:
                 raise ValueError("tail index starts at 1")

@@ -9,7 +9,8 @@ form from that picture, and vertex(node, m) inverts it; classify reads the
 same digits.  The test suite checks them against the local rules of the
 action (children, parent, hair steps and loops) on a ball and on random
 dyadics.  The skeleton orientation is fixed: the a-image of a skeleton vertex
-is its L child and the b-image its R child.
+is its L child and the b-image its R child.  So is the designated root hair:
+the one walked by B.
 
 struct_act is the action on addresses and node_info the subtree digest of an
 address's node.  Every runtime path of the package (balls, level scans,
@@ -18,9 +19,10 @@ them by struct_act and builds a Dyadic by vertex only for what it returns or
 reports; a Ball does so once per vertex.  act_letter, the Dyadic action, is
 the definition of the graph and the oracle struct_act is tested against.
 
-The search, leaving-edge shares and the walk step at the end take the action
-as arguments, so the free-group graph of ``freegroup`` uses them too; bfs, the
-one breadth-first search, records the position of every image as it goes.
+act_word, the fold of a word, and the search, leaving-edge shares and walk
+step at the end take the action as arguments, so the free-group graph of
+``freegroup`` uses them too; bfs, the one breadth-first search, records the
+position of every image as it goes.
 """
 
 from __future__ import annotations
@@ -104,8 +106,8 @@ def act_letter(ch: str, d: Dyadic) -> Dyadic:
     raise ValueError(f"unknown letter {ch!r}")
 
 
-def act_word(w: str, d, act=act_letter):
-    """Fold act(letter, state) over a word, rightmost letter first (act_letter by default)."""
+def act_word(w: str, d, act):
+    """Fold act(letter, state) over a word, rightmost letter first."""
     for ch in reversed(w):
         d = act(ch, d)
     return d
@@ -313,22 +315,17 @@ def _lead(q: int) -> int:
     return (q ^ (q + 1)).bit_length() - 1
 
 
-def root_hair_letter(root_hair: str | None = None) -> str:
-    """Which inverse letter walks the designated root hair (default 'B').
-
-    The root carries two hairs; the bundled constructions that walk hairs by
-    repeated A-steps use the other one, so 'B' is the neutral default.  The
-    choice is recorded in every CLI manifest.
-    """
-    if root_hair is None:
-        return "B"
-    if root_hair not in ("A", "B"):
-        raise ValueError("root hair must be 'A' or 'B'")
-    return root_hair
+def root_hair_letter() -> str:
+    """'B', the inverse letter that walks the designated root hair, a fixed
+    convention like the orientation.  The root carries two hairs; the bundled
+    constructions that walk hairs by repeated A-steps use the other one, which
+    stays reachable as vertex(1, m).  Manifests record it."""
+    return "B"
 
 
-def hair_point(base: Dyadic, m: int, root_hair: str | None = None) -> Dyadic:
-    """The vertex m steps out on the hair attached at the skeleton vertex base."""
+def hair_point(base: Dyadic, m: int) -> Dyadic:
+    """The vertex m steps out on the hair attached at the skeleton vertex base
+    (at the root, the designated hair, walked by B)."""
     if m < 0:
         raise ValueError("hair offset must be >= 0")
     q, depth, offset = _digits(base)
@@ -336,11 +333,8 @@ def hair_point(base: Dyadic, m: int, root_hair: str | None = None) -> Dyadic:
         raise StructuralAssertFailed(f"{base} is not a skeleton vertex")
     if m == 0:
         return base
-    if depth:
-        # the inverse of the last letter steps back up: after an 'a', B walks the hair
-        by_b = q >> (depth - 1)
-    else:
-        by_b = root_hair_letter(root_hair) == "B"
+    # the inverse of the last letter steps back up: after an 'a', B walks the hair
+    by_b = q >> (depth - 1) if depth else True
     return vertex(1 << depth | q, -m if by_b else m)
 
 
@@ -427,12 +421,11 @@ def ball(center: Dyadic, radius: int, cap: int = 10**6) -> Ball:
 # hair segments as small-boundary sets
 
 
-def folner_hair_segment(L: int, root_hair: str | None = None) -> tuple[Dyadic, ...]:
-    """L consecutive points on the designated root hair, offsets 1..L."""
+def folner_hair_segment(L: int) -> tuple[Dyadic, ...]:
+    """L consecutive points on the designated root hair (walked by B), offsets 1..L."""
     if L < 1:
         raise ValueError("segment length must be >= 1")
-    sign = 1 if root_hair_letter(root_hair) == "A" else -1
-    return tuple(vertex(1, sign * m) for m in range(1, L + 1))
+    return tuple(vertex(1, -m) for m in range(1, L + 1))
 
 
 def boundary_ratio(segment: Iterable[Dyadic]) -> Fraction:

@@ -17,14 +17,10 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .dyadic import Dyadic, ROOT
-from .errors import (
-    MissingTailBound,
-    PreconditionFailed,
-    PropertySelfTestFailed,
-)
+from .errors import PreconditionFailed, PropertySelfTestFailed
 from .graph import ROOT_CODE, ball, code
 from .harmonic import VertexFn, canonical_phi_u, markov_apply_X, phi_family
 from .lamplighter import SetFn, lamp_action, markov_iterate
@@ -46,9 +42,10 @@ __all__ = [
 ]
 
 
-def _check_max_at_root(phi, radius: int = 3) -> bool:
+def _check_max_at_root(phi) -> bool:
+    """Whether phi takes its root value as its maximum on the radius-3 ball."""
     top = phi.fn(ROOT_CODE)
-    return all(phi.fn(c) <= top for c in ball(ROOT, radius).addresses)
+    return all(phi.fn(c) <= top for c in ball(ROOT, 3).addresses)
 
 
 def minfun(phi) -> SetFn:
@@ -151,8 +148,7 @@ def phi_family_tail_bound(eps: Fraction) -> int:
 def countable_sum(
     family: Callable[[int], VertexFn],
     eps: Fraction,
-    tail_bound: Optional[Callable[[Fraction], int]] = None,
-    family_name: str = "phi_family",
+    tail_bound: Callable[[Fraction], int],
 ) -> SetFn:
     """Truncated sum of min-functions of family(0), family(1), ... .
 
@@ -169,10 +165,9 @@ def countable_sum(
     and lead <= N; lead and depth are read off each lamp's node by integer
     operations.  With e_i the larger of i and the deepest such depth,
     F(E) = sum over i = 0..N of 2^-e_i, one integer over 2^max(e_i); the
-    empty set gives 2 - 2^-N.  Other families sum their minfun terms.
+    empty set gives 2 - 2^-N.  Other families sum their minfun terms, under
+    the same name.
     """
-    if tail_bound is None:
-        raise MissingTailBound("countable_sum needs a certified tail bound")
     N = tail_bound(eps)
     if family is phi_family:
         fn, scaled = None, _phi_family_sum(N)
@@ -180,11 +175,11 @@ def countable_sum(
         terms = [minfun(family(i)) for i in range(N + 1)]
         fn, scaled = _linear([1] * len(terms), terms), None
     return SetFn(
-        name=f"sum:{family_name}:eps={eps}",
+        name=f"sum:phi_family:eps={eps}",
         fn=fn,
         switch_invariant=True,
         superharmonic=True,
-        meta=(("truncation_N", N), ("certified_error", eps), ("family", family_name)),
+        meta=(("truncation_N", N), ("certified_error", eps)),
         scaled=scaled,
     )
 
@@ -238,8 +233,8 @@ class SymmetricConcaveFn:
     """Symmetric, concave, coordinatewise non-decreasing function on (0,1]^arity.
 
     Declared properties cannot be certified for arbitrary callables, so
-    ensure_tested() probes them with random exact-rational points and raises
-    PropertySelfTestFailed on any counterexample.
+    ensure_tested() probes them at 1000 seeded random exact-rational points
+    and raises PropertySelfTestFailed on any counterexample.
     """
 
     name: str
@@ -251,16 +246,16 @@ class SymmetricConcaveFn:
             raise ValueError(f"{self.name} expects {self.arity} coordinates")
         return self.fn(xs)
 
-    def ensure_tested(self, probes: int = 1000, seed: int = 0) -> None:
+    def ensure_tested(self) -> None:
         if getattr(self, "_tested", False):
             return
-        rng = random.Random(seed)
+        rng = random.Random(0)
         m = self.arity
 
         def rand_point():
             return tuple(Fraction(rng.randint(1, 64), 64) for _ in range(m))
 
-        for _ in range(probes):
+        for _ in range(1000):
             u = rand_point()
             val = self.fn(u)
             if val < 0:

@@ -138,7 +138,7 @@ def scan_below(phi, threshold, max_depth: int):
 
 def explicit_hairs(n: int) -> tuple:
     """The configuration A^n b^n a^j . root for j = 0..n-1."""
-    return config(act_word("A" * n + "b" * n + "a" * j, ROOT) for j in range(n))
+    return config(act_word("A" * n + "b" * n + "a" * j, ROOT, act_letter) for j in range(n))
 
 
 def golden_witness(E: tuple, n: int) -> tuple:

@@ -61,10 +61,9 @@ def family_sum(n):
 
 
 def test_beta_schedules():
-    assert BETA_SCHEDULES["inv_n"].value(4) == Fraction(1, 4)
-    assert BETA_SCHEDULES["inv_2n"].value(4) == Fraction(1, 16)
+    assert BETA_SCHEDULES["inv_n"](4) == Fraction(1, 4)
+    assert BETA_SCHEDULES["inv_2n"](4) == Fraction(1, 16)
     assert set(BETA_SCHEDULES) == {"inv_n", "inv_2n"}
-    assert all(schedule.name == name for name, schedule in BETA_SCHEDULES.items())
 
 
 def test_explicit_first_levels():
@@ -341,6 +340,13 @@ def test_golden_witness_preconditions():
         golden_witness((ROOT,), 2)
     with pytest.raises(PreconditionFailed):
         golden_witness(EMPTY, 1)
+
+
+def test_golden_witness_checks_its_guarantee():
+    # a target the word cannot move fails the check, also under python -O
+    flat = SetFn(name="flat", fn=lambda C: Fraction(1))
+    with pytest.raises(StructuralAssertFailed, match="moved the sum by 0"):
+        golden_witness((ROOT,), 5, F=flat)
 
 
 def test_golden_witness_cap_refuses_before_building_the_sum(monkeypatch):

@@ -239,6 +239,62 @@ def test_usage_error_exits_two():
     assert exc.value.code == 2
 
 
+# shared options that no handler of these subcommands reads, so none is parsed
+DROPPED_FLAGS = [
+    ["graph", "explore", "--seed", "1"],
+    ["fn", "check", "--fn", "phi_u", "--seed", "1"],
+    ["approx", "construct", "--kind", "single", "--seed", "1"],
+    ["approx", "refute", "--set", "p", "--seed", "1"],
+    ["approx", "refute", "--set", "p", "--cap", "10"],
+    ["walk", "return", "--seed", "1"],
+    ["walk", "return", "--cap", "10"],
+    ["walk", "decay", "--n", "5"],
+    ["cx", "scan", "--n", "3"],
+    ["cx", "scan", "--cap", "10"],
+]
+
+
+@pytest.mark.parametrize("argv", DROPPED_FLAGS, ids=" ".join)
+def test_dropped_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+def _subcommand_parsers(parser, words=()):
+    """(words, parser) for every subcommand below parser."""
+    for action in parser._actions:
+        if isinstance(action.choices, dict):  # a subparsers action
+            for word, sub in action.choices.items():
+                yield from _subcommand_parsers(sub, (*words, word))
+    if parser.get_default("handler") is not None:
+        yield words, parser
+
+
+def test_every_option_is_read_by_its_handler():
+    # each subcommand's options, but --out, which main reads, are exactly the
+    # args.<name> its handler reads
+    from extamen import cli
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    handlers = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    commands = list(_subcommand_parsers(cli.build_parser()))
+    assert len(commands) == 9
+    total = 0
+    for words, parser in commands:
+        dests = {a.dest for a in parser._actions if a.option_strings} - {"help", "out"}
+        read = {
+            node.attr
+            for node in ast.walk(handlers[parser.get_default("handler").__name__])
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"
+        }
+        assert dests == read, " ".join(words)
+        total += len(dests) + 1
+    assert total == 45
+
+
 def test_outputs_are_deterministic(tmp_path):
     d1, d2 = tmp_path / "one", tmp_path / "two"
     for d in (d1, d2):
@@ -396,8 +452,8 @@ PACKAGE_EXPORTS = {
         "letter_map parse_dyadic word_to_pl"
     ),
     "errors": (
-        "CapExceeded ExtamenError MissingTailBound PreconditionFailed "
-        "PropertySelfTestFailed SearchExhausted StructuralAssertFailed ZeroBase"
+        "CapExceeded ExtamenError PreconditionFailed PropertySelfTestFailed "
+        "SearchExhausted StructuralAssertFailed ZeroBase"
     ),
     "graph": (
         "Ball Hair Skeleton act_letter act_word ball boundary_ratio classify "
@@ -418,7 +474,7 @@ PACKAGE_EXPORTS = {
         "resolve_setfn weighted_sum"
     ),
     "approx": (
-        "BetaSchedule BETA_SCHEDULES construct_En_countable construct_En_markov "
+        "BETA_SCHEDULES construct_En_countable construct_En_markov "
         "construct_En_single construct_En_sum explicit_En_hairs generalized_En_search "
         "golden_witness strong_verify weak_verify"
     ),
@@ -628,24 +684,26 @@ def test_parser_choices_copy_their_registries():
 
 
 # sha256 of the --help text (COLUMNS=80) of every parser, frozen from the
-# parser that read its choices off the registries; argparse lays help out
-# differently across Python versions, so the freeze holds for 3.11
+# parser that read its choices off the registries, and for the subcommands
+# whose options changed, from the parser that gives each subcommand only the
+# shared options its handler reads; argparse lays help out differently
+# across Python versions, so the freeze holds for 3.11
 HELP_DIGESTS = {
     "": "b9932700cd05dc342662c26d009b1ee969c843a23b681df5183ab0ab92446230",
     "graph": "858d9c7bb93005a207e14327d0501c729f3e514c8bcaab81af92fab5f7163ba9",
-    "graph explore": "b3477940f05c733cb49c97dcbb303fe0670d393c86b57c967ec10a5faeb2b88d",
+    "graph explore": "9e8932fef037802f3fbeb8c0174db2c8165e5235990b385f17db5c467a136681",
     "fn": "60f0658b042821621b0e150394c3d5239cd3ef9f492a88e8676476b37932c931",
-    "fn check": "5b94cdb1e622397085fe9f873b70b6fc1c4ba5bbd0e0c433491c0361811c10d9",
+    "fn check": "450e798603c7326011bbad6a0c566740b87b41ebd805a3dd744a4ab790ead7f6",
     "approx": "e3ce5977a4755380bbba550b46884178d2708644a3cc86cd4ec5c1041ef199b6",
     "approx verify": "c62cb2ea525461b1abb3e4e1042b34e3db52d7a0cd3e869289d2e89ba8e1c1b0",
-    "approx construct": "c4b7efa3716a8b5c94c3a666d8619dedc90876c30ae766fd46b274c6006ea80c",
-    "approx refute": "c4071d39b630454e1e0dadd4241fc98ad5ba479dd34f7946031ca15c5910c2aa",
+    "approx construct": "0a58695165397718310688c11717c07909b5138d369cd45102dadf38d2dabe97",
+    "approx refute": "7a9055b09e1d2b7edcf3c38acb35bdee357cb8d6a9f1cb95ded6075afa6170e2",
     "walk": "b29b030c3e83e90d71e7f2dd775a75578e91a114569e1903a8ceb92160163aa0",
     "walk green": "915e594f706f504e1d26d1c0a6c9019e533fd732deda10039977c33b95330b4b",
-    "walk return": "d57964e35cebfb2e389a0b0cb8e6093e7b24f95bf6578063822b9ae8ebc92de5",
-    "walk decay": "0d82f53f2d03fcdbfdd9e8069115b594158905b35f37b882c9075cf8f3d6fcb2",
+    "walk return": "64c91d99714d35ef6cdb10dacd3eac304cb501b695984a024f109dfd6cf8a9b4",
+    "walk decay": "079171bf1c2e7d726dfd54d340d8270995623a657dbd3d2d739aee0b9b0fe463",
     "cx": "5cd6652c56e9de32d9394fe469d16039fce3b4c6cf5e776d647df21c37a5e085",
-    "cx scan": "7b141788a9691ab36d10031b0624312f45a1404ffc1543c22f312cc571d6c5e6",
+    "cx scan": "90d63b8398eedae3b988c1ec09a277890b661948ea1391e51ea6573a0ddaff19",
 }
 
 

@@ -56,6 +56,10 @@ def test_vertex_validation():
         ZVertex("word", "bAbaAb")
     with pytest.raises(ValueError, match="tail index starts at 1"):
         ZVertex("tail", "", -3)
+    # an unknown letter anywhere, last included
+    for word in ("x", "Ax", "xb"):
+        with pytest.raises(ValueError, match="has a letter outside aAbB"):
+            ZVertex("word", word)
     assert str(Z_E) == "e" and str(tail(3)) == "tail(3)" and str(w("ba")) == "ba"
 
 

@@ -83,7 +83,7 @@ def test_act_letter_matches_pl_route(ch, x):
 @given(st.text(alphabet="aAbB", max_size=7), interior_dyadics())
 @settings(max_examples=100, deadline=None)
 def test_act_word_matches_pl_route(w, x):
-    assert act_word(w, x) == word_to_pl(w).apply(x)
+    assert act_word(w, x, act_letter) == word_to_pl(w).apply(x)
 
 
 @given(interior_dyadics())
@@ -160,11 +160,11 @@ def test_classify_consistent_with_vertex_at():
 def test_classify_deep_hair_needs_probe_doubling():
     for m in (20, 5000):
         for letter in ("A", "B"):
-            v = act_word(letter * m, ROOT)
+            v = act_word(letter * m, ROOT, act_letter)
             assert classify(v) == Hair((), m), f"{letter}^{m}"
             assert code(v) == (1, m if letter == "A" else -m)
             assert struct_info(v) == (0, False, 0)
-            assert v == hair_point(ROOT, m, root_hair=letter)
+            assert v == (vertex(1, m) if letter == "A" else hair_point(ROOT, m))
 
 
 def test_classify_rejects_non_vertices():
@@ -279,7 +279,7 @@ def test_closed_forms_match_letter_walks():
     turn = {"a": "L", "b": "R"}
     for d in range(11):
         for letters in product("ab", repeat=d):
-            base = act_word("".join(reversed(letters)), ROOT)
+            base = act_word("".join(reversed(letters)), ROOT, act_letter)
             node = 1 << d | sum(1 << i for i, ch in enumerate(letters) if ch == "a")
             path = tuple(turn[ch] for ch in letters)
             assert vertex_at(path) == walk_vertex_at(path) == base == vertex(node), path
@@ -289,12 +289,14 @@ def test_closed_forms_match_letter_walks():
             for away in aways:
                 sign = 1 if away == "A" else -1
                 for m, v in enumerate(walk_hair(base, away, 64 if d <= 6 else 4)):
-                    assert hair_point(base, m, root_hair=away) == v, (path, m)
+                    # at the root, hair_point walks the hair walked by B
+                    if d or away == "B":
+                        assert hair_point(base, m) == v, (path, m)
                     assert vertex(node, sign * m) == v and code(v) == (node, sign * m)
     for i in range(11):
         assert golden_path(i) == walk_golden_path(i)
-    for away in ("A", "B"):
-        assert folner_hair_segment(64, root_hair=away) == tuple(walk_hair(ROOT, away, 64)[1:])
+    assert folner_hair_segment(64) == tuple(walk_hair(ROOT, "B", 64)[1:])
+    assert tuple(vertex(1, m) for m in range(1, 65)) == tuple(walk_hair(ROOT, "A", 64)[1:])
 
 
 def test_code_is_injective_and_inverted_by_vertex_on_ball():
@@ -436,10 +438,8 @@ def test_vertex_rejects_hairs_the_base_lacks():
 
 def test_hair_points_on_both_root_rays():
     assert hair_point(ROOT, 3) == dy(15, 4)
-    assert hair_point(ROOT, 3, root_hair="A") == dy(1, 3)
+    assert vertex(1, 3) == dy(1, 3)
     assert hair_point(ROOT, 0) == ROOT
-    with pytest.raises(ValueError):
-        hair_point(ROOT, 2, root_hair="x")
 
 
 def test_hair_point_off_skeleton_child():
@@ -453,9 +453,9 @@ def test_hair_kinds_loop_on_the_right_letters():
     assert act_letter("a", u) == u and act_letter("A", u) == u
     assert act_letter("b", u) == hair_point(ROOT, 1)
     # ray through A-images: b and B are loops
-    w = hair_point(ROOT, 2, root_hair="A")
+    w = vertex(1, 2)
     assert act_letter("b", w) == w and act_letter("B", w) == w
-    assert act_letter("a", w) == hair_point(ROOT, 1, root_hair="A")
+    assert act_letter("a", w) == vertex(1, 1)
 
 
 def test_loop_counts():
@@ -494,10 +494,10 @@ def test_struct_info_digests():
 
 def test_subtree_membership():
     assert subtree_T(0, dy(9, 4))
-    assert subtree_T(1, act_word("ba", ROOT))
+    assert subtree_T(1, act_word("ba", ROOT, act_letter))
     assert not subtree_T(0, dy(11, 4))
     assert not subtree_T(1, dy(11, 4))
-    assert subtree_T(1, hair_point(act_word("ba", ROOT), 4))
+    assert subtree_T(1, hair_point(act_word("ba", ROOT, act_letter), 4))
 
 
 def test_folner_segment_ratio_exact():

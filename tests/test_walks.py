@@ -101,7 +101,7 @@ def test_pn_exact_counts_words():
     for n in range(6):
         words = ["".join(w) for w in product("aAbB", repeat=n)]
         for x, y in pairs:
-            hits = sum(act_word(w, x) == y for w in words)
+            hits = sum(act_word(w, x, act_letter) == y for w in words)
             assert pn_exact(x, y, n) == Fraction(hits, 4**n), f"{x} -> {y}, n={n}"
 
 
@@ -112,7 +112,8 @@ def test_pn_exact_and_green_partial_match_the_dyadic_series():
     for N in (7, 8):
         for _ in range(6):
             x = rng.choice(near)
-            y = act_word("".join(rng.choice("aAbB") for _ in range(rng.randint(0, 6))), x)
+            word = "".join(rng.choice("aAbB") for _ in range(rng.randint(0, 6)))
+            y = act_word(word, x, act_letter)
             series = transition_series(x, y, N, EDGE_LABELS, act_letter)
             assert pn_exact(x, y, N) == series[-1], (x, y, N)
             r = Fraction(1, 3)
@@ -740,7 +741,7 @@ def test_structural_walk_tiny_script():
     assert st.to_config() == (ROOT,)
     st.step("A")  # root lamp parks on the A-side hair
     assert st.lamp_count() == 1
-    assert st.to_config() == (hair_point(ROOT, 1, root_hair="A"),)
+    assert st.to_config() == (vertex(1, 1),)
     assert st.f_now() == 4
     st.step("a")  # wakes it back to the root
     assert st.to_config() == (ROOT,)
@@ -758,7 +759,7 @@ def test_structural_walk_root_lamp_under_B_parks_on_B_hair():
     assert st._k_parts() == (0, 0, 0, -1)
     st.step("B")
     assert st.lamp_count() == 1
-    assert st.to_config() == (hair_point(ROOT, 1, root_hair="B"),)
+    assert st.to_config() == (hair_point(ROOT, 1),)
     assert st.k_now() == 0
     st.step("b")
     assert st.to_config() == (ROOT,)
@@ -942,7 +943,7 @@ class SentinelLampWalk:
                 off = counter - key
                 assert off >= 1, "parked lamp with nonpositive offset"
                 for nid in bucket:
-                    pts.append(act_word(letter * off, sentinel_vertex(nid)))
+                    pts.append(act_word(letter * off, sentinel_vertex(nid), act_letter))
         return config(pts)
 
 
@@ -1094,7 +1095,7 @@ def test_decay_experiment_slow_path():
         "states_checked": 244,
         "never_removed_fraction": 1.0,
     }
-    start = config([ROOT, dy(9, 4), hair_point(ROOT, 2, root_hair="A")])
+    start = config([ROOT, dy(9, 4), vertex(1, 2)])
     rep = potential_decay_experiment(
         WalkConfig(trials=5, steps=120, seed=8, checkpoints=(1, 7, 30, 120), start=start)
     )
