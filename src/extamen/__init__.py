@@ -30,7 +30,7 @@ _EXPORTS = {
         lumped_return_series pn_exact potential_decay_experiment return_prob
         spectral_radius_proxy supermartingale_check""",
     "freegroup": """ZVertex Z_E minfun_Z phi_Z random_z_configs tail_segment witness_word
-        z_apply z_ball z_boundary_ratio z_neighbors""",
+        z_apply z_ball z_boundary_ratio""",
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -357,7 +357,7 @@ def construct_En_countable(
         z = find_vertex_below(fam, floor_of(fam) / (16 * n * n))
         points.append(hair_point(z, 4 * n * n))
     E = config(points)
-    F = countable_sum(phi_family, pow2(-20), tail_bound=phi_family_tail_bound)
+    F = countable_sum(pow2(-20))
     return ConstructionResult(
         E=E,
         setfn=F,
@@ -487,7 +487,7 @@ def golden_witness(E: Config, n: int, F: Optional[SetFn] = None) -> WitnessResul
     if len(E) > n - 2:
         raise PreconditionFailed(f"guaranteed only for at most {n - 2} lamps")
     if F is None:
-        F = countable_sum(phi_family, pow2(-n), tail_bound=phi_family_tail_bound)
+        F = countable_sum(pow2(-n))
     C = to_codes(E)
     occupied = {lead for lead, deeper, _ in (node_info(node) for node, _ in C) if deeper}
     i = next(idx for idx in range(n - 1) if idx not in occupied)

@@ -278,7 +278,6 @@ def _cmd_walk_return(args):
     report = rep.to_json()
     report["monotone"] = monotone
     report["below_three_quarters"] = bounded
-    del report["first_return"], report["partials"]
     return monotone and bounded, report, (["n", "first_return", "partial"], rows)
 
 

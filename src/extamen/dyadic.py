@@ -29,11 +29,8 @@ __all__ = [
     "g1_map",
     "gen_a",
     "gen_b",
-    "LETTERS",
     "letter_map",
     "invert_letter",
-    "reduce_fword",
-    "invert_fword",
     "word_to_pl",
     "cocycle_eval",
     "cocycle_identity_check",
@@ -282,8 +279,6 @@ def gen_b() -> PLMap:
 
 
 # word letters: 'a', 'b' the generators, 'A', 'B' their inverses
-LETTERS = "aAbB"
-
 _INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
 
 
@@ -302,23 +297,6 @@ def letter_map(ch: str) -> PLMap:
 
 def invert_letter(ch: str) -> str:
     return _INVERSE[ch]
-
-
-def reduce_fword(w: str) -> str:
-    """Freely reduce a word over aAbB."""
-    out: list[str] = []
-    for ch in w:
-        if ch not in _INVERSE:
-            raise ValueError(f"unknown letter {ch!r}")
-        if out and out[-1] == _INVERSE[ch]:
-            out.pop()
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
-def invert_fword(w: str) -> str:
-    return "".join(_INVERSE[ch] for ch in reversed(w))
 
 
 def word_to_pl(w: str) -> PLMap:

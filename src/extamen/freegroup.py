@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import PreconditionFailed
+from .errors import PreconditionFailed, StructuralAssertFailed
 from .graph import act_word, bfs, leaving_share
 from .lamplighter import config, lamp_action
 
@@ -24,7 +24,6 @@ __all__ = [
     "Z_E",
     "Z_LETTERS",
     "z_apply",
-    "z_neighbors",
     "z_apply_word_set",
     "phi_Z",
     "minfun_Z",
@@ -114,10 +113,6 @@ def z_apply(v: ZVertex, g: str) -> ZVertex:
     return ZVertex("word", w + g)
 
 
-def z_neighbors(v: ZVertex) -> dict[str, ZVertex]:
-    return {g: z_apply(v, g) for g in Z_LETTERS}
-
-
 def _act(ch: str, v: ZVertex) -> ZVertex:
     # z_apply in the (letter, vertex) order of the shared labeled-action helpers
     return z_apply(v, ch)
@@ -161,14 +156,16 @@ def witness_word(E: tuple[ZVertex, ...]) -> tuple[str, Fraction]:
     base = minfun_Z(E)
     after = minfun_Z(z_apply_word_set(E, word))
     ratio = after / base
-    assert ratio == Fraction(1, 3), f"witness {word!r} gave ratio {ratio}"
+    if ratio != Fraction(1, 3):
+        raise StructuralAssertFailed(f"witness {word!r} gave ratio {ratio}")
     return word, ratio
 
 
-def tail_segment(L: int, start: int = 1) -> tuple[ZVertex, ...]:
-    if L < 1 or start < 1:
-        raise PreconditionFailed("segment needs L >= 1 and start >= 1")
-    return tuple(ZVertex("tail", k=k) for k in range(start, start + L))
+def tail_segment(L: int) -> tuple[ZVertex, ...]:
+    """The first L points of the tail, k = 1..L."""
+    if L < 1:
+        raise PreconditionFailed("segment needs L >= 1")
+    return tuple(ZVertex("tail", k=k) for k in range(1, L + 1))
 
 
 def z_boundary_ratio(segment: Iterable[ZVertex]) -> Fraction:

@@ -3,16 +3,15 @@
 A function phi is superharmonic for the simple 4-generator walk when
 phi(v) >= P phi(v) at every vertex, where P averages phi over the four
 labeled neighbor images (loops count with multiplicity).  The two bundled
-families evaluate to exact Fractions; user-supplied functions may return
-floats, in which case margin comparisons take a tolerance.
+families evaluate to exact Fractions; every margin is compared with 0
+exactly, in the values' own arithmetic.
 
 A sweep over a ball (is_superharmonic_on) reads a VertexFn by fn on the
-ball's addresses and any other phi on the Dyadic vertex, once per ball
-vertex, and takes the neighbours from the ball's neighbor_index, which the
-breadth-first search recorded.  One loop serves every value type: P phi is
-the quarter-sum markov_apply_X takes at one address, over the struct_act
-images, in the values' own arithmetic, worked out once per distinct
-combination of the five value objects.
+ball's addresses, once per ball vertex, and takes the neighbours from the
+ball's neighbor_index, which the breadth-first search recorded.  One loop
+serves every value type: P phi is the quarter-sum markov_apply_X takes at
+one address, over the struct_act images, in the values' own arithmetic,
+worked out once per distinct combination of the five value objects.
 
 A VertexFn reads a vertex one way: fn on its graph.code address, which the
 sweeps and the set functions of ``minfn`` call.  Calling the VertexFn on a
@@ -80,8 +79,6 @@ class VertexFn:
     fn: Callable[[tuple[int, int]], Fraction]
     superharmonic: Optional[bool] = None
     max_at_p: Optional[bool] = None
-    infimum: Optional[Fraction] = None
-    constant_on_hairs: Optional[bool] = None
     find_below: Optional[Callable[[Fraction], Dyadic]] = None
 
     def __call__(self, v: Dyadic):
@@ -122,22 +119,18 @@ class SuperharmonicReport:
         }
 
 
-def is_superharmonic_on(phi, region: Ball, tol=0) -> SuperharmonicReport:
+def is_superharmonic_on(phi: VertexFn, region: Ball) -> SuperharmonicReport:
     """Margins phi - P phi on the interior of the region; negatives are violations.
 
-    A VertexFn is read by fn on the ball's addresses, any other callable
-    by phi(v); either way once per ball vertex, and the neighbours come
-    from the ball's neighbor_index.  P phi is the quarter-sum
+    phi.fn is read on the ball's addresses, once per ball vertex, and the
+    neighbours come from the ball's neighbor_index.  P phi is the quarter-sum
     markov_apply_X takes, in the values' own arithmetic; it, the margin
     and the violation flag are worked out once per distinct 5-tuple of
     value objects (the vertex's and its a, b, A, B images'), which the
     bundled families share between vertices.
     """
     rep = SuperharmonicReport(region.center, region.radius)
-    if isinstance(phi, VertexFn):
-        vals = list(map(phi.fn, region.addresses))
-    else:
-        vals = [phi(v) for v in region.vertices]
+    vals = list(map(phi.fn, region.addresses))
     # vals keeps every value object alive, so its id is unique meanwhile
     ids = list(map(id, vals))
     entries, violations = rep.entries, rep.violations
@@ -149,7 +142,7 @@ def is_superharmonic_on(phi, region: Ball, tol=0) -> SuperharmonicReport:
         if got is None:
             pval = (vals[ia] + vals[ib] + vals[iA] + vals[iB]) / 4
             margin = val - pval
-            got = made[key] = (pval, margin, margin < -tol)
+            got = made[key] = (pval, margin, margin < 0)
         pval, margin, violated = got
         entries.append((v, val, pval, margin))
         if violated:
@@ -183,8 +176,6 @@ def canonical_phi_u() -> VertexFn:
         fn=fn,
         superharmonic=True,
         max_at_p=True,
-        infimum=Fraction(0),
-        constant_on_hairs=True,
         find_below=find_below,
     )
 
@@ -219,8 +210,6 @@ def phi_family(n: int) -> VertexFn:
         fn=fn,
         superharmonic=True,
         max_at_p=True,
-        infimum=Fraction(0),
-        constant_on_hairs=True,
         find_below=find_below,
     )
 
@@ -236,7 +225,7 @@ class HairPropertyReport:
         return not self.failures
 
 
-def hair_property_suite(phi: VertexFn, base: Dyadic, M: int, tol=0) -> HairPropertyReport:
+def hair_property_suite(phi: VertexFn, base: Dyadic, M: int) -> HairPropertyReport:
     """Check the three hair facts for offsets up to M, reading phi.fn.
 
     For a positive function that is superharmonic along the probed hair:
@@ -253,21 +242,21 @@ def hair_property_suite(phi: VertexFn, base: Dyadic, M: int, tol=0) -> HairPrope
     for c, val in zip(pts[: M + 1], values):
         if val <= 0:
             raise PreconditionFailed(f"phi({vertex(*c)}) = {val} is not positive")
-        if val - markov_apply_X(phi, c) < -tol:
+        if val < markov_apply_X(phi, c):
             raise PreconditionFailed(f"phi is not superharmonic at {vertex(*c)}")
     rep = HairPropertyReport(base, values[: M + 1], [])
     for m in range(M):
         inc0 = values[m + 1] - values[m]
         inc1 = values[m + 2] - values[m + 1]
-        if inc1 > inc0 + tol:
+        if inc1 > inc0:
             rep.failures.append(("concave_increments", m, (inc0, inc1)))
             break
     for m in range(M):
-        if values[m + 1] < values[m] - tol:
+        if values[m + 1] < values[m]:
             rep.failures.append(("non_decreasing", m, (values[m], values[m + 1])))
             break
     for m in range(M + 1):
-        if values[m] > (3 * m + 1) * values[0] + tol:
+        if values[m] > (3 * m + 1) * values[0]:
             rep.failures.append(("linear_bound", m, values[m]))
             break
     return rep

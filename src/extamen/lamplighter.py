@@ -20,7 +20,7 @@ from functools import partial
 from typing import Callable, Iterable, Optional
 
 from .dyadic import Dyadic, ROOT, parse_dyadic
-from .errors import CapExceeded
+from .errors import CapExceeded, StructuralAssertFailed
 from .graph import ROOT_CODE, act_letter, code, evolve, struct_act
 
 __all__ = [
@@ -85,9 +85,7 @@ class SetFn:
 
     name: str
     fn: Optional[Callable[[tuple], Fraction]] = None
-    switch_invariant: Optional[bool] = None
     superharmonic: Optional[bool] = None
-    meta: tuple = ()
     scaled: Optional[Callable[[tuple], tuple[int, int]]] = None
 
     def __post_init__(self):
@@ -149,24 +147,29 @@ def apply_letter(E: Config, ch: str) -> Config:
     return lamp_action(act_letter, ROOT)(ch, E)
 
 
-def markov_iterate(F: SetFn, C: tuple, n: int, cap: int = 8):
+# the most walk steps markov_iterate averages over
+MARKOV_CAP = 8
+
+
+def markov_iterate(F: SetFn, C: tuple, n: int):
     """Exact n-step walk average of F started at the address configuration C
-    (to_codes of a configuration of vertices).
+    (to_codes of a configuration of vertices), n at most MARKOV_CAP.
 
     Dynamic programming over distinct reachable address configurations; each
     one carries its integer count of the 5**n words reaching it, and the
-    counts always sum to 5**n, which is asserted.  Equal by construction to
+    counts always sum to 5**n, which is checked.  Equal by construction to
     the naive 5**n enumeration.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > cap:
-        raise CapExceeded(f"markov_iterate n={n} exceeds cap {cap}")
+    if n > MARKOV_CAP:
+        raise CapExceeded(f"markov_iterate n={n} exceeds cap {MARKOV_CAP}")
     counts = {C: 1}
     move = lamp_action()
     for _ in range(n):
         counts = evolve(counts, LAMP_LETTERS, move)
-    assert sum(counts.values()) == 5**n, "path counts must sum to 5**n"
+    if sum(counts.values()) != 5**n:
+        raise StructuralAssertFailed(f"path counts sum to {sum(counts.values())}, not 5**{n}")
     return sum(Fraction(c, 5**n) * F.fn(D) for D, c in counts.items())
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .dyadic import Dyadic, ROOT
-from .errors import PreconditionFailed, PropertySelfTestFailed
+from .errors import PreconditionFailed, PropertySelfTestFailed, StructuralAssertFailed
 from .graph import ROOT_CODE, ball, code
 from .harmonic import VertexFn, canonical_phi_u, markov_apply_X, phi_family
 from .lamplighter import SetFn, lamp_action, markov_iterate
@@ -62,9 +62,7 @@ def minfun(phi) -> SetFn:
     return SetFn(
         name=f"minfun:{phi.name}",
         fn=None if k else (lambda C: min(map(phi.fn, C)) if C else root_val),
-        switch_invariant=True,
         superharmonic=phi.superharmonic,
-        meta=(("phi", phi),),
         scaled=scaled if k else None,
     )
 
@@ -95,7 +93,7 @@ def non_superharmonic_transfer(phi, q: Dyadic) -> TransferReport:
 
     Requires phi(q) < P phi(q) and phi bounded by its root value near q; the
     resulting margin on the singleton equals 4/5 of the vertex gap, which is
-    recomputed and asserted.
+    recomputed and checked.
     """
     if q == ROOT:
         raise PreconditionFailed("the root cannot be a violation point here")
@@ -108,7 +106,8 @@ def non_superharmonic_transfer(phi, q: Dyadic) -> TransferReport:
 
     F, C = minfun(phi), (c,)
     margin = markov_iterate(F, C, 1) - F.fn(C)
-    assert margin == Fraction(4, 5) * gap, "transfer margin must be 4/5 of the gap"
+    if margin != Fraction(4, 5) * gap:
+        raise StructuralAssertFailed(f"transfer margin {margin} is not 4/5 of the gap {gap}")
     return TransferReport(q=q, vertex_gap=gap, set_margin=margin)
 
 
@@ -118,20 +117,12 @@ def weighted_sum(Fs: Sequence[SetFn], lambdas: Sequence[Fraction]) -> SetFn:
         raise ValueError("need one weight per function")
     if any(lam <= 0 for lam in lambdas):
         raise ValueError("weights must be positive")
-    terms = list(zip(lambdas, Fs))
+    fns = [(lam, F.fn) for lam, F in zip(lambdas, Fs)]
     return SetFn(
-        name="+".join(f"{lam}*{F.name}" for lam, F in terms),
-        fn=_linear(lambdas, Fs),
-        switch_invariant=all(F.switch_invariant for F in Fs) or None,
+        name="+".join(f"{lam}*{F.name}" for lam, F in zip(lambdas, Fs)),
+        fn=lambda C: sum(lam * fn(C) for lam, fn in fns),
         superharmonic=all(F.superharmonic for F in Fs) or None,
-        meta=(("terms", tuple(terms)),),
     )
-
-
-def _linear(weights, Fs):
-    """C -> sum of weight * F.fn(C)."""
-    terms = [(w, F.fn) for w, F in zip(weights, Fs)]
-    return lambda C: sum(w * fn(C) for w, fn in terms)
 
 
 def phi_family_tail_bound(eps: Fraction) -> int:
@@ -145,42 +136,26 @@ def phi_family_tail_bound(eps: Fraction) -> int:
     return N + (p << N <= q)
 
 
-def countable_sum(
-    family: Callable[[int], VertexFn],
-    eps: Fraction,
-    tail_bound: Callable[[Fraction], int],
-) -> SetFn:
-    """Truncated sum of min-functions of family(0), family(1), ... .
+def countable_sum(eps: Fraction) -> SetFn:
+    """Sum of minfun(phi_family(i)) over i = 0..N, N = phi_family_tail_bound(eps).
 
-    tail_bound(eps) must return N with the tail of root values (indices > N)
-    summing below eps; each term is bounded by its root value, so the
-    truncation error is certified below eps.  The result records the
-    truncation index and the certified error.
+    The tail of root values beyond N sums below eps, and each term is
+    bounded by its root value, so the truncation error is certified below
+    eps.
 
-    When family is phi_family itself the sum is read in closed form, as a
-    scaled reader in integers and O(|E| + N) time.  Member i is 2^-depth
-    inside subtree i (where depth >= i + 1) and 2^-i everywhere else, root
-    included, so a lamp whose node has node_info (lead, deeper, depth) can
-    lower only term lead, and only when deeper (equivalently depth > lead)
-    and lead <= N; lead and depth are read off each lamp's node by integer
-    operations.  With e_i the larger of i and the deepest such depth,
-    F(E) = sum over i = 0..N of 2^-e_i, one integer over 2^max(e_i); the
-    empty set gives 2 - 2^-N.  Other families sum their minfun terms, under
-    the same name.
+    The sum is read in closed form, as a scaled reader in integers and
+    O(|E| + N) time.  Member i is 2^-depth inside subtree i (where depth >=
+    i + 1) and 2^-i everywhere else, root included, so a lamp whose node has
+    node_info (lead, deeper, depth) can lower only term lead, and only when
+    deeper (equivalently depth > lead) and lead <= N; lead and depth are read
+    off each lamp's node by integer operations.  With e_i the larger of i and
+    the deepest such depth, F(E) = sum over i = 0..N of 2^-e_i, one integer
+    over 2^max(e_i); the empty set gives 2 - 2^-N.
     """
-    N = tail_bound(eps)
-    if family is phi_family:
-        fn, scaled = None, _phi_family_sum(N)
-    else:
-        terms = [minfun(family(i)) for i in range(N + 1)]
-        fn, scaled = _linear([1] * len(terms), terms), None
     return SetFn(
         name=f"sum:phi_family:eps={eps}",
-        fn=fn,
-        switch_invariant=True,
         superharmonic=True,
-        meta=(("truncation_N", N), ("certified_error", eps)),
-        scaled=scaled,
+        scaled=_phi_family_sum(phi_family_tail_bound(eps)),
     )
 
 
@@ -213,14 +188,12 @@ def _phi_family_sum(N: int) -> Callable[[tuple], tuple[int, int]]:
     return scaled
 
 
-def markov_image(F: SetFn, n: int, cap: int = 8) -> SetFn:
+def markov_image(F: SetFn, n: int) -> SetFn:
     """The n-step walk image of F as a SetFn (exact dynamic programming)."""
     return SetFn(
         name=f"P^{n}[{F.name}]",
-        fn=lambda C: markov_iterate(F, C, n, cap),
-        switch_invariant=None,
+        fn=lambda C: markov_iterate(F, C, n),
         superharmonic=F.superharmonic,
-        meta=(("base", F), ("power", n)),
     )
 
 
@@ -307,7 +280,7 @@ def generalized_minfun(r: SymmetricConcaveFn, phi) -> SetFn:
 
     Values are sorted ascending, truncated to the arity's worth of smallest
     entries, and padded with 1 (the normalized root value); the empty set
-    maps to r(1, ..., 1).  The normalization factor is recorded.
+    maps to r(1, ..., 1).
     """
     r.ensure_tested()
     factor = phi.fn(ROOT_CODE)
@@ -324,9 +297,7 @@ def generalized_minfun(r: SymmetricConcaveFn, phi) -> SetFn:
     return SetFn(
         name=f"gmin:{r.name}:{phi.name}",
         fn=fn,
-        switch_invariant=True,
         superharmonic=phi.superharmonic,
-        meta=(("r", r), ("phi", phi), ("normalization", factor)),
     )
 
 
@@ -396,4 +367,4 @@ def resolve_setfn(name: str) -> SetFn:
     eps = parse_rational(eps)
     if phi_family_tail_bound(eps) > _PHI_MAX_INDEX:
         raise ValueError(f"eps <= 2^-{_PHI_MAX_INDEX} needs phi indices above {_PHI_MAX_INDEX}")
-    return countable_sum(phi_family, eps, tail_bound=phi_family_tail_bound)
+    return countable_sum(eps)

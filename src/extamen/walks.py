@@ -30,10 +30,10 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .dyadic import Dyadic, ROOT
-from .errors import CapExceeded, PreconditionFailed
+from .errors import CapExceeded, PreconditionFailed, StructuralAssertFailed
 from .graph import ball, code, evolve, vertex
 from .harmonic import canonical_phi_u, is_superharmonic_on, markov_apply_X, pow2
-from .lamplighter import LAMP_LETTERS, Config, config, lamp_action, markov_iterate, to_codes
+from .lamplighter import LAMP_LETTERS, Config, config, lamp_action, markov_iterate
 from .minfn import resolve_setfn
 
 __all__ = [
@@ -365,12 +365,7 @@ class ReturnReport:
         return self.partials[-1]
 
     def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "first_return": [str(f) for f in self.first_return],
-            "partials": [str(s) for s in self.partials],
-            "total": str(self.total),
-        }
+        return {"N": self.N, "total": str(self.total)}
 
 
 def return_prob(N: int) -> ReturnReport:
@@ -479,7 +474,8 @@ def supermartingale_check(fn, states: Iterable, mode: str = "lamp") -> Supermart
 
 # letters as indices into LAMP_LETTERS: a letter i < 4 acts on side i >> 1
 # (0 for a/A, 1 for b/B), down toward the leaves when i is even
-assert LAMP_LETTERS == ("a", "A", "b", "B", "s")
+if LAMP_LETTERS != ("a", "A", "b", "B", "s"):
+    raise StructuralAssertFailed(f"the structural walk reads letters aAbBs, not {LAMP_LETTERS}")
 _LETTER_INDEX = {ch: i for i, ch in enumerate(LAMP_LETTERS)}
 
 
@@ -725,21 +721,23 @@ class StructuralLampWalk:
         for sign, counter, stack in zip((1, -1), self.cnt, self.parked):
             for key, trie, _, _ in stack[1:]:
                 off = counter - key
-                assert off >= 1, "parked lamp with nonpositive offset"
+                if off < 1:
+                    raise StructuralAssertFailed(f"parked lamp with nonpositive offset {off}")
                 pts.extend(vertex(nid, sign * off) for nid in _lamp_codes(trie))
         return config(pts)
 
 
 class _ExplicitLampWalk:
-    """An address configuration under the five-letter walk, scored by any
-    SetFn, with the run/check/potential shape of StructuralLampWalk: exact
-    but far slower.  A fresh lamp_action per letter keeps no tables."""
+    """An address configuration under the five-letter walk from the empty
+    one, scored by any SetFn, with the run/check/potential shape of
+    StructuralLampWalk: exact but far slower.  A fresh lamp_action per
+    letter keeps no tables."""
 
     __slots__ = ("F", "C")
 
-    def __init__(self, F, start: Config) -> None:
+    def __init__(self, F) -> None:
         self.F = F
-        self.C = to_codes(start)
+        self.C = ()
 
     def lamp_count(self) -> int:
         return len(self.C)
@@ -765,7 +763,6 @@ class WalkConfig:
     seed: int = 0
     checkpoints: tuple[int, ...] = (100, 10_000)
     fn_name: str = "minfun:phi_u"
-    start: Config = ()
 
     def __post_init__(self):
         if self.trials <= 0 or self.steps <= 0:
@@ -833,22 +830,22 @@ def _letters(rng: random.Random, n: int) -> Iterator[bytes]:
 def potential_decay_experiment(walk: WalkConfig = WalkConfig()) -> DecayReport:
     """Seeded lamp trajectories with exact per-state supermartingale checks.
 
-    The bundled depth potential from the empty configuration runs on the
-    structural state; any other registered set function or start falls back
-    to explicit configurations.  Every state of every trajectory, the last
-    included, is checked.  Each trial draws the letters of
-    random.Random(seed * 1_000_003 + trial).choice(LAMP_LETTERS) in bulk and
-    runs them in pieces cut at the checkpoints.
+    Every trajectory starts from the empty configuration.  The bundled
+    depth potential runs on the structural state; any other registered set
+    function falls back to explicit configurations.  Every state of every
+    trajectory, the last included, is checked.  Each trial draws the letters
+    of random.Random(seed * 1_000_003 + trial).choice(LAMP_LETTERS) in bulk
+    and runs them in pieces cut at the checkpoints.
     """
     marks = sorted(set(walk.checkpoints))
     values: dict[int, list] = {t: [] for t in marks}
     violations = 0
     nonempty = 0
-    fast = walk.fn_name == WalkConfig.fn_name and walk.start == ()
+    fast = walk.fn_name == WalkConfig.fn_name
     F = None if fast else resolve_setfn(walk.fn_name)
     for trial in range(walk.trials):
         rng = random.Random(walk.seed * 1_000_003 + trial)
-        state = StructuralLampWalk() if fast else _ExplicitLampWalk(F, walk.start)
+        state = StructuralLampWalk() if fast else _ExplicitLampWalk(F)
         run = state.run
         ahead = iter(marks)
         mark = next(ahead)

@@ -13,14 +13,20 @@ the subtree digest read off classify (struct_info, subtree_T), the walk
 operator at a vertex (neighbor_mean), the level scans of harmonic.level_min
 and approx.find_vertex_below (with scan_fns, the functions they are checked
 on), the explicit hair family and the golden witness.
+
+phi_family_oracle writes the countable phi_family sum out term by term.
+reduce_fword, invert_fword and z_neighbors are plain word and free-group
+helpers that only the tests read.
 """
 
 from fractions import Fraction
 from typing import Optional
 
 from extamen.dyadic import ROOT
+from extamen.freegroup import Z_LETTERS, z_apply
 from extamen.graph import (
     EDGE_LABELS,
+    ROOT_CODE,
     Hair,
     Skeleton,
     _digits,
@@ -32,7 +38,7 @@ from extamen.graph import (
 )
 from extamen.harmonic import VertexFn, canonical_phi_u, phi_family, pow2
 from extamen.lamplighter import config, lamp_action
-from extamen.minfn import countable_sum, phi_family_tail_bound
+from extamen.minfn import countable_sum
 
 
 def transition_series(
@@ -144,7 +150,7 @@ def explicit_hairs(n: int) -> tuple:
 def golden_witness(E: tuple, n: int) -> tuple:
     """(word, index, case, deviation) of the golden witness, found on the
     vertices of E and the golden path."""
-    F = countable_sum(phi_family, pow2(-n), tail_bound=phi_family_tail_bound)
+    F = countable_sum(pow2(-n))
     i = next(idx for idx in range(n - 1) if not any(subtree_T(idx, x) for x in E))
     lamp_depths = [k for k, v in enumerate(golden_path(i)[:-1]) if v in E]
     if lamp_depths:
@@ -153,3 +159,36 @@ def golden_witness(E: tuple, n: int) -> tuple:
         word, case = "b" + "a" * i + "s", "vacant-path"
     base = F(E)
     return word, i, case, (base - F(apply_word(E, word))) / base
+
+
+def phi_family_oracle(N: int, C: tuple):
+    """The countable sum of phi_family(0..N) at the address configuration C,
+    written out term by term in Fractions: each term the minimum of a
+    member's fn, its root value on the empty set."""
+    members = map(phi_family, range(N + 1))
+    return sum(min(map(phi.fn, C)) if C else phi.fn(ROOT_CODE) for phi in members)
+
+
+_INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
+
+
+def reduce_fword(w: str) -> str:
+    """Freely reduce a word over aAbB."""
+    out: list[str] = []
+    for ch in w:
+        if ch not in _INVERSE:
+            raise ValueError(f"unknown letter {ch!r}")
+        if out and out[-1] == _INVERSE[ch]:
+            out.pop()
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def invert_fword(w: str) -> str:
+    return "".join(_INVERSE[ch] for ch in reversed(w))
+
+
+def z_neighbors(v) -> dict:
+    """The four images of a free-group vertex, by letter."""
+    return {g: z_apply(v, g) for g in Z_LETTERS}

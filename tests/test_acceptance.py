@@ -42,7 +42,6 @@ from extamen.minfn import (
     countable_sum,
     generalized_minfun,
     minfun,
-    phi_family_tail_bound,
     r_family_kmean,
 )
 from extamen.lamplighter import switch_invariant_check
@@ -64,7 +63,7 @@ def _report(num, ok, detail):
 
 
 def family_sum(n):
-    return countable_sum(phi_family, pow2(-n), tail_bound=phi_family_tail_bound)
+    return countable_sum(pow2(-n))
 
 
 def test_criterion_01_root_margin():

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from functools import partial
 from fractions import Fraction
 
 import pytest
@@ -49,7 +50,7 @@ from extamen.minfn import (
     weighted_sum,
 )
 import oracles
-from oracles import apply_word, dyadic_move
+from oracles import apply_word, dyadic_move, phi_family_oracle
 
 
 def dy(num, exp):
@@ -57,7 +58,7 @@ def dy(num, exp):
 
 
 def family_sum(n):
-    return countable_sum(phi_family, pow2(-n), tail_bound=phi_family_tail_bound)
+    return countable_sum(pow2(-n))
 
 
 def test_beta_schedules():
@@ -230,9 +231,9 @@ def _set_functions():
         ("gmin:kmean:2:3:phi_u", resolve_setfn("gmin:kmean:2:3:phi_u"), 7),
         ("gmin:kmean:1:2:phi:1", resolve_setfn("gmin:kmean:1:2:phi:1"), 7),
         ("sum:phi_family", resolve_setfn("sum:phi_family:eps=1/128"), 7),
-        # the generic countable sum: a family that is not phi_family itself
-        ("sum:generic", countable_sum(lambda i: phi_family(i), Fraction(1, 16),
-                                      tail_bound=phi_family_tail_bound), 7),
+        # the family sum written out in Fractions, by fn alone
+        ("sum:generic", SetFn("sum:oracle", fn=partial(
+            phi_family_oracle, phi_family_tail_bound(Fraction(1, 16)))), 7),
         ("markov_image", weighted_sum(
             [markov_image(minfun(phi_u), 1), minfun(phi_family(1))],
             [Fraction(1), Fraction(1, 2)]), 4),

@@ -295,6 +295,71 @@ def test_every_option_is_read_by_its_handler():
     assert total == 45
 
 
+def _package_trees():
+    """Module name -> parsed source, for every module of the package."""
+    src = Path(extamen.__file__).parent
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+
+
+def test_every_field_is_read_outside_its_class():
+    # a field of the library's function and configuration records counts as
+    # read when some package code outside the class body loads it as an
+    # attribute or names it to getattr
+    trees = _package_trees()
+    records = {"harmonic": "VertexFn", "lamplighter": "SetFn", "walks": "WalkConfig"}
+    bodies = {}
+    for module, name in records.items():
+        cls = next(node for node in trees[module].body
+                   if isinstance(node, ast.ClassDef) and node.name == name)
+        bodies[name] = cls, {id(node) for node in ast.walk(cls)}
+    unread = []
+    for name, (cls, inside) in bodies.items():
+        read = set()
+        for tree in trees.values():
+            for node in ast.walk(tree):
+                if id(node) in inside:
+                    continue
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id == "getattr" and len(node.args) > 1
+                      and isinstance(node.args[1], ast.Constant)):
+                    read.add(node.args[1].value)
+        fields = [node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)]
+        assert fields, name
+        unread += [f"{name}.{field}" for field in fields if field not in read]
+    assert unread == []
+
+
+def test_package_holds_no_assert_statement():
+    # python -O strips assert statements, so the package checks by raising
+    found = [
+        f"{module}.py:{node.lineno}"
+        for module, tree in _package_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["cx", "scan", "--trials", "50", "--seed", "7"],
+    ["approx", "refute", "--set", "p,3/4", "--n", "4"],
+], ids=" ".join)
+def test_optimized_python_writes_the_same_report(tmp_path, argv):
+    # the checks raise rather than assert, so python -O runs them too
+    src = str(Path(extamen.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    digests = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / ("optimized" if flags else "plain")
+        done = subprocess.run([sys.executable, *flags, "-m", "extamen", *argv, "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.append(hashlib.sha256((out / "report.json").read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
+
+
 def test_outputs_are_deterministic(tmp_path):
     d1, d2 = tmp_path / "one", tmp_path / "two"
     for d in (d1, d2):
@@ -430,6 +495,10 @@ README_DIGESTS = [
      "ee8be6fc028d1d64792bbe5d5368a9fbc8aa107b4a2c590e49c84eb7ee470de6", None),
     (["approx", "construct", "--kind", "countable", "--n", "4"],
      "ea4eff14db6954a7ca2abd9e14d6bc5a27bfc1f87c55b3217334ea7d38823013", None),
+    # the explicit decay path, which every set function but the default runs
+    (["walk", "decay", "--fn", "minfun:phi:0", "--trials", "4", "--steps", "200",
+      "--checkpoints", "100,200"],
+     "6ee6414142222467100f5e284e4853d494d8f4b26667dbe80714b02e37893956", None),
 ]
 
 
@@ -485,7 +554,7 @@ PACKAGE_EXPORTS = {
     ),
     "freegroup": (
         "ZVertex Z_E minfun_Z phi_Z random_z_configs tail_segment witness_word "
-        "z_apply z_ball z_boundary_ratio z_neighbors"
+        "z_apply z_ball z_boundary_ratio"
     ),
 }
 

@@ -19,13 +19,11 @@ from extamen.dyadic import (
     g1_map,
     gen_a,
     gen_b,
-    invert_fword,
     letter_map,
     parse_dyadic,
-    reduce_fword,
     word_to_pl,
 )
-from oracles import dyadic_by_fraction
+from oracles import dyadic_by_fraction, invert_fword, reduce_fword
 
 
 def dy(num, exp):

@@ -5,7 +5,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extamen.errors import PreconditionFailed
+from extamen.errors import PreconditionFailed, StructuralAssertFailed
 from extamen.graph import bfs
 from extamen.freegroup import (
     Z_E,
@@ -21,9 +21,9 @@ from extamen.freegroup import (
     z_apply_word_set,
     z_ball,
     z_boundary_ratio,
-    z_neighbors,
 )
 from extamen.lamplighter import config
+from oracles import z_neighbors
 
 
 def w(word):
@@ -145,6 +145,13 @@ def test_witness_on_random_configs():
         assert len(word) <= 2
 
 
+def test_witness_checks_its_ratio(monkeypatch):
+    # a word that moves nothing fails the one-third check, also under python -O
+    monkeypatch.setattr("extamen.freegroup.z_apply_word_set", lambda E, word: E)
+    with pytest.raises(StructuralAssertFailed, match="gave ratio 1"):
+        witness_word((w("b"),))
+
+
 def test_word_set_action_order():
     assert z_apply_word_set((Z_E,), "ab") == (w("ba"),)
     assert z_apply_word_set((), "s") == (Z_E,)
@@ -159,7 +166,7 @@ def test_minfun_switch_invariant():
 def test_tail_folner_ratio():
     for L in (1, 10, 100):
         assert z_boundary_ratio(tail_segment(L)) == Fraction(1, 2 * L)
-    assert z_boundary_ratio(tail_segment(7, start=4)) == Fraction(1, 14)
+    assert z_boundary_ratio(tuple(tail(k) for k in range(4, 11))) == Fraction(1, 14)
     with pytest.raises(PreconditionFailed):
         z_boundary_ratio(())
     with pytest.raises(PreconditionFailed):

@@ -287,8 +287,7 @@ def test_harmonic_witness_search():
 def test_vertexfn_metadata():
     phi = canonical_phi_u()
     assert phi.name == "phi_u"
-    assert phi.superharmonic and phi.max_at_p and phi.constant_on_hairs
-    assert phi.infimum == 0
+    assert phi.superharmonic and phi.max_at_p
     assert phi(ROOT) == phi.fn(code(ROOT)) == 4
 
 
@@ -310,7 +309,7 @@ def test_superharmonic_report_roundtrip():
         rep.margin_at(dy(1, 5))
 
 
-def _sweep_reference(phi, region, tol=0):
+def _sweep_reference(phi, region):
     """The per-vertex sweep: phi and its neighbour mean at each interior vertex."""
     rep = SuperharmonicReport(region.center, region.radius)
     for v in region.interior():
@@ -318,7 +317,7 @@ def _sweep_reference(phi, region, tol=0):
         pval = neighbor_mean(phi, v)
         margin = val - pval
         rep.entries.append((v, val, pval, margin))
-        if margin < -tol:
+        if margin < 0:
             rep.violations.append((v, margin))
     return rep
 
@@ -333,19 +332,16 @@ def _identical(got, want):
 
 
 def _sweep_cases():
-    """(function, tol) pairs: exact families, exact with violations, floats, ints."""
-    depth = lambda v: struct_info(v)[2]
-    exact = lambda v: Fraction(v.num, 1 << v.exp)
-    value = VertexFn("value", lambda c: exact(vertex(*c)))
-    cases = [(canonical_phi_u(), 0)] + [(phi_family(i), 0) for i in range(6)]
-    cases += [(value, 0), (value, 0.0), (value, Fraction(1, 64))]
-    cases += [(lambda v: math.sqrt(v.num) / v.exp, tol) for tol in (1e-9, 0.05)]
-    cases += [(depth, 0), (lambda v: 3 * depth(v) - 10, 0.5)]
-    # one that reads m, so a value kept per node would be wrong; one on the
-    # Dyadic vertex; a plain lambda on the Dyadic
-    cases += [(VertexFn("by_m", lambda c: Fraction(c[1] + 3, 2 + node_info(c[0])[2])), 0)]
-    cases += [(VertexFn("depth", lambda c: depth(vertex(*c))), 0)]
-    cases += [(lambda v: Fraction(1, 1 + abs(code(v)[1])), 0)]
+    """Exact families, then exact functions with violations, floats and ints,
+    each a VertexFn on addresses."""
+    depth = lambda c: struct_info(vertex(*c))[2]
+    cases = [canonical_phi_u()] + [phi_family(i) for i in range(6)]
+    cases += [VertexFn("value", lambda c: Fraction(vertex(*c).num, 1 << vertex(*c).exp))]
+    cases += [VertexFn("sqrt", lambda c: math.sqrt(vertex(*c).num) / vertex(*c).exp)]
+    cases += [VertexFn("depth", depth), VertexFn("3depth-10", lambda c: 3 * depth(c) - 10)]
+    # two that read m, so a value kept per node would be wrong
+    cases += [VertexFn("by_m", lambda c: Fraction(c[1] + 3, 2 + node_info(c[0])[2]))]
+    cases += [VertexFn("by_offset", lambda c: Fraction(1, 1 + abs(c[1])))]
     return cases
 
 
@@ -353,10 +349,10 @@ def test_sweep_matches_reference():
     for center in (ROOT, hair_point(vertex_at("L"), 2)):
         for r in range(9):
             shared = ball(center, r)
-            for phi, tol in _sweep_cases():
-                want = _sweep_reference(phi, shared, tol)
-                _identical(is_superharmonic_on(phi, shared, tol), want)
-                _identical(is_superharmonic_on(phi, ball(center, r), tol), want)
+            for phi in _sweep_cases():
+                want = _sweep_reference(phi, shared)
+                _identical(is_superharmonic_on(phi, shared), want)
+                _identical(is_superharmonic_on(phi, ball(center, r)), want)
 
 
 def test_sweep_shares_work_only_between_equal_value_tuples():
@@ -375,7 +371,7 @@ def test_sweep_shares_work_only_between_equal_value_tuples():
 
 def test_sweep_cases_cover_violations_and_value_types():
     B = ball(ROOT, 4)
-    reps = [is_superharmonic_on(phi, B, tol) for phi, tol in _sweep_cases()]
+    reps = [is_superharmonic_on(phi, B) for phi in _sweep_cases()]
     value_types = {type(e[1]) for rep in reps for e in rep.entries}
     margin_types = {type(e[3]) for rep in reps for e in rep.entries}
     assert value_types == {Fraction, float, int}

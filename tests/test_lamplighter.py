@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extamen.dyadic import Dyadic, ROOT
-from extamen.errors import CapExceeded
+from extamen.errors import CapExceeded, StructuralAssertFailed
 from extamen.freegroup import Z_E, ZBall, ZVertex, z_apply
 from extamen.graph import (
     ROOT_CODE,
@@ -311,6 +311,18 @@ def test_markov_iterate_cap():
         markov_iterate(F, EMPTY, 9)
     with pytest.raises(ValueError):
         markov_iterate(F, EMPTY, -1)
+
+
+def test_markov_iterate_checks_its_path_counts(monkeypatch):
+    # a step that loses a word fails the 5**n check, also under python -O
+    def lossy(counts, letters, move):
+        out = evolve(counts, letters, move)
+        out[next(iter(out))] -= 1
+        return out
+
+    monkeypatch.setattr("extamen.lamplighter.evolve", lossy)
+    with pytest.raises(StructuralAssertFailed, match=r"path counts sum to 4, not 5\*\*1"):
+        markov_iterate(minfun(canonical_phi_u()), EMPTY, 1)
 
 
 def test_markov_apply_is_one_step_iterate():

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extamen.dyadic import Dyadic, ROOT
-from extamen.errors import PreconditionFailed, PropertySelfTestFailed
+from extamen.errors import PreconditionFailed, PropertySelfTestFailed, StructuralAssertFailed
 from extamen.approx import construct_En_countable, explicit_En_hairs
 from extamen.graph import (
     ROOT_CODE,
     act_letter,
     act_word,
     ball,
+    code,
     hair_point,
     node_info,
     vertex,
@@ -34,7 +35,7 @@ from extamen.minfn import (
     resolve_setfn,
     weighted_sum,
 )
-from oracles import dyadic_move, struct_info
+from oracles import dyadic_move, phi_family_oracle, struct_info
 
 
 def dy(num, exp):
@@ -55,7 +56,7 @@ def test_minfun_values():
     assert F((ROOT,)) == 4
     assert F(config([ROOT, dy(23, 5)])) == 1
     assert F(config([dy(11, 4), dy(9, 4)])) == 2
-    assert F.switch_invariant and F.superharmonic
+    assert F.superharmonic
 
 
 def test_minfun_warns_without_root_max():
@@ -106,6 +107,17 @@ def test_transfer_of_violation():
     assert rep.vertex_gap == 1 - Fraction(1, 64)
     assert rep.set_margin == Fraction(4, 5) * rep.vertex_gap
     assert rep.ok
+
+
+def test_transfer_checks_its_margin(monkeypatch):
+    # a walk average off by any amount fails the 4/5 check, also under python -O
+    phi_u = canonical_phi_u()
+    q = act_word("aa", ROOT, act_letter)
+    dipped = VertexFn("dipped", fn=lambda c: Fraction(1, 64) if c == code(q) else phi_u.fn(c),
+                      max_at_p=True)
+    monkeypatch.setattr("extamen.minfn.markov_iterate", lambda F, C, n: F.fn(C))
+    with pytest.raises(StructuralAssertFailed, match="transfer margin 0 is not 4/5"):
+        non_superharmonic_transfer(dipped, q)
 
 
 def test_transfer_rejects_superharmonic_point():
@@ -208,7 +220,7 @@ def test_tail_bound_closed_form_matches_halving():
 def test_resolve_setfn_bounds_the_tail_index():
     # eps = 2^-1023 reads members up to phi:1024, 2^-1024 would read phi:1025
     F = resolve_setfn(f"sum:phi_family:eps=1/{2**1023}")
-    assert dict(F.meta)["truncation_N"] == 1024
+    assert F(EMPTY) == 2 - pow2(-1024)
     for eps in (f"1/{2**1024}", "1e-400", "1e-30000"):
         with pytest.raises(ValueError, match="needs phi indices above 1024"):
             resolve_setfn(f"sum:phi_family:eps={eps}")
@@ -216,33 +228,22 @@ def test_resolve_setfn_bounds_the_tail_index():
 
 def test_countable_sum_truncation():
     eps = Fraction(1, 2**20)
-    F = countable_sum(phi_family, eps, tail_bound=phi_family_tail_bound)
-    meta = dict(F.meta)
-    assert meta["truncation_N"] == 21
-    assert meta["certified_error"] == eps
+    F = countable_sum(eps)
+    assert F.name == "sum:phi_family:eps=1/1048576"
     # empty set: sum of the root values 2**-i, i = 0..21
     assert F(EMPTY) == 2 - pow2(-21)
-    with pytest.raises(TypeError):
-        countable_sum(phi_family, eps)
-
-
-def phi_family_oracle(N, C):
-    """The countable sum written out term by term in Fractions, each term the
-    minimum of a member's fn (its root value on the empty set)."""
-    codes = to_codes(C)
-    members = map(phi_family, range(N + 1))
-    return sum(min(map(phi.fn, codes)) if codes else phi.fn(ROOT_CODE) for phi in members)
 
 
 def assert_matches_oracle(F, configs):
-    N = dict(F.meta)["truncation_N"]
+    # the sum truncates at the tail bound of the eps it is named by
+    N = phi_family_tail_bound(Fraction(F.name.removeprefix("sum:phi_family:eps=")))
     for C in configs:
-        assert_scaled(F, C, phi_family_oracle(N, C))
+        assert_scaled(F, C, phi_family_oracle(N, to_codes(C)))
 
 
 def test_phi_family_sum_matches_oracle_on_explicit_orbits():
     for n in range(1, 8):
-        F = countable_sum(phi_family, pow2(-n), tail_bound=phi_family_tail_bound)
+        F = countable_sum(pow2(-n))
         assert_matches_oracle(F, orbit_enumerate(explicit_En_hairs(n), n, move=dyadic_move()))
 
 
@@ -256,8 +257,7 @@ def test_phi_family_sum_reads_nodes_as_node_info_does():
     # when node_info's lead <= N and depth > lead; the root (node 1) and the
     # all-ones nodes have depth == lead and lower nothing
     for k in (0, 3, 13):
-        G = countable_sum(phi_family, pow2(-k), tail_bound=phi_family_tail_bound)
-        F, N = G.fn, dict(G.meta)["truncation_N"]
+        F, N = countable_sum(pow2(-k)).fn, phi_family_tail_bound(pow2(-k))
         empty = F(())
         for node in range(1, 1 << 14):
             lead, _, depth = node_info(node)
@@ -285,25 +285,7 @@ def lamp_configs(draw):
 @given(st.integers(0, 7), lamp_configs())
 @settings(max_examples=300, deadline=None)
 def test_phi_family_sum_matches_oracle_on_drawn_configs(k, C):
-    F = countable_sum(phi_family, pow2(-k), tail_bound=phi_family_tail_bound)
-    assert_matches_oracle(F, [C, EMPTY])
-
-
-def test_other_families_take_the_generic_sum():
-    calls = []
-
-    def family(i):
-        calls.append(i)
-        return phi_family(i)
-
-    eps = pow2(-5)
-    G = countable_sum(family, eps, tail_bound=phi_family_tail_bound)
-    F = countable_sum(phi_family, eps, tail_bound=phi_family_tail_bound)
-    N = phi_family_tail_bound(eps)
-    assert calls == list(range(N + 1))
-    assert (G.name, G.meta) == (F.name, F.meta)
-    for C in [EMPTY, *rand_configs(60, seed=11)]:
-        assert G(C) == F(C) == phi_family_oracle(N, C)
+    assert_matches_oracle(countable_sum(pow2(-k)), [C, EMPTY])
 
 
 def test_markov_image():
@@ -379,7 +361,7 @@ def test_resolve_setfn_roundtrips():
         F = resolve_setfn(name)
         assert F.name == name
     F = resolve_setfn("sum:phi_family:eps=1/1048576")
-    assert dict(F.meta)["truncation_N"] == 21
+    assert F(EMPTY) == 2 - pow2(-21)
     assert resolve_setfn("sum:phi_family:eps=1e-6")(EMPTY) > 0
     # eps is a number, named in lowest terms whatever its spelling
     for eps in ("1e-6", "0.000001", "2/2000000", "1/1000000"):

@@ -1,16 +1,21 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
+import extamen
 from extamen.dyadic import ONE, ROOT, ZERO, Dyadic
-from extamen.errors import CapExceeded, PreconditionFailed
+from extamen.errors import CapExceeded, PreconditionFailed, StructuralAssertFailed
 from extamen.graph import (
     EDGE_LABELS,
     ROOT_CODE,
@@ -734,6 +739,34 @@ def test_supermartingale_check_refuses_declared_violator():
         supermartingale_check(minfun(canonical_phi_u()), [EMPTY], mode="Y")
 
 
+def test_to_config_checks_parked_offsets(monkeypatch):
+    # the root lamp parked by A sits one step out; a counter moved back under
+    # its key fails the check, also under python -O
+    st = StructuralLampWalk()
+    for ch in "sA":
+        st.step(ch)
+    assert st.to_config() == (vertex(1, 1),)
+    monkeypatch.setattr(st, "cnt", [0, 0])
+    with pytest.raises(StructuralAssertFailed, match="nonpositive offset 0"):
+        st.to_config()
+
+
+def test_walks_refuses_another_letter_order():
+    # the structural walk reads letter indices in the order aAbBs
+    script = (
+        "import extamen.lamplighter as lamplighter\n"
+        "lamplighter.LAMP_LETTERS = ('a', 'b', 'A', 'B', 's')\n"
+        "try:\n"
+        "    import extamen.walks\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__)\n"
+    )
+    src = str(Path(extamen.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (out.returncode, out.stdout) == (0, "StructuralAssertFailed\n"), out.stderr
+
+
 def test_structural_walk_tiny_script():
     st = StructuralLampWalk()
     assert st.f_now() == 4 and st.lamp_count() == 0
@@ -1095,16 +1128,16 @@ def test_decay_experiment_slow_path():
         "states_checked": 244,
         "never_removed_fraction": 1.0,
     }
-    start = config([ROOT, dy(9, 4), vertex(1, 2)])
+    fn_name = "gmin:kmean:2:3:phi_u"
     rep = potential_decay_experiment(
-        WalkConfig(trials=5, steps=120, seed=8, checkpoints=(1, 7, 30, 120), start=start)
+        WalkConfig(trials=5, steps=120, seed=8, checkpoints=(1, 7, 30, 120), fn_name=fn_name)
     )
     assert rep.to_json() == {
         "trials": 5,
         "steps": 120,
         "seed": 8,
-        "fn": "minfun:phi_u",
-        "medians": {"1": "1", "7": "1/8", "30": "1/16", "120": "1/1024"},
+        "fn": fn_name,
+        "medians": {"1": "1", "7": "1", "30": "17/32", "120": "3/4096"},
         "supermartingale_violations": 0,
         "states_checked": 605,
         "never_removed_fraction": 1.0,
