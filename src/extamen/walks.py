@@ -569,21 +569,27 @@ class StructuralLampWalk:
         each one the margin of supermartingale_margin_ok on the state it
         acts on; returns the number of states that fail it.
 
-        This is the only copy of the trie transition, and its margin check
-        repeats _k_parts and supermartingale_margin_ok, which stay as the
-        per-state oracle.
+        With base the largest parked base depth (0 when none), kA =
+        max(mka, base) and kB = max(mkb, base), the margin reads in two
+        cases, since kab - k0 is 1 when msk >= base and 0 otherwise:
+        - msk >= base: the state fails when 2^(msk + 1 - kA) +
+          2^(msk + 1 - kB) > 6;
+        - msk < base: it fails when 2^(base - kA) + 2^(base - kB) > 2.
+        So the empty skeleton always passes.  A child height above the scale
+        is a negative shift and raises ValueError, as in the four-term form
+        of supermartingale_margin_ok, which stays as the per-state oracle.
+
+        This is the only copy of the trie transition; its heights repeat
+        _k_parts.
         """
-        root, cnt, parked = self.root, self.cnt, self.parked
-        p0, p1 = parked
+        root, cnt = self.root, self.cnt
+        p0, p1 = self.parked
         bad = 0
         # the largest parked base depth, 0 when none: only a push or a wake
         # changes it
         base = max(p0[-1][2], p1[-1][2], 0)
         for i in letters:
-            # the margin, as _k_parts and supermartingale_margin_ok give it
-            if root is None:
-                msk = mka = mkb = -1
-            else:
+            if root is not None:
                 c0, c1, mark, msk, n = root
                 mka = mkb = mark - 1
                 if c0 is not None:
@@ -598,13 +604,15 @@ class StructuralLampWalk:
                         mka = h + 1
                     if h > mkb:
                         mkb = h
-            k0 = msk if msk > base else base
-            kab = msk + 1 if msk >= base else base
-            kA = mka if mka > base else base
-            kB = mkb if mkb > base else base
-            rhs = 2 + (1 << (kab - kA)) + (1 << (kab - kB)) + (1 << (kab - k0))
-            if not 5 << (kab - k0) >= rhs:
-                bad += 1
+                if mka < base:
+                    mka = base
+                if mkb < base:
+                    mkb = base
+                if msk >= base:
+                    if (1 << (msk + 1 - mka)) + (1 << (msk + 1 - mkb)) > 6:
+                        bad += 1
+                elif (1 << (base - mka)) + (1 << (base - mkb)) > 2:
+                    bad += 1
 
             if i == 4:
                 # s: a lit root adds no height, and when it goes out the
@@ -615,48 +623,69 @@ class StructuralLampWalk:
                     root = (c0, c1, 1, msk, n + 1)
                 else:
                     root = (c0, c1, 0, msk, n - 1) if n > 1 else None
-                continue
-            s = i >> 1
-            if not i & 1:
-                # a or b
-                key = cnt[s] - 1
-                cnt[s] = key
-                stack = parked[s]
-                if stack[-1][0] == key:
-                    woke = stack.pop()[1]
+            elif i == 0:
+                # a: the trie becomes child 0, or wakes side 0's top
+                key = cnt[0] - 1
+                cnt[0] = key
+                if p0[-1][0] == key:
+                    woke = p0.pop()[1]
                     h0, h1 = p0[-1][2], p1[-1][2]
                     base = h0 if h0 > h1 else h1
                     if base < 0:
                         base = 0
-                    if s:
-                        root = _trie(woke[0], root, woke[2])
-                    else:
-                        root = _trie(root, woke[1], woke[2])
+                    root = _trie(root, woke[1], woke[2])
                 elif root is not None:
-                    if s:
-                        root = (None, root, 0, msk + 1, n)
+                    root = (root, None, 0, msk + 1, n)
+            elif i == 2:
+                # b: the same on side 1
+                key = cnt[1] - 1
+                cnt[1] = key
+                if p1[-1][0] == key:
+                    woke = p1.pop()[1]
+                    h0, h1 = p0[-1][2], p1[-1][2]
+                    base = h0 if h0 > h1 else h1
+                    if base < 0:
+                        base = 0
+                    root = _trie(woke[0], root, woke[2])
+                elif root is not None:
+                    root = (None, root, 0, msk + 1, n)
+            elif i == 1:
+                # A: child 0 becomes the root; child 1 and a lit root park
+                # on side 0 as one node over child 1
+                key = cnt[0]
+                cnt[0] = key + 1
+                if root is not None:
+                    root = c0
+                    if c1 is not None:
+                        trie = (None, c1, mark, c1[3] + 1, mark + c1[4])
+                    elif mark:
+                        trie = (None, None, 1, 0, 1)
                     else:
-                        root = (root, None, 0, msk + 1, n)
-                continue
-            # A or B
-            key = cnt[s]
-            cnt[s] = key + 1
-            if root is None:
-                continue
-            if s:
-                root = c1
-                trie = _trie(c0, None, mark)
+                        continue
+                    _, _, h, lamps = p0[-1]
+                    if trie[3] > h:
+                        h = trie[3]
+                        if h > base:
+                            base = h
+                    p0.append((key, trie, h, lamps + trie[4]))
             else:
-                root = c0
-                trie = _trie(None, c1, mark)
-            if trie is not None:
-                stack = parked[s]
-                _, _, h, lamps = stack[-1]
-                if trie[3] > h:
-                    h = trie[3]
-                    if h > base:
-                        base = h
-                stack.append((key, trie, h, lamps + trie[4]))
+                # B: the same on side 1, parking child 0
+                key = cnt[1]
+                cnt[1] = key + 1
+                if root is not None:
+                    root = c1
+                    if c0 is not None:
+                        trie = (c0, None, mark, c0[3] + 1, mark + c0[4])
+                    elif mark:
+                        trie = (None, None, 1, 0, 1)
+                    else:
+                        continue
+                    _, _, h, lamps = p1[-1]
+                    if trie[3] > h:
+                        h = trie[3]
+                        if h > base:
+                            base = h
+                    p1.append((key, trie, h, lamps + trie[4]))
         self.root = root
         return bad
 

@@ -15,6 +15,8 @@ and approx.find_vertex_below (with scan_fns, the functions they are checked
 on), the explicit hair family and the golden witness.
 
 phi_family_oracle writes the countable phi_family sum out term by term.
+mirror_letters swaps a with b and A with B in a word of letter indices: the
+letters of the graph's mirror, which fixes the root and swaps the sides.
 reduce_fword, invert_fword and z_neighbors are plain word and free-group
 helpers that only the tests read.
 """
@@ -167,6 +169,15 @@ def phi_family_oracle(N: int, C: tuple):
     member's fn, its root value on the empty set."""
     members = map(phi_family, range(N + 1))
     return sum(min(map(phi.fn, C)) if C else phi.fn(ROOT_CODE) for phi in members)
+
+
+# letter indices into LAMP_LETTERS (aAbBs): a <-> b, A <-> B, s fixed
+_MIRROR = bytes.maketrans(bytes([0, 1, 2, 3]), bytes([2, 3, 0, 1]))
+
+
+def mirror_letters(word: bytes) -> bytes:
+    """A word of letter indices with each side's letters given to the other."""
+    return word.translate(_MIRROR)
 
 
 _INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}

@@ -68,7 +68,7 @@ from extamen.walks import (
     spectral_radius_proxy,
     supermartingale_check,
 )
-from oracles import apply_word, neighbor_mean, transition_series
+from oracles import apply_word, mirror_letters, neighbor_mean, transition_series
 
 
 def dy(num, exp):
@@ -1054,13 +1054,21 @@ def test_run_matches_single_steps_on_long_words():
 def test_run_margin_matches_the_oracle_on_any_heights():
     # tries built by letters never fail the margin, so the fused check is
     # held to supermartingale_margin_ok on hand-made states whose stored
-    # heights need not match their children
+    # heights need not match their children, in both of run's cases (the
+    # skeleton at or above the parked bases, or below them); a child above
+    # the scale is a negative shift, and both must raise on it
     def leaf(h):
         return None if h is None else (None, None, 1, h, 1)
 
-    verdicts = set()
+    s = bytes([LAMP_LETTERS.index("s")])
+    outcomes = set()
     for mark, h0, h1, top, b0, b1 in product(
-        (0, 1), (None, 0, 1, 3), (None, 0, 2), (None, 0, 1, 2, 4), (-1, 0, 2, 5), (-1, 1, 3)
+        (0, 1),
+        (None, 0, 1, 2, 3, 5),
+        (None, 0, 1, 2, 4),
+        (None, 0, 1, 2, 3, 4, 6),
+        (-1, 0, 1, 2, 3, 5),
+        (-1, 0, 1, 3, 4),
     ):
         st = StructuralLampWalk()
         if top is not None:
@@ -1068,13 +1076,37 @@ def test_run_margin_matches_the_oracle_on_any_heights():
         st.parked = tuple(
             [_NO_PARK] if b < 0 else [_NO_PARK, (-1, leaf(0), b, 1)] for b in (b0, b1)
         )
+        msk, _, _, mh = st._k_parts()
         try:
             ok = st.supermartingale_margin_ok()
-        except ValueError:  # a child above the scale: a negative shift
-            continue
-        verdicts.add(ok)
-        assert st.run(bytes([LAMP_LETTERS.index("s")])) == (not ok), st._k_parts()
-    assert verdicts == {True, False}
+        except ValueError:
+            with pytest.raises(ValueError):
+                st.run(s)
+            ok = "raises"
+        else:
+            assert st.run(s) == (not ok), st._k_parts()
+        outcomes.add((msk >= max(mh, 0), ok))
+    # below the bases the sum of the two terms is 2 or a shift is negative
+    assert outcomes == {
+        (True, True), (True, False), (True, "raises"), (False, True), (False, "raises")
+    }
+
+
+def test_run_commutes_with_the_mirror():
+    # the mirror swaps the sides, so the walk on a word and on its mirrored
+    # word must agree on every quantity that does not single out a side;
+    # each side has its own branch in run, and this holds them to each other
+    for seed in range(50):
+        word = b"".join(_letters(random.Random(6100 + seed), 2_000))
+        st, mir = StructuralLampWalk(), StructuralLampWalk()
+        for t in range(0, 2_000, 100):
+            piece = word[t:t + 100]
+            assert st.run(piece) == mir.run(mirror_letters(piece)), (seed, t)
+            assert st.f_now() == mir.f_now(), (seed, t)
+            assert st.lamp_count() == mir.lamp_count(), (seed, t)
+            assert st.cnt == mir.cnt[::-1], (seed, t)
+            msk, mka, mkb, mh = st._k_parts()
+            assert mir._k_parts() == (msk, mkb, mka, mh), (seed, t)
 
 
 @given(word=strategies.text(alphabet="aAbBs", max_size=40))
