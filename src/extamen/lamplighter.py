@@ -40,6 +40,17 @@ __all__ = [
 
 LAMP_LETTERS = ("a", "A", "b", "B", "s")
 
+# the letters orbit_enumerate tries after a word that starts with the key:
+# all but the inverse of that letter
+_NEXT = {
+    "": LAMP_LETTERS,
+    "a": ("a", "b", "B", "s"),
+    "A": ("A", "b", "B", "s"),
+    "b": ("a", "A", "b", "s"),
+    "B": ("a", "A", "B", "s"),
+    "s": ("a", "A", "b", "B"),
+}
+
 Config = tuple[Dyadic, ...]  # canonically sorted, no duplicates
 
 
@@ -179,6 +190,13 @@ def orbit_enumerate(E: tuple, n: int, cap: int = 10**6, move=None) -> dict:
     Breadth-first with deduplication; the witness is the first word found,
     so witnesses are shortest and deterministic given the letter order.
     move is a lamp_action, by default lamp_action() on addresses.
+
+    The first letter of a configuration's witness moved its parent to it,
+    so that letter's inverse leads back to the parent, already seen, and is
+    never tried: A undoes a, B undoes b and s undoes itself under every
+    lamp_action whose act has A and B as the inverses of a and b.  The
+    orbit, its witnesses, their order and the cap at which CapExceeded is
+    raised are those of trying all five letters.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -189,7 +207,7 @@ def orbit_enumerate(E: tuple, n: int, cap: int = 10**6, move=None) -> dict:
         nxt = []
         for C in frontier:
             w = seen[C]
-            for ch in LAMP_LETTERS:
+            for ch in _NEXT[w[:1]]:
                 img = move(ch, C)
                 if img not in seen:
                     if len(seen) >= cap:

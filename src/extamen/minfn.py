@@ -159,6 +159,11 @@ def countable_sum(eps: Fraction) -> SetFn:
     )
 
 
+# the most node tuples one _phi_family_sum reader remembers; a full memo is
+# cleared
+_PHI_SUM_MEMO_CAP = 4096
+
+
 def _phi_family_sum(N: int) -> Callable[[tuple], tuple[int, int]]:
     """Scaled reader of the sum of minfun(phi_family(i)) for i = 0..N on an
     address configuration, reading each lamp's node with integer operations.
@@ -166,11 +171,22 @@ def _phi_family_sum(N: int) -> Callable[[tuple], tuple[int, int]]:
     depth is the node's bit length less one and lead its number of trailing
     ones: node_info's lead, except on the root and the all-ones nodes, where
     it is one more.  Those lamps lie in no subtree, and depth > lead fails
-    for them under either reading."""
+    for them under either reading.
+
+    The reader reads nodes only, never a hair offset, so its value is a
+    function of the tuple of the lamps' nodes, and it is memoized under that
+    exact key: configurations of one orbit that differ only in hair offsets,
+    which the action moves without changing their nodes, are read once.  The
+    memo holds at most _PHI_SUM_MEMO_CAP keys and is cleared when full."""
+    memo: dict[tuple, tuple[int, int]] = {}
 
     def scaled(C: tuple) -> tuple[int, int]:
+        key = tuple([node for node, _ in C])
+        value = memo.get(key)
+        if value is not None:
+            return value
         deepest: dict[int, int] = {}
-        for node, _ in C:
+        for node in key:
             depth = node.bit_length() - 1
             lead = (node ^ (node + 1)).bit_length() - 1
             # depth > lead exactly when the path continues past its leading
@@ -183,7 +199,10 @@ def _phi_family_sum(N: int) -> Callable[[tuple], tuple[int, int]]:
         total = (2 << top) - (1 << (top - N))
         for i, e in deepest.items():
             total += (1 << (top - e)) - (1 << (top - i))
-        return total, top
+        if len(memo) >= _PHI_SUM_MEMO_CAP:
+            memo.clear()
+        value = memo[key] = total, top
+        return value
 
     return scaled
 

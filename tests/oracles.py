@@ -15,8 +15,10 @@ and approx.find_vertex_below (with scan_fns, the functions they are checked
 on), the explicit hair family and the golden witness.
 
 phi_family_oracle writes the countable phi_family sum out term by term.
-mirror_letters swaps a with b and A with B in a word of letter indices: the
-letters of the graph's mirror, which fixes the root and swaps the sides.
+orbit_reference is the breadth-first orbit that tries all five letters at
+every configuration.  mirror is the graph's mirror on addresses, which fixes
+the root and swaps the sides; mirror_letters swaps a with b and A with B in a
+word, its letters under the mirror.
 reduce_fword, invert_fword and z_neighbors are plain word and free-group
 helpers that only the tests read.
 """
@@ -39,7 +41,8 @@ from extamen.graph import (
     golden_path,
 )
 from extamen.harmonic import VertexFn, canonical_phi_u, phi_family, pow2
-from extamen.lamplighter import config, lamp_action
+from extamen.errors import CapExceeded
+from extamen.lamplighter import LAMP_LETTERS, config, lamp_action
 from extamen.minfn import countable_sum
 
 
@@ -171,12 +174,42 @@ def phi_family_oracle(N: int, C: tuple):
     return sum(min(map(phi.fn, C)) if C else phi.fn(ROOT_CODE) for phi in members)
 
 
-# letter indices into LAMP_LETTERS (aAbBs): a <-> b, A <-> B, s fixed
-_MIRROR = bytes.maketrans(bytes([0, 1, 2, 3]), bytes([2, 3, 0, 1]))
+def orbit_reference(E: tuple, n: int, cap: int = 10**6, move=None) -> dict:
+    """lamplighter.orbit_enumerate trying every letter at every configuration,
+    the inverse of the letter that reached it included."""
+    move = move or lamp_action()
+    seen = {E: ""}
+    frontier = [E]
+    for _ in range(n):
+        nxt = []
+        for C in frontier:
+            for ch in LAMP_LETTERS:
+                img = move(ch, C)
+                if img not in seen:
+                    if len(seen) >= cap:
+                        raise CapExceeded(f"orbit exceeds cap {cap}")
+                    seen[img] = ch + seen[C]
+                    nxt.append(img)
+        frontier = nxt
+    return seen
 
 
-def mirror_letters(word: bytes) -> bytes:
-    """A word of letter indices with each side's letters given to the other."""
+def mirror(c: tuple) -> tuple:
+    """The mirror of the graph.code address c = (node, m): every bit of the
+    node below its top flipped, so that each a-turn becomes a b-turn, and the
+    hair offset negated."""
+    node, m = c
+    return node ^ ((1 << (node.bit_length() - 1)) - 1), -m
+
+
+# a <-> b and A <-> B, s fixed: as letter indices into LAMP_LETTERS (aAbBs)
+# and as letters; bytes.translate and str.translate both read the table
+_MIRROR = bytes.maketrans(bytes([0, 1, 2, 3]) + b"aAbB", bytes([2, 3, 0, 1]) + b"bBaA")
+
+
+def mirror_letters(word):
+    """A word, of letter indices (bytes) or of letters (str), with each side's
+    letters given to the other."""
     return word.translate(_MIRROR)
 
 

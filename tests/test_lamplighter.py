@@ -6,20 +6,24 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from extamen.approx import explicit_En_hairs
 from extamen.dyadic import Dyadic, ROOT
 from extamen.errors import CapExceeded, StructuralAssertFailed
 from extamen.freegroup import Z_E, ZBall, ZVertex, z_apply
 from extamen.graph import (
     ROOT_CODE,
+    Hair,
     act_letter,
     act_word,
     ball,
+    classify,
     code,
     evolve,
     struct_act,
     vertex,
 )
 from extamen.lamplighter import (
+    _NEXT,
     EMPTY,
     LAMP_LETTERS,
     SetFn,
@@ -36,7 +40,14 @@ from extamen.lamplighter import (
 from extamen.minfn import minfun
 from extamen.harmonic import canonical_phi_u
 from extamen.walks import spectral_radius_proxy
-from oracles import apply_word, dyadic_move, transition_series
+from oracles import (
+    apply_word,
+    dyadic_move,
+    mirror,
+    mirror_letters,
+    orbit_reference,
+    transition_series,
+)
 
 
 def dy(num, exp):
@@ -151,21 +162,16 @@ def test_orbit_cap():
 
 
 def _orbit_reference(E, n, act, root, key=None, cap=10**6):
-    """The breadth-first orbit with every image from act_on_config."""
-    seen = {E: ""}
-    frontier = [E]
-    for _ in range(n):
-        nxt = []
-        for C in frontier:
-            for ch in LAMP_LETTERS:
-                img = act_on_config(C, ch, act, root, key)
-                if img not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(f"orbit exceeds cap {cap}")
-                    seen[img] = ch + seen[C]
-                    nxt.append(img)
-        frontier = nxt
-    return seen
+    """The five-letter orbit with every image from act_on_config."""
+    return orbit_reference(E, n, cap, lambda ch, C: act_on_config(C, ch, act, root, key))
+
+
+def _orbit_or_cap(orbit, E, n, cap):
+    """orbit(E, n)'s items in insertion order, or CapExceeded if it raised."""
+    try:
+        return list(orbit(E, n, cap=cap).items())
+    except CapExceeded:
+        return CapExceeded
 
 
 _ORBIT_STARTS = [(EMPTY, 5), ((ROOT,), 4), (config([dy(9, 4), dy(1, 1), dy(23, 5)]), 4)]
@@ -213,6 +219,68 @@ def test_orbit_acts_once_per_letter_and_lamp(act, root, key, start):
     assert orbit == _orbit_reference(E, 5, act, root, key)
     assert calls and max(calls.values()) == 1
     assert {ch for ch, _ in calls} == set("aAbB")
+
+
+_HAIRS = [v for v in BALL6 if isinstance(classify(v), Hair) and classify(v).base]
+_ROOT_HAIRS = [v for v in BALL6 if isinstance(classify(v), Hair) and not classify(v).base]
+
+
+def _seeded_configs(seed, count):
+    """Sets of 1-4 lamps of the radius-6 ball; in turn the root, a hair lamp
+    or a lamp on either root hair is among them."""
+    rng = random.Random(seed)
+    return [config([rng.choice(([ROOT], _HAIRS, _ROOT_HAIRS)[i % 3]),
+                    *rng.sample(BALL6, rng.randrange(4))]) for i in range(count)]
+
+
+def _undo(ch):
+    """The letter orbit_enumerate never tries after ch."""
+    (inv,) = set(LAMP_LETTERS) - set(_NEXT[ch])
+    return inv
+
+
+@_ACTION_PARAMS
+def test_every_letter_is_undone_by_the_letter_the_orbit_skips(act, root, key, start):
+    # the orbit may skip a letter only if it leads back to the parent
+    assert _NEXT[""] == LAMP_LETTERS
+    move = lamp_action(act, root, key)
+    for ch in LAMP_LETTERS:
+        inv = _undo(ch)
+        assert _NEXT[ch] == tuple(x for x in LAMP_LETTERS if x != inv)
+        for C in map(start, _seeded_configs(8, 60)):
+            assert move(inv, move(ch, C)) == C, (ch, inv, C)
+    assert _ROOT_HAIRS and _HAIRS
+
+
+_EXPLICIT = [(to_codes(explicit_En_hairs(k)), k) for k in range(2, 8)]
+
+
+def test_orbit_equals_the_five_letter_orbit():
+    # the same configurations, words and order, and CapExceeded at the same cap
+    seeded = [(to_codes(E), 4) for E in _seeded_configs(23, 12)]
+    for E, n in [*_EXPLICIT, (EMPTY, 6), *seeded]:
+        full = len(orbit_reference(E, n))
+        for cap in sorted({1, full // 2, full - 1, full}):
+            got = _orbit_or_cap(orbit_enumerate, E, n, cap)
+            assert got == _orbit_or_cap(orbit_reference, E, n, cap), (E, n, cap)
+            assert (got is CapExceeded) == (cap < full)
+
+
+def test_orbit_commutes_with_the_mirror():
+    # the mirror of E's orbit is the orbit of the mirror of E.  The letter
+    # order aAbBs is not mirror-symmetric, so the witness of a mirrored
+    # configuration is the first of its mirrored words in the order bBaAs,
+    # not always the mirror of the witness: words are compared by length and
+    # by where they lead
+    move = lamp_action()
+    seeded = [(to_codes(E), 4) for E in _seeded_configs(29, 12)]
+    for E, n in [*_EXPLICIT[:5], *seeded]:
+        mE = config(map(mirror, E))
+        got = orbit_enumerate(mE, n)
+        image = {config(map(mirror, C)): mirror_letters(w) for C, w in orbit_enumerate(E, n).items()}
+        assert got.keys() == image.keys(), (E, n)
+        for C, w in image.items():
+            assert len(got[C]) == len(w) and act_word(w, mE, move) == C, (E, C, w)
 
 
 @_ACTION_PARAMS

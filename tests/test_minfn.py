@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from extamen.graph import (
 )
 from extamen.harmonic import VertexFn, canonical_phi_u, phi_family, pow2
 from extamen.lamplighter import EMPTY, config, markov_iterate, orbit_enumerate, to_codes
+from extamen import minfn
 from extamen.minfn import (
     SymmetricConcaveFn,
     T_operator,
@@ -267,6 +269,42 @@ def test_phi_family_sum_reads_nodes_as_node_info_does():
     # the root and the all-ones nodes, which the inline read gives lead + 1
     for depth in range(14):
         assert node_info((2 << depth) - 1) == (depth, False, depth)
+
+
+def _memo(F):
+    """The node-tuple memo of a countable_sum's scaled reader."""
+    return inspect.getclosurevars(F.scaled).nonlocals["memo"]
+
+
+def test_phi_family_memo_matches_the_oracle(monkeypatch):
+    # orbits of explicit:2..7, of the empty set and of seeded sets of 1-4
+    # lamps, then one lamp at a time on the skeleton, on hairs and on both
+    # root hairs: configurations that differ only in hair offsets share a key
+    rng = random.Random(13)
+    seeded = [to_codes(config(rng.sample(BALL6, rng.randint(1, 4)))) for _ in range(8)]
+    starts = [(to_codes(explicit_En_hairs(k)), k) for k in range(2, 8)]
+    starts += [(EMPTY, 5), *((C, 4) for C in seeded)]
+    twins = [((node, m),) for node in (1, 2, 3, 5, 6, 13) for m in range(-3, 4)]
+    cases = [(pow2(-n), list(orbit_enumerate(E, n))) for E, n in starts]
+    cases.append((pow2(-5), twins))
+    for eps, configs in cases:
+        N = phi_family_tail_bound(eps)
+        want = [phi_family_oracle(N, C) for C in configs]
+        keys = {tuple(node for node, _ in C) for C in configs}
+        assert len(keys) < len(configs)
+        # the package's cap, then one of 4 that a pass fills and clears often;
+        # the second read of each configuration may come from the memo
+        for cap in (minfn._PHI_SUM_MEMO_CAP, 4):
+            monkeypatch.setattr(minfn, "_PHI_SUM_MEMO_CAP", cap)
+            F = countable_sum(eps)
+            memo = _memo(F)
+            for C, value in [*zip(configs, want)] * 2:
+                num, e = F.scaled(C)
+                assert Fraction(num, 1 << e) == value, (C, num, e, value)
+                assert 0 < len(memo) <= cap
+            if len(keys) <= cap:
+                # one entry per node tuple: hair offsets are not in the key
+                assert set(memo) == keys
 
 
 @st.composite
