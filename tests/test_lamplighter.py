@@ -12,11 +12,9 @@ from extamen.errors import CapExceeded, StructuralAssertFailed
 from extamen.freegroup import Z_E, ZBall, ZVertex, z_apply
 from extamen.graph import (
     ROOT_CODE,
-    Hair,
     act_letter,
     act_word,
     ball,
-    classify,
     code,
     evolve,
     struct_act,
@@ -221,8 +219,8 @@ def test_orbit_acts_once_per_letter_and_lamp(act, root, key, start):
     assert {ch for ch, _ in calls} == set("aAbB")
 
 
-_HAIRS = [v for v in BALL6 if isinstance(classify(v), Hair) and classify(v).base]
-_ROOT_HAIRS = [v for v in BALL6 if isinstance(classify(v), Hair) and not classify(v).base]
+_HAIRS = [v for v, (node, m) in zip(BALL6, map(code, BALL6)) if m and node > 1]
+_ROOT_HAIRS = [v for v, (node, m) in zip(BALL6, map(code, BALL6)) if m and node == 1]
 
 
 def _seeded_configs(seed, count):
